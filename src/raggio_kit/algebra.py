@@ -243,19 +243,21 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.algebra, tuple(a @ b for a, b in zip(x.blocks, y.blocks)))
 
 
-def operator_norm(x: AlgebraElement) -> float:
-    """Largest singular value over all blocks.
+def _stack_norm(x: np.ndarray) -> float:
+    """Largest singular value over a (..., d, d) stack of matrices.
 
     Singular values come from an eigen-solve of X*X, symmetrized first so the
     solver always sees an exactly Hermitian input.
     """
-    worst = 0.0
-    for blk in x.blocks:
-        gram = blk.conj().T @ blk
-        gram = 0.5 * (gram + gram.conj().T)
-        top = np.linalg.eigvalsh(gram)[-1]
-        worst = max(worst, float(np.sqrt(max(top, 0.0))))
-    return worst
+    gram = x.conj().swapaxes(-1, -2) @ x
+    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    top = np.max(np.linalg.eigvalsh(gram)[..., -1], initial=0.0)
+    return float(np.sqrt(top))
+
+
+def operator_norm(x: AlgebraElement) -> float:
+    """Largest singular value over all blocks."""
+    return max(_stack_norm(blk) for blk in x.blocks)
 
 
 def tensor_element(x: AlgebraElement, y: AlgebraElement, product: FdAlgebra | None = None) -> AlgebraElement:

@@ -22,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    FdAlgebra,
-    element,
-    operator_norm,
-    tensor_element,
-    unit,
+from .algebra import AlgebraElement, FdAlgebra, _stack_norm, element, unit
+from .errors import (
+    AlgebraMismatchError,
+    InvalidArgumentError,
+    PreconditionError,
+    UnsupportedShapeError,
 )
-from .errors import InvalidArgumentError, PreconditionError, UnsupportedShapeError
-from .states import State, _as_rng, expectation
+from .states import State, _as_rng
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -43,10 +41,12 @@ CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * np.sqrt(2.0)
 
 
-def _check_observable(x: AlgebraElement, label: str) -> None:
-    if not x.is_self_adjoint(OBSERVABLE_TOL):
-        raise PreconditionError(f"{label} must be self-adjoint")
-    nrm = operator_norm(x)
+def _check_observable(blocks, label: str) -> None:
+    """Require self-adjoint contractions in every (..., d, d) block stack."""
+    for b in blocks:
+        if not np.max(np.abs(b - b.conj().swapaxes(-1, -2)), initial=0.0) <= OBSERVABLE_TOL:
+            raise PreconditionError(f"{label} must be self-adjoint")
+    nrm = max(_stack_norm(b) for b in blocks)
     if nrm > 1.0 + OBSERVABLE_TOL:
         raise PreconditionError(f"{label} must be a contraction, norm is {nrm!r}")
 
@@ -66,7 +66,7 @@ class ChshObservables:
         if self.b1.algebra != self.b2.algebra:
             raise PreconditionError("b1 and b2 must live on the same algebra")
         for label, x in (("a1", self.a1), ("a2", self.a2), ("b1", self.b1), ("b2", self.b2)):
-            _check_observable(x, label)
+            _check_observable(x.blocks, label)
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,46 @@ class ChshResult:
     converged: bool
 
 
+def _chsh_values(states, a, b) -> np.ndarray:
+    """(P, Q) CHSH values of P states under Q settings, given per factor block a
+    (P, Q, 2, d, d) stack of (X1, X2) in ``a`` and ``b``.  Reading a joint block as
+    rho[a, b, c, d], Tr(rho (X (x) Y)) = sum rho[a, b, c, d] X[c, a] Y[d, b]."""
+    total = 0.0
+    for idx in range(len(a) * len(b)):
+        ai, bj = a[idx // len(b)], b[idx % len(b)]
+        c = np.stack((bj[:, :, 0] + bj[:, :, 1], bj[:, :, 0] - bj[:, :, 1]), axis=2)
+        n, m = ai.shape[-1], bj.shape[-1]
+        rho = np.array([st.blocks[idx] for st in states]).reshape(len(states), n, m, n, m)
+        total = total + np.einsum("pabcd,pqkca,pqkdb->pq", rho, ai, c)
+    return np.real(total)
+
+
 def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
-    alg = state.algebra
-    term1 = tensor_element(obs.a1, obs.b1 + obs.b2, alg)
-    term2 = tensor_element(obs.a2, obs.b1 - obs.b2, alg)
-    return float(expectation(state, term1 + term2).real)
+    if state.algebra.factors != (obs.a1.algebra, obs.b1.algebra):
+        raise AlgebraMismatchError("product algebra does not factor through the given elements")
+    a = [np.stack(pair)[None, None] for pair in zip(obs.a1.blocks, obs.a2.blocks)]
+    b = [np.stack(pair)[None, None] for pair in zip(obs.b1.blocks, obs.b2.blocks)]
+    return float(_chsh_values([state], a, b)[0, 0])
+
+
+def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.ndarray:
+    """(P, Q) CHSH values of ``settings`` random dichotomic settings per state,
+    drawn from ``rng`` in the order of a random_observables call per setting."""
+    (alg_a, alg_b), p = product.factors, len(states)
+    wa, wb = (sum(2 * d * d for d in alg.block_dims) for alg in (alg_a, alg_b))
+    z = rng.standard_normal((p, settings, 2 * (wa + wb)))
+    a = _random_signs(z[..., : 2 * wa].reshape(p, settings, 2, wa), alg_a.block_dims)
+    b = _random_signs(z[..., 2 * wa :].reshape(p, settings, 2, wb), alg_b.block_dims)
+    _check_observable(a + b, "random setting")
+    return _chsh_values(states, a, b)
+
+
+def _sign(h: np.ndarray) -> np.ndarray:
+    """Sign of every self-adjoint matrix in a (..., d, d) stack, sign(0) = +1."""
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
+    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def sign_operator(h: AlgebraElement) -> AlgebraElement:
@@ -94,12 +128,7 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     affect the trace norm, so they are sent to +1 to keep the result
     dichotomic.
     """
-    blocks = []
-    for blk in h.blocks:
-        w, v = np.linalg.eigh(0.5 * (blk + blk.conj().T))
-        s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
-        blocks.append((v * s) @ v.conj().T)
-    return element(h.algebra, blocks)
+    return element(h.algebra, [_sign(blk) for blk in h.blocks])
 
 
 def _trace_norm(h: AlgebraElement) -> float:
@@ -109,31 +138,21 @@ def _trace_norm(h: AlgebraElement) -> float:
     return total
 
 
-def _effective_on_a(state: State, c: AlgebraElement) -> AlgebraElement:
-    """Self-adjoint H on A with Tr(H X) = Re omega(X (x) C) for self-adjoint X."""
-    alg_a, alg_b = state.algebra.factors
-    nb = alg_b.num_blocks
-    out = [np.zeros((d, d), dtype=complex) for d in alg_a.block_dims]
+def _effective(state: State, c: AlgebraElement, side: int) -> AlgebraElement:
+    """Self-adjoint H on factor ``side`` (0: A, 1: B) with Tr(H X) equal to
+    Re omega(X (x) C), respectively Re omega(C (x) X), for self-adjoint X."""
+    factors = state.algebra.factors
+    out = [np.zeros((d, d), dtype=complex) for d in factors[side].block_dims]
     for idx, rho in enumerate(state.blocks):
-        i, j = divmod(idx, nb)
-        ni, mj = alg_a.block_dims[i], alg_b.block_dims[j]
-        m = (rho @ np.kron(np.eye(ni), c.blocks[j])).reshape(ni, mj, ni, mj)
-        contracted = np.einsum("ajbj->ab", m)
-        out[i] = out[i] + 0.5 * (contracted + contracted.conj().T)
-    return element(alg_a, out)
-
-
-def _effective_on_b(state: State, c: AlgebraElement) -> AlgebraElement:
-    alg_a, alg_b = state.algebra.factors
-    nb = alg_b.num_blocks
-    out = [np.zeros((d, d), dtype=complex) for d in alg_b.block_dims]
-    for idx, rho in enumerate(state.blocks):
-        i, j = divmod(idx, nb)
-        ni, mj = alg_a.block_dims[i], alg_b.block_dims[j]
-        m = (rho @ np.kron(c.blocks[i], np.eye(mj))).reshape(ni, mj, ni, mj)
-        contracted = np.einsum("iaib->ab", m)
-        out[j] = out[j] + 0.5 * (contracted + contracted.conj().T)
-    return element(alg_b, out)
+        i, j = divmod(idx, factors[1].num_blocks)
+        ni, mj = factors[0].block_dims[i], factors[1].block_dims[j]
+        if side == 0:
+            k, op, spec = i, np.kron(np.eye(ni), c.blocks[j]), "ajbj->ab"
+        else:
+            k, op, spec = j, np.kron(c.blocks[i], np.eye(mj)), "iaib->ab"
+        contracted = np.einsum(spec, (rho @ op).reshape(ni, mj, ni, mj))
+        out[k] = out[k] + 0.5 * (contracted + contracted.conj().T)
+    return element(factors[side], out)
 
 
 def seesaw(
@@ -158,13 +177,13 @@ def seesaw(
     converged = False
     a1 = a2 = None
     for _ in range(max_rounds):
-        h1 = _effective_on_a(state, b1 + b2)
-        h2 = _effective_on_a(state, b1 - b2)
+        h1 = _effective(state, b1 + b2, 0)
+        h2 = _effective(state, b1 - b2, 0)
         a1, a2 = sign_operator(h1), sign_operator(h2)
         history.append(_trace_norm(h1) + _trace_norm(h2))
 
-        k1 = _effective_on_b(state, a1 + a2)
-        k2 = _effective_on_b(state, a1 - a2)
+        k1 = _effective(state, a1 + a2, 1)
+        k2 = _effective(state, a1 - a2, 1)
         b1, b2 = sign_operator(k1), sign_operator(k2)
         value = _trace_norm(k1) + _trace_norm(k2)
         history.append(value)
@@ -175,24 +194,26 @@ def seesaw(
     return ChshObservables(a1, a2, b1, b2), history, converged
 
 
+def _random_signs(z: np.ndarray, dims) -> list[np.ndarray]:
+    """Per block of ``dims``, the (..., d, d) signs of (G + G*) / 2, where G takes
+    its real and then its imaginary part from the next 2 d^2 entries of ``z``."""
+    out, off = [], 0
+    for d in dims:
+        g = z[..., off : off + 2 * d * d].reshape(*z.shape[:-1], 2, d, d)
+        out.append(_sign(g[..., 0, :, :] + 1j * g[..., 1, :, :]))
+        off += 2 * d * d
+    return out
+
+
 def random_dichotomic(alg: FdAlgebra, rng=None) -> AlgebraElement:
     """Random self-adjoint unitary (a norm-one extreme point), blockwise."""
-    rng = _as_rng(rng)
-    blocks = []
-    for d in alg.block_dims:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks.append(0.5 * (g + g.conj().T))
-    return sign_operator(element(alg, blocks))
+    z = _as_rng(rng).standard_normal(sum(2 * d * d for d in alg.block_dims))
+    return element(alg, _random_signs(z, alg.block_dims))
 
 
 def random_observables(alg_a: FdAlgebra, alg_b: FdAlgebra, rng=None) -> ChshObservables:
     rng = _as_rng(rng)
-    return ChshObservables(
-        random_dichotomic(alg_a, rng),
-        random_dichotomic(alg_a, rng),
-        random_dichotomic(alg_b, rng),
-        random_dichotomic(alg_b, rng),
-    )
+    return ChshObservables(*(random_dichotomic(x, rng) for x in (alg_a, alg_a, alg_b, alg_b)))
 
 
 def chsh_optimize(
@@ -214,16 +235,15 @@ def chsh_optimize(
     if state.algebra.factors is None:
         raise UnsupportedShapeError("CHSH optimization needs a tensor product algebra")
     alg_b = state.algebra.factors[1]
-    seeds = np.random.SeedSequence(seed).spawn(max(restarts - 1, 0))
+    rngs = _as_rng(seed).spawn(restarts - 1)
     best: tuple[float, ChshObservables, bool] | None = None
     iterations = 0
     for r in range(restarts):
         if r == 0:
             b1 = b2 = unit(alg_b)
         else:
-            rng = np.random.default_rng(seeds[r - 1])
-            b1 = random_dichotomic(alg_b, rng)
-            b2 = random_dichotomic(alg_b, rng)
+            b1 = random_dichotomic(alg_b, rngs[r - 1])
+            b2 = random_dichotomic(alg_b, rngs[r - 1])
         obs, history, converged = seesaw(state, b1, b2, tol=tol, max_rounds=max_rounds)
         iterations += len(history) // 2
         value = abs(chsh_value(state, obs))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -131,18 +130,6 @@ def _add_state_source(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_threads(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("RAGGIO_KIT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"RAGGIO_KIT_THREADS must be an integer, got {env!r}") from exc
-    return None
-
-
 def _cmd_born(args) -> int:
     if args.state is not None:
         psi = pure_vector_from_dict(_read_json(args.state))
@@ -228,7 +215,6 @@ def _cmd_raggio_check(args) -> int:
         samples=args.samples,
         seed=args.seed,
         restarts=args.restarts,
-        threads=_resolve_threads(args),
     )
     payload = report_to_dict(report)
     if args.format == "json":
@@ -297,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, required=True, help="sampling seed")
     p_check.add_argument("--samples", type=int, default=100, help="states to sample")
     p_check.add_argument("--restarts", type=int, default=4, help="see-saw restarts")
-    p_check.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: RAGGIO_KIT_THREADS or serial)",
-    )
     common(p_check)
     p_check.set_defaults(func=_cmd_raggio_check)
 
@@ -314,6 +294,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            parser.error(f"--seed must be nonnegative, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -297,8 +297,8 @@ def _reconstruction_error(x: np.ndarray, rho: np.ndarray) -> float:
 def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rng):
     """Frank-Wolfe with full weight reoptimization at every round.
 
-    Returns (weights, a_vectors, b_vectors, error); the atom count is capped
-    at dim^2 + 1, which suffices for any point of the separable convex body.
+    Returns (weights, atoms, error) with atoms as (a, b) vector pairs; the atom
+    count is capped at dim^2 + 1, enough for any point of the separable convex body.
     """
     dim = n * m
     cap = dim * dim + 1
@@ -351,7 +351,7 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
             terms.append((float(w[k]), a, b))
         return terms, 0.0
 
-    if purity_of_dense(rho) >= 1.0 - 1e-12:
+    if np.trace(rho @ rho).real >= 1.0 - 1e-12:
         vec = np.linalg.eigh(rho)[1][:, -1]
         a, b = _product_split(vec, n, m)
         x = np.outer(np.kron(a, b), np.kron(a, b).conj())
@@ -367,10 +367,6 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
         return None, err
     terms = [(float(w), a, b) for w, (a, b) in zip(weights, atoms)]
     return terms, err
-
-
-def purity_of_dense(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
 
 
 def _embed_block_state(alg: FdAlgebra, index: int, blk: np.ndarray) -> State:

@@ -18,7 +18,6 @@ though the theorem ties them together globally).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +30,11 @@ from .bell import (
     ChshObservables,
     chsh_optimize,
     chsh_value,
-    random_observables,
+    random_settings_chsh,
 )
 from .entanglement import classical_decompose, reconstruct, separability_test
 from .errors import InvalidArgumentError, ResourceLimitError, UnsupportedShapeError
-from .states import State, random_mixed, random_vector_state, trace_distance
+from .states import State, _as_rng, random_mixed, random_vector_state, trace_distance
 
 PRODUCT_DIM_CAP = 64
 CHSH_SLACK = 1e-6
@@ -142,18 +141,20 @@ def bell_one_side_classical(
     the bound on every sample.  With two noncommutative factors the scan
     also evaluates the canonical settings on an embedded singlet, so it
     reports a violation regardless of what the random draws happen to find.
+
+    The draws keep their historical order (all states, then one
+    random_observables draw per setting), so seeded scans reproduce.
     """
+    if samples < 0 or settings < 0:
+        raise InvalidArgumentError("samples and settings must be nonnegative")
     product = tensor(a, b)
     if product.total_dim > PRODUCT_DIM_CAP:
         raise ResourceLimitError(
             f"product dimension {product.total_dim} exceeds the cap {PRODUCT_DIM_CAP}"
         )
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for state in _sample_states(product, samples, rng):
-        for _ in range(settings):
-            obs = random_observables(a, b, rng)
-            worst = max(worst, abs(chsh_value(state, obs)))
+    rng = _as_rng(seed)
+    values = random_settings_chsh(product, _sample_states(product, samples, rng), settings, rng)
+    worst = float(np.max(np.abs(values), initial=0.0))
     if not (a.is_commutative or b.is_commutative):
         witness = abs(
             chsh_value(
@@ -202,7 +203,6 @@ def verify_equivalence(
     restarts: int = 4,
     decomposition_tol: float = 1e-6,
     budget: int = 150,
-    threads: int | None = None,
 ) -> RaggioReport:
     """Check both directions of the equivalence on one pair of factors.
 
@@ -215,9 +215,7 @@ def verify_equivalence(
     set, and the verdict demands a witnessed entangled state together with
     a CHSH value above the bound.  Undetermined search outcomes are counted
     but never flip the verdict.  Sampling, search, and optimization are all
-    driven by generators spawned from ``seed``; with ``threads`` set,
-    per-state work runs on a thread pool but the aggregation order is
-    fixed.
+    driven by generators spawned from ``seed``.
     """
     if samples < 1:
         raise InvalidArgumentError("need at least one sample")
@@ -230,7 +228,7 @@ def verify_equivalence(
         seed = int(np.random.SeedSequence().entropy % 2**32)
     seed = int(seed)
     expected_all = a.is_commutative or b.is_commutative
-    master = np.random.default_rng(seed)
+    master = _as_rng(seed)
 
     labeled: list[tuple[str, State]] = []
     if not expected_all:
@@ -252,12 +250,7 @@ def verify_equivalence(
             success = err <= RECONSTRUCTION_TOL
         return label, v, r.value, success
 
-    jobs = list(zip(labeled, job_seeds))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(examine, jobs))
-    else:
-        results = [examine(j) for j in jobs]
+    results = [examine(job) for job in zip(labeled, job_seeds)]
 
     entangled_witness = None
     for label, v, _, _ in results:

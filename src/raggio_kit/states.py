@@ -30,7 +30,10 @@ STATE_TRACE_TOL = 1e-9
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"invalid seed {seed!r}: {exc}") from exc
 
 
 def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
@@ -40,6 +43,8 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
     zero so that downstream eigen-decompositions stay positive; anything
     more negative is a genuine error, not noise.
     """
+    if not np.all(np.isfinite(blk)):
+        raise InvalidStateError(f"{label} has non-finite entries")
     herm_defect = np.max(np.abs(blk - blk.conj().T), initial=0.0)
     if herm_defect > STATE_HERMITICITY_TOL:
         raise InvalidStateError(f"{label} is not Hermitian (defect {herm_defect:.3e})")
@@ -126,6 +131,8 @@ class PureVector:
             raise InvalidStateError(
                 f"vector has {psi.size} entries, algebra dimension is {self.algebra.total_dim}"
             )
+        if not np.all(np.isfinite(psi)):
+            raise InvalidStateError("vector has non-finite amplitudes")
         nrm = float(np.linalg.norm(psi))
         if nrm < 1e-12:
             raise InvalidStateError("cannot normalize the zero vector")

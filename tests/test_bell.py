@@ -17,8 +17,8 @@ from raggio_kit.bell import (
     SIGMA_Y,
     SIGMA_Z,
     ChshObservables,
-    _effective_on_a,
-    _effective_on_b,
+    _check_observable,
+    _effective,
     canonical_qubit_observables,
     chsh_optimize,
     chsh_value,
@@ -29,6 +29,7 @@ from raggio_kit.bell import (
     sign_operator,
 )
 from raggio_kit.errors import (
+    AlgebraMismatchError,
     InvalidArgumentError,
     PreconditionError,
     UnsupportedShapeError,
@@ -90,13 +91,13 @@ def test_effective_operators_reproduce_expectations():
         st = random_mixed(prod, rng)
         c = random_dichotomic(alg_b, rng)
         x = random_dichotomic(alg_a, rng)
-        h = _effective_on_a(st, c)
+        h = _effective(st, c, 0)
         lhs = sum(np.trace(hb @ xb).real for hb, xb in zip(h.blocks, x.blocks))
         rhs = expectation(st, tensor_element(x, c, prod)).real
         assert lhs == pytest.approx(rhs, abs=1e-12)
         d = random_dichotomic(alg_a, rng)
         y = random_dichotomic(alg_b, rng)
-        k = _effective_on_b(st, d)
+        k = _effective(st, d, 1)
         lhs = sum(np.trace(kb @ yb).real for kb, yb in zip(k.blocks, y.blocks))
         rhs = expectation(st, tensor_element(d, y, prod)).real
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -220,3 +221,58 @@ def test_horodecki_requires_two_qubits():
         horodecki_two_qubit(random_mixed(tensor(M2, make_full(3)), 0))
     with pytest.raises(UnsupportedShapeError):
         horodecki_two_qubit(random_mixed(make_full(4), 0))
+
+
+def test_batched_observable_check_rejects_bad_matrices_in_a_stack():
+    good = np.stack([SIGMA_X, SIGMA_Z])
+    _check_observable([good], "x")
+    not_self_adjoint = np.stack([SIGMA_X, np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(PreconditionError, match="self-adjoint"):
+        _check_observable([good, not_self_adjoint], "x")
+    not_contraction = np.stack([SIGMA_Z, 1.5 * SIGMA_X])
+    with pytest.raises(PreconditionError, match="contraction"):
+        _check_observable([not_contraction, good], "x")
+    with pytest.raises(PreconditionError, match="self-adjoint"):
+        _check_observable([good, np.stack([SIGMA_X, np.full((2, 2), np.nan)])], "x")
+
+
+def test_chsh_value_rejects_foreign_observables():
+    obs = canonical_qubit_observables(M2, M2)
+    with pytest.raises(AlgebraMismatchError):
+        chsh_value(random_mixed(tensor(M2, make_full(3)), 0), obs)
+    with pytest.raises(AlgebraMismatchError):
+        chsh_value(random_mixed(make_full(4), 0), obs)
+
+
+def test_seeded_seesaw_history_is_pinned():
+    # seeded runs must reproduce bit for bit: these values pin the draw order
+    # of random_dichotomic and the arithmetic of every see-saw half-step
+    rng = np.random.default_rng(2026)
+    alg_a = direct_sum(M2, make_commutative(1))
+    st = random_mixed(tensor(alg_a, M2), rng)
+    b1, b2 = random_dichotomic(M2, rng), random_dichotomic(M2, rng)
+    _, history, converged = seesaw(st, b1, b2)
+    assert converged and len(history) == 56
+    assert history[:4] == [
+        1.1573905638497777,
+        1.40010741463383,
+        1.4429928315466654,
+        1.4513926789745861,
+    ]
+    assert history[-1] == 1.4564781015265704
+
+
+def test_seeded_optimize_iterations_are_pinned():
+    alg_a = direct_sum(M2, make_commutative(1))
+    st = random_mixed(tensor(alg_a, make_full(3)), 31)
+    res = chsh_optimize(st, restarts=5, seed=8)
+    assert res.iterations == 36
+    assert res.value == 2.000000000000001
+    res = chsh_optimize(werner(0.9), restarts=6, seed=99)
+    assert res.iterations == 12
+    assert res.value == 2.5455844122715723
+
+
+def test_optimize_rejects_negative_seed():
+    with pytest.raises(InvalidArgumentError):
+        chsh_optimize(singlet().state(), restarts=2, seed=-1)

@@ -205,37 +205,20 @@ def test_raggio_check_inconsistent_exit_code(capsys, monkeypatch):
     assert "InconsistentWithTheorem" in out
 
 
-def test_raggio_check_threads_env(capsys, monkeypatch):
-    captured = {}
-    real = cli.verify_equivalence
-
-    def spy(*args, **kwargs):
-        captured.update(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "verify_equivalence", spy)
-    monkeypatch.setenv("RAGGIO_KIT_THREADS", "2")
-    code, _, _ = run(
-        capsys,
-        "raggio-check",
-        "--a",
-        "M2",
-        "--b",
-        "D2",
-        "--seed",
-        "5",
-        "--samples",
-        "2",
-    )
-    assert code == 0
-    assert captured["threads"] == 2
-
-
-def test_raggio_check_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("RAGGIO_KIT_THREADS", "lots")
-    code, _, err = run(capsys, "raggio-check", "--a", "M2", "--b", "D2", "--seed", "5")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("separability", "--werner", "0.5"),
+        ("chsh", "--singlet"),
+        ("raggio-check", "--a", "M2", "--b", "D2"),
+    ],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
     assert code == 2
-    assert "RAGGIO_KIT_THREADS" in err
+    assert out == ""
+    assert "error:" in err and "nonnegative" in err
+    assert "Traceback" not in err
 
 
 def test_bad_algebra_is_usage_error(capsys):

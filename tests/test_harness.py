@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor
-from raggio_kit.bell import CHSH_QUANTUM_BOUND, chsh_optimize
+from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor, tensor_element
+from raggio_kit.bell import (
+    CHSH_QUANTUM_BOUND,
+    chsh_optimize,
+    random_observables,
+    random_settings_chsh,
+)
 from raggio_kit.entanglement import separability_test
 from raggio_kit.errors import (
     InvalidArgumentError,
@@ -11,12 +16,13 @@ from raggio_kit.errors import (
 )
 from raggio_kit.harness import (
     VERDICT_CONSISTENT,
+    _sample_states,
     bell_one_side_classical,
     embedded_singlet,
     embedded_werner,
     verify_equivalence,
 )
-from raggio_kit.states import purity, restrict_to_factor
+from raggio_kit.states import expectation, purity, restrict_to_factor
 
 M2, M3 = make_full(2), make_full(3)
 D2, D3 = make_commutative(2), make_commutative(3)
@@ -68,6 +74,58 @@ def test_bell_scan_flags_two_noncommutative_sides():
     assert scan.max_abs_value >= CHSH_QUANTUM_BOUND - 1e-9
 
 
+def _loop_scan_values(a, b, samples, seed, settings):
+    """The scan as a plain loop: one random_observables draw per setting,
+    evaluated through tensor_element and expectation."""
+    product = tensor(a, b)
+    rng = np.random.default_rng(seed)
+    values = []
+    for state in _sample_states(product, samples, rng):
+        for _ in range(settings):
+            obs = random_observables(a, b, rng)
+            op = tensor_element(obs.a1, obs.b1 + obs.b2, product) + tensor_element(
+                obs.a2, obs.b1 - obs.b2, product
+            )
+            values.append(expectation(state, op).real)
+    return np.reshape(values, (samples, settings))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (M3, make_commutative(4)),
+        (M2, D2),
+        (M2, M2),
+        (direct_sum(M2, make_commutative(1)), M2),
+        (direct_sum(M2, make_full(1)), direct_sum(M2, make_commutative(1))),
+    ],
+)
+def test_bell_scan_matches_loop_reference(a, b):
+    # same draws in the same order; only the summation order differs
+    product = tensor(a, b)
+    for seed in (0, 17):
+        reference = _loop_scan_values(a, b, 6, seed, 7)
+        rng = np.random.default_rng(seed)
+        values = random_settings_chsh(product, _sample_states(product, 6, rng), 7, rng)
+        np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
+        expected = np.abs(reference).max()
+        if not (a.is_commutative or b.is_commutative):
+            expected = max(expected, CHSH_QUANTUM_BOUND)
+        scan = bell_one_side_classical(a, b, samples=6, seed=seed, settings=7)
+        assert abs(scan.max_abs_value - expected) <= 1e-12
+
+
+def test_bell_scan_argument_checks():
+    with pytest.raises(InvalidArgumentError):
+        bell_one_side_classical(M2, D2, samples=2, seed=-1, settings=2)
+    with pytest.raises(InvalidArgumentError):
+        bell_one_side_classical(M2, D2, samples=-1, seed=0, settings=2)
+    with pytest.raises(InvalidArgumentError):
+        bell_one_side_classical(M2, D2, samples=2, seed=0, settings=-1)
+    empty = bell_one_side_classical(M2, D2, samples=0, seed=0, settings=3)
+    assert empty.bound_holds and empty.max_abs_value == 0.0
+
+
 def test_bell_scan_dimension_cap():
     with pytest.raises(ResourceLimitError):
         bell_one_side_classical(make_full(9), make_full(8), samples=1, seed=0, settings=1)
@@ -112,12 +170,6 @@ def test_verify_reports_are_deterministic():
     assert r1 == r2
 
 
-def test_verify_threads_match_serial():
-    serial = verify_equivalence(M2, M2, samples=6, seed=22, threads=None)
-    threaded = verify_equivalence(M2, M2, samples=6, seed=22, threads=3)
-    assert serial == threaded
-
-
 def test_verify_dimension_cap():
     with pytest.raises(ResourceLimitError):
         verify_equivalence(make_full(9), make_full(8), samples=1, seed=0)
@@ -129,6 +181,8 @@ def test_verify_dimension_cap():
 def test_verify_argument_checks_and_seed_fallback():
     with pytest.raises(InvalidArgumentError):
         verify_equivalence(M2, D2, samples=0, seed=0)
+    with pytest.raises(InvalidArgumentError):
+        verify_equivalence(M2, D2, samples=2, seed=-1)
     rep = verify_equivalence(make_full(1), D2, samples=2)
     assert isinstance(rep.seed, int)
     assert rep.verdict == VERDICT_CONSISTENT

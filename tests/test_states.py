@@ -57,6 +57,26 @@ def test_state_validation():
         State(alg, (np.eye(2) / 2, np.eye(2) / 2))  # block count
 
 
+@pytest.mark.parametrize("amplitudes", [[np.nan, 1, 0, 0], [np.inf, 1, 0, 0], [1, 0, 0, -np.inf]])
+def test_pure_vector_rejects_non_finite_amplitudes(amplitudes):
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        PureVector(make_full(4), amplitudes)
+
+
+def test_state_rejects_nan_on_the_diagonal():
+    rho = np.diag([np.nan, 0.5]).astype(complex)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        State(make_full(2), (rho,))
+
+
+def test_state_rejects_nan_off_the_diagonal():
+    rho = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        State(make_full(2), (rho,))
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        State(make_full(2), (np.array([[0.5, np.inf], [0.0, 0.5]]),))
+
+
 def test_state_accepts_tiny_defects():
     alg = make_full(2)
     rho = np.array([[0.5, 1e-11j], [-1e-11j, 0.5]])
@@ -268,3 +288,5 @@ def test_seed_handling_is_deterministic():
     g = np.random.default_rng(123)
     c = random_mixed(make_full(3), g)
     np.testing.assert_allclose(a.matrix, c.matrix)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        random_mixed(make_full(3), -1)
