@@ -6,15 +6,25 @@ An algebra with block dimensions ``(n_1, ..., n_k)`` is the direct sum
 the two cases of interest - full matrix algebras ``M_n`` and commutative
 algebras of functions on finitely many points - are both covered, as are
 their tensor products.
+
+Joint-block order: ``tensor(a, b)`` has one joint block per pair ``(i, j)``
+of a block of ``a`` and a block of ``b``, listed lexicographically, so joint
+block ``idx = i * b.num_blocks + j`` has dimension ``n_i * m_j``.  Inside it
+the basis vector ``e_r (x) f_s`` sits at row ``r * m_j + s``, so
+``blk.reshape(n_i, m_j, n_i, m_j)`` separates the two factors.  Code that
+walks joint blocks goes through :func:`joint_blocks` rather than decoding
+``idx`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .errors import AlgebraMismatchError, InvalidDimensionError
+from .errors import AlgebraMismatchError, InvalidDimensionError, MissingFactorizationError
 
 HERMITICITY_TOL = 1e-9
 COMMUTATOR_TOL = 1e-12
@@ -54,13 +64,9 @@ class FdAlgebra:
         """True iff every block is 1x1."""
         return all(d == 1 for d in self.block_dims)
 
-    def block_offsets(self) -> list[int]:
-        """Start offset of each block inside the dense representation."""
-        out, off = [], 0
-        for d in self.block_dims:
-            out.append(off)
-            off += d
-        return out
+    def block_slices(self) -> list[slice]:
+        """Row (and column) range of each block inside the dense representation."""
+        return [slice(end - d, end) for d, end in zip(self.block_dims, accumulate(self.block_dims))]
 
     def describe(self) -> str:
         if self.factors is not None:
@@ -94,18 +100,65 @@ def direct_sum(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
 def tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     """Tensor product algebra, with the factorization recorded.
 
-    Block (i, j) of the product has dimension ``a.block_dims[i] *
-    b.block_dims[j]``; pairs are ordered lexicographically.  In finite
-    dimension the C*-tensor product is unique, so the elementwise Kronecker
-    construction is the whole story.
+    Its blocks are the joint blocks, in the order given in the module
+    docstring.  In finite dimension the C*-tensor product is unique, so the
+    elementwise Kronecker construction is the whole story.
     """
     dims = tuple(na * nb for na in a.block_dims for nb in b.block_dims)
     return FdAlgebra(dims, factors=(a, b))
 
 
-def is_commutative(a: FdAlgebra) -> bool:
-    """True iff all blocks of ``a`` are 1x1 (a is a function algebra)."""
-    return a.is_commutative
+def _require_factors(alg: FdAlgebra) -> tuple[FdAlgebra, FdAlgebra]:
+    if alg.factors is None:
+        raise MissingFactorizationError(
+            "algebra has no recorded tensor factorization; build it with tensor(a, b)"
+        )
+    return alg.factors
+
+
+def joint_blocks(product: FdAlgebra) -> list[tuple[int, int, int, int, int]]:
+    """``(idx, i, j, n_i, m_j)`` for every joint block of a tensor product, in
+    block order: joint block ``idx`` pairs block ``i`` (size ``n_i``) of the
+    first factor with block ``j`` (size ``m_j``) of the second."""
+    da, db = (f.block_dims for f in _require_factors(product))
+    return [(i * len(db) + j, i, j, n, m) for i, n in enumerate(da) for j, m in enumerate(db)]
+
+
+def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
+    """Diagonal blocks of a dense matrix on the representation space of ``alg``.
+
+    Raises InvalidDimensionError on a wrong shape or on an entry outside the
+    blocks larger than ``tol`` in modulus.
+    """
+    arr = np.asarray(arr, dtype=complex)
+    n = alg.total_dim
+    if arr.shape != (n, n):
+        raise InvalidDimensionError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
+    inside = block_diag(*(np.ones((d, d), dtype=bool) for d in alg.block_dims))
+    stray = np.max(np.abs(arr[~inside]), initial=0.0)
+    if not stray <= tol:  # NaN off the blocks is rejected too
+        raise InvalidDimensionError(
+            f"matrix has off-block entries up to {stray:.3e}; "
+            f"not block-diagonal for blocks {alg.block_dims}"
+        )
+    return tuple(arr[s, s] for s in alg.block_slices())
+
+
+def embed(alg: FdAlgebra, k: int, blk: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Blocks of ``alg`` holding ``blk`` at block ``k`` and zeros elsewhere."""
+    return tuple(
+        blk if idx == k else np.zeros((d, d), dtype=complex) for idx, d in enumerate(alg.block_dims)
+    )
+
+
+def herm(x: np.ndarray) -> np.ndarray:
+    """Hermitian part (X + X*) / 2 of a matrix or of each matrix in a (..., d, d) stack."""
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
+
+
+def trace_norm(blocks) -> float:
+    """Sum over the blocks of the trace norm of each block's Hermitian part."""
+    return sum(float(np.sum(np.abs(np.linalg.eigvalsh(herm(blk))))) for blk in blocks)
 
 
 def _as_block(mat, dim: int) -> np.ndarray:
@@ -143,13 +196,7 @@ class AlgebraElement:
     @property
     def matrix(self) -> np.ndarray:
         """Dense block-diagonal matrix on the full representation space."""
-        n = self.algebra.total_dim
-        out = np.zeros((n, n), dtype=complex)
-        for off, dim, blk in zip(
-            self.algebra.block_offsets(), self.algebra.block_dims, self.blocks
-        ):
-            out[off : off + dim, off : off + dim] = blk
-        return out
+        return block_diag(*self.blocks)
 
     def is_self_adjoint(self, tol: float = HERMITICITY_TOL) -> bool:
         return all(
@@ -189,22 +236,7 @@ def element(algebra: FdAlgebra, blocks) -> AlgebraElement:
 
 def element_from_matrix(algebra: FdAlgebra, mat, off_block_tol: float = 1e-12) -> AlgebraElement:
     """Split a dense matrix into blocks, rejecting off-block mass above tolerance."""
-    arr = np.asarray(mat, dtype=complex)
-    n = algebra.total_dim
-    if arr.shape != (n, n):
-        raise InvalidDimensionError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
-    blocks = []
-    mask = np.ones((n, n), dtype=bool)
-    for off, dim in zip(algebra.block_offsets(), algebra.block_dims):
-        blocks.append(arr[off : off + dim, off : off + dim])
-        mask[off : off + dim, off : off + dim] = False
-    stray = np.max(np.abs(arr[mask]), initial=0.0)
-    if stray > off_block_tol:
-        raise InvalidDimensionError(
-            f"matrix has off-block entries up to {stray:.3e}; "
-            f"not block-diagonal for blocks {algebra.block_dims}"
-        )
-    return AlgebraElement(algebra, tuple(blocks))
+    return AlgebraElement(algebra, split_dense(algebra, mat, off_block_tol))
 
 
 def unit(algebra: FdAlgebra) -> AlgebraElement:
@@ -225,11 +257,7 @@ def diagonal_element(algebra: FdAlgebra, values) -> AlgebraElement:
         raise InvalidDimensionError(
             f"need {algebra.total_dim} diagonal values, got shape {vals.shape}"
         )
-    blocks, off = [], 0
-    for d in algebra.block_dims:
-        blocks.append(np.diag(vals[off : off + d]))
-        off += d
-    return AlgebraElement(algebra, tuple(blocks))
+    return AlgebraElement(algebra, tuple(np.diag(vals[s]) for s in algebra.block_slices()))
 
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:
@@ -279,9 +307,9 @@ def matrix_units(algebra: FdAlgebra):
     for k, d in enumerate(algebra.block_dims):
         for r in range(d):
             for s in range(d):
-                blocks = [np.zeros((dd, dd), dtype=complex) for dd in algebra.block_dims]
-                blocks[k][r, s] = 1.0
-                yield AlgebraElement(algebra, tuple(blocks))
+                e = np.zeros((d, d), dtype=complex)
+                e[r, s] = 1.0
+                yield AlgebraElement(algebra, embed(algebra, k, e))
 
 
 def commutes_exactly(algebra: FdAlgebra, tol: float = COMMUTATOR_TOL) -> bool:

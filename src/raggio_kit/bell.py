@@ -22,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdAlgebra, _stack_norm, element, unit
+from .algebra import (
+    AlgebraElement,
+    FdAlgebra,
+    _stack_norm,
+    element,
+    herm,
+    joint_blocks,
+    trace_norm,
+    unit,
+)
 from .errors import (
     AlgebraMismatchError,
     InvalidArgumentError,
@@ -34,11 +43,21 @@ from .states import State, _as_rng
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# (A1, A2, B1, B2) on M2 (x) M2 reaching 2 sqrt(2) on the singlet
+CANONICAL_QUBIT_SETTINGS = (
+    SIGMA_Z,
+    SIGMA_X,
+    -_INV_SQRT2 * (SIGMA_Z + SIGMA_X),
+    _INV_SQRT2 * (SIGMA_X - SIGMA_Z),
+)
 
 OBSERVABLE_TOL = 1e-9
 SIGN_EIGENVALUE_TOL = 1e-12
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * np.sqrt(2.0)
+# random settings drawn and evaluated at once by random_settings_chsh
+SCAN_CHUNK_SETTINGS = 1000
 
 
 def _check_observable(blocks, label: str) -> None:
@@ -78,15 +97,14 @@ class ChshResult:
     converged: bool
 
 
-def _chsh_values(states, a, b) -> np.ndarray:
-    """(P, Q) CHSH values of P states under Q settings, given per factor block a
-    (P, Q, 2, d, d) stack of (X1, X2) in ``a`` and ``b``.  Reading a joint block as
-    rho[a, b, c, d], Tr(rho (X (x) Y)) = sum rho[a, b, c, d] X[c, a] Y[d, b]."""
+def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
+    """(P, Q) CHSH values of P states on ``product`` under Q settings, given per
+    factor block a (P, Q, 2, d, d) stack of (X1, X2) in ``a`` and ``b``.  Reading a
+    joint block as rho[a, b, c, d], Tr(rho (X (x) Y)) = sum rho[a, b, c, d] X[c, a] Y[d, b]."""
     total = 0.0
-    for idx in range(len(a) * len(b)):
-        ai, bj = a[idx // len(b)], b[idx % len(b)]
+    for idx, i, j, n, m in joint_blocks(product):
+        ai, bj = a[i], b[j]
         c = np.stack((bj[:, :, 0] + bj[:, :, 1], bj[:, :, 0] - bj[:, :, 1]), axis=2)
-        n, m = ai.shape[-1], bj.shape[-1]
         rho = np.array([st.blocks[idx] for st in states]).reshape(len(states), n, m, n, m)
         total = total + np.einsum("pabcd,pqkca,pqkdb->pq", rho, ai, c)
     return np.real(total)
@@ -98,24 +116,31 @@ def chsh_value(state: State, obs: ChshObservables) -> float:
         raise AlgebraMismatchError("product algebra does not factor through the given elements")
     a = [np.stack(pair)[None, None] for pair in zip(obs.a1.blocks, obs.a2.blocks)]
     b = [np.stack(pair)[None, None] for pair in zip(obs.b1.blocks, obs.b2.blocks)]
-    return float(_chsh_values([state], a, b)[0, 0])
+    return float(_chsh_values(state.algebra, [state], a, b)[0, 0])
 
 
 def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.ndarray:
     """(P, Q) CHSH values of ``settings`` random dichotomic settings per state,
-    drawn from ``rng`` in the order of a random_observables call per setting."""
-    (alg_a, alg_b), p = product.factors, len(states)
+    drawn from ``rng`` in the order of a random_observables call per setting.
+    Chunks of consecutive states with at most SCAN_CHUNK_SETTINGS settings (and
+    at least one state) bound the memory; they draw the same stream."""
+    alg_a, alg_b = product.factors
     wa, wb = (sum(2 * d * d for d in alg.block_dims) for alg in (alg_a, alg_b))
-    z = rng.standard_normal((p, settings, 2 * (wa + wb)))
-    a = _random_signs(z[..., : 2 * wa].reshape(p, settings, 2, wa), alg_a.block_dims)
-    b = _random_signs(z[..., 2 * wa :].reshape(p, settings, 2, wb), alg_b.block_dims)
-    _check_observable(a + b, "random setting")
-    return _chsh_values(states, a, b)
+    step = max(1, SCAN_CHUNK_SETTINGS // max(settings, 1))
+    values = np.empty((len(states), settings))
+    for lo in range(0, len(states), step):
+        part = states[lo : lo + step]
+        z = rng.standard_normal((len(part), settings, 2 * (wa + wb)))
+        a = _random_signs(z[..., : 2 * wa].reshape(len(part), settings, 2, wa), alg_a.block_dims)
+        b = _random_signs(z[..., 2 * wa :].reshape(len(part), settings, 2, wb), alg_b.block_dims)
+        _check_observable(a + b, "random setting")
+        values[lo : lo + step] = _chsh_values(product, part, a, b)
+    return values
 
 
 def _sign(h: np.ndarray) -> np.ndarray:
     """Sign of every self-adjoint matrix in a (..., d, d) stack, sign(0) = +1."""
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    w, v = np.linalg.eigh(herm(h))
     s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
     return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -131,28 +156,19 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     return element(h.algebra, [_sign(blk) for blk in h.blocks])
 
 
-def _trace_norm(h: AlgebraElement) -> float:
-    total = 0.0
-    for blk in h.blocks:
-        total += float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (blk + blk.conj().T)))))
-    return total
-
-
 def _effective(state: State, c: AlgebraElement, side: int) -> AlgebraElement:
     """Self-adjoint H on factor ``side`` (0: A, 1: B) with Tr(H X) equal to
     Re omega(X (x) C), respectively Re omega(C (x) X), for self-adjoint X."""
-    factors = state.algebra.factors
-    out = [np.zeros((d, d), dtype=complex) for d in factors[side].block_dims]
-    for idx, rho in enumerate(state.blocks):
-        i, j = divmod(idx, factors[1].num_blocks)
-        ni, mj = factors[0].block_dims[i], factors[1].block_dims[j]
+    target = state.algebra.factors[side]
+    out = [np.zeros((d, d), dtype=complex) for d in target.block_dims]
+    for idx, i, j, n, m in joint_blocks(state.algebra):
         if side == 0:
-            k, op, spec = i, np.kron(np.eye(ni), c.blocks[j]), "ajbj->ab"
+            k, op, spec = i, np.kron(np.eye(n), c.blocks[j]), "ajbj->ab"
         else:
-            k, op, spec = j, np.kron(c.blocks[i], np.eye(mj)), "iaib->ab"
-        contracted = np.einsum(spec, (rho @ op).reshape(ni, mj, ni, mj))
-        out[k] = out[k] + 0.5 * (contracted + contracted.conj().T)
-    return element(factors[side], out)
+            k, op, spec = j, np.kron(c.blocks[i], np.eye(m)), "iaib->ab"
+        contracted = np.einsum(spec, (state.blocks[idx] @ op).reshape(n, m, n, m))
+        out[k] = out[k] + herm(contracted)
+    return element(target, out)
 
 
 def seesaw(
@@ -172,6 +188,8 @@ def seesaw(
         raise UnsupportedShapeError("see-saw needs a state on a tensor product algebra")
     if max_rounds < 1:
         raise PreconditionError("need at least one see-saw round")
+    if not -np.inf < tol < np.inf:
+        raise InvalidArgumentError(f"tolerance must be finite, got {tol!r}")
     prev = -np.inf
     history: list[float] = []
     converged = False
@@ -180,12 +198,12 @@ def seesaw(
         h1 = _effective(state, b1 + b2, 0)
         h2 = _effective(state, b1 - b2, 0)
         a1, a2 = sign_operator(h1), sign_operator(h2)
-        history.append(_trace_norm(h1) + _trace_norm(h2))
+        history.append(trace_norm(h1.blocks) + trace_norm(h2.blocks))
 
         k1 = _effective(state, a1 + a2, 1)
         k2 = _effective(state, a1 - a2, 1)
         b1, b2 = sign_operator(k1), sign_operator(k2)
-        value = _trace_norm(k1) + _trace_norm(k2)
+        value = trace_norm(k1.blocks) + trace_norm(k2.blocks)
         history.append(value)
         if value - prev < tol:
             converged = True
@@ -262,13 +280,8 @@ def canonical_qubit_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshObser
     """The standard settings reaching 2 sqrt(2) on the singlet."""
     if alg_a.block_dims != (2,) or alg_b.block_dims != (2,):
         raise UnsupportedShapeError("canonical settings are defined for M2, M2")
-    inv = 1.0 / np.sqrt(2.0)
-    return ChshObservables(
-        element(alg_a, [SIGMA_Z]),
-        element(alg_a, [SIGMA_X]),
-        element(alg_b, [-inv * (SIGMA_Z + SIGMA_X)]),
-        element(alg_b, [inv * (SIGMA_X - SIGMA_Z)]),
-    )
+    algs = (alg_a, alg_a, alg_b, alg_b)
+    return ChshObservables(*(element(alg, [x]) for alg, x in zip(algs, CANONICAL_QUBIT_SETTINGS)))
 
 
 def horodecki_two_qubit(state: State) -> float:

@@ -24,13 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .algebra import FdAlgebra, tensor
-from .errors import (
-    AlgebraMismatchError,
-    InvalidArgumentError,
-    MissingFactorizationError,
-    UnsupportedShapeError,
-)
+from .algebra import FdAlgebra, _require_factors, embed, herm, joint_blocks, tensor, trace_norm
+from .errors import AlgebraMismatchError, InvalidArgumentError, UnsupportedShapeError
 from .states import (
     PureVector,
     State,
@@ -57,10 +52,6 @@ DEFAULT_DECOMP_TOL = 1e-6
 _EXACT_PPT_SHAPES = {(2, 2), (2, 3), (3, 2)}
 
 
-def _herm(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """A convex combination sum_k w_k alpha_k (x) beta_k of product states."""
@@ -75,6 +66,8 @@ class Decomposition:
         if len(self.weights) == 0:
             raise InvalidArgumentError("a decomposition needs at least one term")
         w = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise InvalidArgumentError(f"decomposition weights must be finite, got {w}")
         if np.any(w < -1e-12):
             raise InvalidArgumentError("decomposition weights must be nonnegative")
         total = float(w.sum())
@@ -125,14 +118,6 @@ class SeparabilityVerdict:
         return None
 
 
-def _require_factors(alg: FdAlgebra) -> tuple[FdAlgebra, FdAlgebra]:
-    if alg.factors is None:
-        raise MissingFactorizationError(
-            "algebra has no recorded tensor factorization; build it with tensor(a, b)"
-        )
-    return alg.factors
-
-
 def schmidt(psi: PureVector) -> np.ndarray:
     """Schmidt coefficients of a wavefunction on M_n (x) M_m, descending."""
     alg_a, alg_b = _require_factors(psi.algebra)
@@ -177,14 +162,10 @@ def ppt_check(state: State) -> float:
     A value below -PPT_TOL certifies entanglement.  Transposition acts on
     the second factor of each joint block.
     """
-    alg_a, alg_b = _require_factors(state.algebra)
-    nb = alg_b.num_blocks
     worst = np.inf
-    for idx, blk in enumerate(state.blocks):
-        i, j = divmod(idx, nb)
-        ni, mj = alg_a.block_dims[i], alg_b.block_dims[j]
-        pt = blk.reshape(ni, mj, ni, mj).transpose(0, 3, 2, 1).reshape(ni * mj, ni * mj)
-        worst = min(worst, float(np.linalg.eigvalsh(_herm(pt))[0]))
+    for idx, _, _, n, m in joint_blocks(state.algebra):
+        pt = state.blocks[idx].reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
+        worst = min(worst, float(np.linalg.eigvalsh(herm(pt))[0]))
     return float(worst)
 
 
@@ -195,36 +176,25 @@ def classical_decompose(state: State) -> Decomposition:
     are (conditional state) (x) (point measure), so every state of this kind
     is decomposable.  Conditions on B when B is commutative, else on A.
     """
-    alg_a, alg_b = _require_factors(state.algebra)
-    if alg_b.is_commutative:
-        swap = False
-    elif alg_a.is_commutative:
-        swap = True
-    else:
+    factors = _require_factors(state.algebra)
+    side = 1 if factors[1].is_commutative else 0
+    if not factors[side].is_commutative:
         raise InvalidArgumentError("classical decomposition needs a commutative factor")
+    points, other = factors[side], factors[1 - side]
 
-    nb = alg_b.num_blocks
-    weights, a_parts, b_parts = [], [], []
-    if not swap:
-        # blocks of the conditional state on A, one bucket per point of B
-        for j in range(nb):
-            buckets = [state.blocks[i * nb + j] for i in range(alg_a.num_blocks)]
-            w = float(sum(np.trace(b).real for b in buckets))
-            if w <= CLASSICAL_WEIGHT_TOL:
-                continue
-            weights.append(w)
-            a_parts.append(State(alg_a, tuple(b / w for b in buckets), trusted=True))
-            b_parts.append(point_state(alg_b, j))
-    else:
-        for i in range(alg_a.num_blocks):
-            buckets = [state.blocks[i * nb + j] for j in range(nb)]
-            w = float(sum(np.trace(b).real for b in buckets))
-            if w <= CLASSICAL_WEIGHT_TOL:
-                continue
-            weights.append(w)
-            a_parts.append(point_state(alg_a, i))
-            b_parts.append(State(alg_b, tuple(b / w for b in buckets), trusted=True))
-    return Decomposition(tuple(weights), tuple(a_parts), tuple(b_parts))
+    # blocks of the conditional state on the other factor, one bucket per point
+    buckets = [[] for _ in range(points.num_blocks)]
+    for idx, i, j, _, _ in joint_blocks(state.algebra):
+        buckets[(i, j)[side]].append(state.blocks[idx])
+    weights, parts = [], ([], [])
+    for point, blocks in enumerate(buckets):
+        w = float(sum(np.trace(b).real for b in blocks))
+        if w <= CLASSICAL_WEIGHT_TOL:
+            continue
+        weights.append(w)
+        parts[side].append(point_state(points, point))
+        parts[1 - side].append(State(other, tuple(b / w for b in blocks), trusted=True))
+    return Decomposition(tuple(weights), tuple(parts[0]), tuple(parts[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +205,9 @@ def _alternating_min(G4, n: int, m: int, a, b, rounds: int = 40):
     """Minimize <a (x) b, G a (x) b> by alternating eigenvector updates."""
     val = np.inf
     for _ in range(rounds):
-        eff_a = _herm(np.einsum("ajbk,j,k->ab", G4, b.conj(), b))
+        eff_a = herm(np.einsum("ajbk,j,k->ab", G4, b.conj(), b))
         a = np.linalg.eigh(eff_a)[1][:, 0]
-        eff_b = _herm(np.einsum("ajbk,a,b->jk", G4, a.conj(), a))
+        eff_b = herm(np.einsum("ajbk,a,b->jk", G4, a.conj(), a))
         wb, vb = np.linalg.eigh(eff_b)
         b = vb[:, 0]
         new = float(wb[0])
@@ -290,8 +260,7 @@ def _reconstruction_error(x: np.ndarray, rho: np.ndarray) -> float:
     tr = float(np.trace(x).real)
     if tr < 1e-30:
         return 1.0
-    diff = _herm(x / tr - rho)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return 0.5 * trace_norm([x / tr - rho])
 
 
 def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rng):
@@ -308,7 +277,7 @@ def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rn
     x = np.zeros((dim, dim), dtype=complex)
     best = (np.inf, weights, list(atoms))
     for _ in range(max_iters):
-        G = _herm(x - rho)
+        G = herm(x - rho)
         a, b = _linear_minimizer(G, n, m, rng)
         v = np.kron(a, b)
         atoms.append((a, b))
@@ -369,13 +338,6 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
     return terms, err
 
 
-def _embed_block_state(alg: FdAlgebra, index: int, blk: np.ndarray) -> State:
-    blocks = []
-    for k, d in enumerate(alg.block_dims):
-        blocks.append(blk if k == index else np.zeros((d, d), dtype=complex))
-    return State(alg, tuple(blocks), trusted=True)
-
-
 def separability_test(
     state,
     budget: int = 400,
@@ -394,6 +356,8 @@ def separability_test(
     """
     if budget < 1:
         raise InvalidArgumentError("search budget must be a positive iteration count")
+    if not -np.inf < tol < np.inf:
+        raise InvalidArgumentError(f"tolerance must be finite, got {tol!r}")
     rng = _as_rng(seed)
     if isinstance(state, PureVector):
         coeffs = schmidt(state)
@@ -433,16 +397,13 @@ def separability_test(
         return SeparabilityVerdict(tag, negative_eigenvalue=neg)
 
     # per-block searches; every joint block must admit a decomposition
-    nb = alg_b.num_blocks
     weights, a_parts, b_parts = [], [], []
-    worst_err = 0.0
-    for idx, blk in enumerate(state.blocks):
+    for idx, i, j, n, m in joint_blocks(state.algebra):
+        blk = state.blocks[idx]
         w_blk = float(np.trace(blk).real)
         if w_blk <= CLASSICAL_WEIGHT_TOL:
             continue
-        i, j = divmod(idx, nb)
-        ni, mj = alg_a.block_dims[i], alg_b.block_dims[j]
-        terms, err = _block_pair_decomposition(blk / w_blk, ni, mj, tol, budget, rng)
+        terms, err = _block_pair_decomposition(blk / w_blk, n, m, tol, budget, rng)
         if terms is None:
             return SeparabilityVerdict(
                 UNDETERMINED,
@@ -452,11 +413,10 @@ def separability_test(
                     f"reconstruction error {err:.3e} on block {(i, j)}"
                 ),
             )
-        worst_err = max(worst_err, err)
         for w, a, b in terms:
             weights.append(w_blk * w)
-            a_parts.append(_embed_block_state(alg_a, i, np.outer(a, a.conj())))
-            b_parts.append(_embed_block_state(alg_b, j, np.outer(b, b.conj())))
+            a_parts.append(State(alg_a, embed(alg_a, i, np.outer(a, a.conj())), trusted=True))
+            b_parts.append(State(alg_b, embed(alg_b, j, np.outer(b, b.conj())), trusted=True))
     dec = Decomposition(tuple(weights), tuple(a_parts), tuple(b_parts))
     err = trace_distance(reconstruct(dec, state.algebra), state)
     return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err)

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FdAlgebra, element, tensor
+from .algebra import FdAlgebra, element, embed, joint_blocks, tensor
 from .bell import (
+    CANONICAL_QUBIT_SETTINGS,
     CHSH_QUANTUM_BOUND,
-    SIGMA_X,
-    SIGMA_Z,
     ChshObservables,
     chsh_optimize,
     chsh_value,
@@ -58,15 +57,11 @@ def _embed_two_qubit_density(alg_a: FdAlgebra, alg_b: FdAlgebra, rho4: np.ndarra
     """
     ia, jb = _first_matrix_block(alg_a), _first_matrix_block(alg_b)
     product = tensor(alg_a, alg_b)
-    nb = alg_b.num_blocks
-    n, m = alg_a.block_dims[ia], alg_b.block_dims[jb]
+    idx, n, m = next((idx, n, m) for idx, i, j, n, m in joint_blocks(product) if (i, j) == (ia, jb))
     blk = np.zeros((n * m, n * m), dtype=complex)
     corners = [r * m + s for r in (0, 1) for s in (0, 1)]
     blk[np.ix_(corners, corners)] = rho4
-    blocks = []
-    for idx, dim in enumerate(product.block_dims):
-        blocks.append(blk if idx == ia * nb + jb else np.zeros((dim, dim), dtype=complex))
-    return State(product, tuple(blocks), trusted=True)
+    return State(product, embed(product, idx, blk), trusted=True)
 
 
 def embedded_singlet(alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
@@ -81,25 +76,15 @@ def embedded_werner(p: float, alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
     return _embed_two_qubit_density(alg_a, alg_b, rho4)
 
 
-def _embed_qubit_observable(alg: FdAlgebra, block: int, mat2: np.ndarray):
-    blocks = []
-    for k, d in enumerate(alg.block_dims):
-        blk = np.zeros((d, d), dtype=complex)
-        if k == block:
-            blk[:2, :2] = mat2
-        blocks.append(blk)
-    return element(alg, blocks)
-
-
 def _embedded_canonical_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshObservables:
-    ia, jb = _first_matrix_block(alg_a), _first_matrix_block(alg_b)
-    inv = 1.0 / np.sqrt(2.0)
-    return ChshObservables(
-        _embed_qubit_observable(alg_a, ia, SIGMA_Z),
-        _embed_qubit_observable(alg_a, ia, SIGMA_X),
-        _embed_qubit_observable(alg_b, jb, -inv * (SIGMA_Z + SIGMA_X)),
-        _embed_qubit_observable(alg_b, jb, inv * (SIGMA_X - SIGMA_Z)),
-    )
+    """The canonical qubit settings in the top-left corner of each factor's first matrix block."""
+    obs = []
+    for alg, x in zip((alg_a, alg_a, alg_b, alg_b), CANONICAL_QUBIT_SETTINGS):
+        k = _first_matrix_block(alg)
+        blk = np.zeros((alg.block_dims[k],) * 2, dtype=complex)
+        blk[:2, :2] = x
+        obs.append(element(alg, embed(alg, k, blk)))
+    return ChshObservables(*obs)
 
 
 def _sample_states(product: FdAlgebra, count: int, rng) -> list[State]:
@@ -145,8 +130,8 @@ def bell_one_side_classical(
     The draws keep their historical order (all states, then one
     random_observables draw per setting), so seeded scans reproduce.
     """
-    if samples < 0 or settings < 0:
-        raise InvalidArgumentError("samples and settings must be nonnegative")
+    if samples < 0 or settings < 0 or not -np.inf < tol < np.inf:
+        raise InvalidArgumentError("samples and settings must be nonnegative, tol finite")
     product = tensor(a, b)
     if product.total_dim > PRODUCT_DIM_CAP:
         raise ResourceLimitError(

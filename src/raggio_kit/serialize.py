@@ -12,10 +12,10 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdAlgebra, element, tensor
+from .algebra import AlgebraElement, FdAlgebra, element, split_dense, tensor
 from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvalidDimensionError
 from .harness import RaggioReport
 from .states import PureVector, State
 
@@ -95,20 +95,6 @@ def element_from_dict(data) -> AlgebraElement:
     return element(alg, mats)
 
 
-def _dense_to_blocks(alg: FdAlgebra, dense: np.ndarray, what: str, tol: float = 1e-9):
-    blocks = []
-    mask = np.ones(dense.shape, dtype=bool)
-    for off, dim in zip(alg.block_offsets(), alg.block_dims):
-        blocks.append(dense[off : off + dim, off : off + dim])
-        mask[off : off + dim, off : off + dim] = False
-    stray = np.max(np.abs(dense[mask]), initial=0.0)
-    if stray > tol:
-        raise InvalidArgumentError(
-            f"{what}: off-block entries up to {stray:.3e} for blocks {alg.block_dims}"
-        )
-    return tuple(blocks)
-
-
 def state_to_dict(state: State) -> dict:
     return {
         "algebra": algebra_to_dict(state.algebra),
@@ -122,7 +108,11 @@ def state_from_dict(data) -> State:
     alg = algebra_from_dict(data["algebra"])
     n = alg.total_dim
     dense = _unpairs(data["entries"], n * n, "state entries").reshape(n, n)
-    return State(alg, _dense_to_blocks(alg, dense, "state"))
+    try:
+        blocks = split_dense(alg, dense, tol=1e-9)
+    except InvalidDimensionError as exc:
+        raise InvalidArgumentError(f"state: {exc}") from exc
+    return State(alg, blocks)
 
 
 def pure_vector_to_dict(psi: PureVector) -> dict:

@@ -13,12 +13,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdAlgebra, make_full, tensor
+from .algebra import (
+    AlgebraElement,
+    FdAlgebra,
+    embed,
+    herm,
+    joint_blocks,
+    make_full,
+    tensor,
+    trace_norm,
+)
 from .errors import (
     AlgebraMismatchError,
     InvalidArgumentError,
     InvalidStateError,
-    MissingFactorizationError,
     UnsupportedShapeError,
 )
 
@@ -48,7 +56,7 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
     herm_defect = np.max(np.abs(blk - blk.conj().T), initial=0.0)
     if herm_defect > STATE_HERMITICITY_TOL:
         raise InvalidStateError(f"{label} is not Hermitian (defect {herm_defect:.3e})")
-    blk = 0.5 * (blk + blk.conj().T)
+    blk = herm(blk)
     w, v = np.linalg.eigh(blk)
     if w[0] < -STATE_EIGENVALUE_TOL:
         raise InvalidStateError(f"{label} has negative eigenvalue {w[0]:.3e}")
@@ -97,16 +105,7 @@ class State:
             b.setflags(write=False)
         object.__setattr__(self, "blocks", tuple(blocks))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense block-diagonal density matrix."""
-        n = self.algebra.total_dim
-        out = np.zeros((n, n), dtype=complex)
-        for off, dim, blk in zip(
-            self.algebra.block_offsets(), self.algebra.block_dims, self.blocks
-        ):
-            out[off : off + dim, off : off + dim] = blk
-        return out
+    matrix = AlgebraElement.matrix
 
 
 @dataclass(frozen=True)
@@ -162,12 +161,7 @@ def trace_distance(a: State, b: State) -> float:
     """(1/2) ||rho_a - rho_b||_1 via blockwise eigenvalues."""
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("states live on different algebras")
-    total = 0.0
-    for x, y in zip(a.blocks, b.blocks):
-        diff = x - y
-        diff = 0.5 * (diff + diff.conj().T)
-        total += float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return 0.5 * total
+    return 0.5 * trace_norm(x - y for x, y in zip(a.blocks, b.blocks))
 
 
 def mixture(weights, parts) -> State:
@@ -207,25 +201,15 @@ def restrict_to_factor(state: State, keep: str) -> State:
     (n_i, m_j, n_i, m_j) and the unwanted pair of axes is traced out.  The
     tensor factorization must have been recorded on the algebra.
     """
-    if state.algebra.factors is None:
-        raise MissingFactorizationError(
-            "state's algebra has no recorded tensor factorization; "
-            "build it with tensor(a, b)"
-        )
+    blocks = joint_blocks(state.algebra)
     if keep not in ("a", "b"):
         raise InvalidArgumentError(f"keep must be 'a' or 'b', got {keep!r}")
     alg_a, alg_b = state.algebra.factors
     target = alg_a if keep == "a" else alg_b
     out = [np.zeros((d, d), dtype=complex) for d in target.block_dims]
-    nb = alg_b.num_blocks
-    for idx, blk in enumerate(state.blocks):
-        i, j = divmod(idx, nb)
-        ni, mj = alg_a.block_dims[i], alg_b.block_dims[j]
-        four = blk.reshape(ni, mj, ni, mj)
-        if keep == "a":
-            out[i] = out[i] + np.einsum("ajbj->ab", four)
-        else:
-            out[j] = out[j] + np.einsum("iaib->ab", four)
+    for idx, i, j, n, m in blocks:
+        k, spec = (i, "ajbj->ab") if keep == "a" else (j, "iaib->ab")
+        out[k] = out[k] + np.einsum(spec, state.blocks[idx].reshape(n, m, n, m))
     return State(target, tuple(out), trusted=True)
 
 
@@ -239,9 +223,6 @@ def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
     if not isinstance(psi, PureVector):
         raise InvalidArgumentError("restrict_to_diagonal expects a PureVector")
     return np.abs(psi.vector) ** 2
-
-
-born_probabilities = restrict_to_diagonal
 
 
 def maximally_mixed(algebra: FdAlgebra) -> State:
@@ -261,11 +242,7 @@ def point_state(algebra: FdAlgebra, index: int) -> State:
         raise InvalidArgumentError(
             f"point index {index} out of range for {algebra.num_blocks} points"
         )
-    blocks = tuple(
-        np.array([[1.0 + 0.0j]]) if k == index else np.array([[0.0j]])
-        for k in range(algebra.num_blocks)
-    )
-    return State(algebra, blocks, trusted=True)
+    return State(algebra, embed(algebra, index, np.ones((1, 1), dtype=complex)), trusted=True)
 
 
 def random_pure(algebra: FdAlgebra, rng=None) -> PureVector:
@@ -287,12 +264,8 @@ def random_vector_state(algebra: FdAlgebra, rng=None) -> State:
     rng = _as_rng(rng)
     psi = rng.standard_normal(algebra.total_dim) + 1j * rng.standard_normal(algebra.total_dim)
     psi /= np.linalg.norm(psi)
-    blocks, off = [], 0
-    for d in algebra.block_dims:
-        part = psi[off : off + d]
-        blocks.append(np.outer(part, part.conj()))
-        off += d
-    return State(algebra, tuple(blocks), trusted=True)
+    blocks = tuple(np.outer(psi[s], psi[s].conj()) for s in algebra.block_slices())
+    return State(algebra, blocks, trusted=True)
 
 
 def random_mixed(algebra: FdAlgebra, rng=None) -> State:

@@ -10,7 +10,6 @@ from raggio_kit.algebra import (
     direct_sum,
     element,
     element_from_matrix,
-    is_commutative,
     make_commutative,
     make_full,
     matrix_units,
@@ -54,10 +53,10 @@ def test_invalid_dimensions():
 
 
 def test_commutativity_flag():
-    assert is_commutative(make_commutative(5))
-    assert is_commutative(make_full(1))
-    assert not is_commutative(make_full(2))
-    assert not is_commutative(direct_sum(make_full(2), make_commutative(3)))
+    assert make_commutative(5).is_commutative
+    assert make_full(1).is_commutative
+    assert not make_full(2).is_commutative
+    assert not direct_sum(make_full(2), make_commutative(3)).is_commutative
 
 
 def test_commutativity_agrees_with_brute_force():
@@ -71,7 +70,7 @@ def test_commutativity_agrees_with_brute_force():
         direct_sum(make_full(2), make_commutative(1)),
         direct_sum(make_commutative(2), make_commutative(2)),
     ):
-        assert is_commutative(alg) == commutes_exactly(alg)
+        assert alg.is_commutative == commutes_exactly(alg)
 
 
 def test_tensor_block_structure():
@@ -221,6 +220,9 @@ def test_element_from_matrix():
     np.testing.assert_allclose(x.matrix, dense)
     bad = dense.copy()
     bad[0, 2] = 1e-6  # couples the two blocks
+    with pytest.raises(InvalidDimensionError):
+        element_from_matrix(alg, bad)
+    bad[0, 2] = np.nan
     with pytest.raises(InvalidDimensionError):
         element_from_matrix(alg, bad)
 

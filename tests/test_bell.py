@@ -276,3 +276,13 @@ def test_seeded_optimize_iterations_are_pinned():
 def test_optimize_rejects_negative_seed():
     with pytest.raises(InvalidArgumentError):
         chsh_optimize(singlet().state(), restarts=2, seed=-1)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_tolerance_is_rejected(tol):
+    # a nan tolerance would never end a see-saw early: every restart would run 500 rounds
+    st = werner(0.9)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        chsh_optimize(st, restarts=2, seed=1, tol=tol)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        seesaw(st, unit(M2), unit(M2), tol=tol)

@@ -124,6 +124,15 @@ def test_separability_zero_budget(capsys):
     assert "budget" in err
 
 
+def test_separability_non_finite_tol(capsys):
+    code, out, err = run(
+        capsys, "separability", "--werner", "0.2", "--seed", "1", "--tol", "nan"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_chsh_singlet_text(capsys):
     code, out, _ = run(capsys, "chsh", "--singlet", "--seed", "4", "--restarts", "8")
     assert code == 0

@@ -267,8 +267,16 @@ def test_separability_rejects_zero_budget():
         separability_test(werner(0.1), 0, seed=0)
 
 
+def test_separability_rejects_non_finite_tolerance():
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            separability_test(werner(0.1), seed=0, tol=tol)
+
+
 def test_decomposition_validation():
     st = random_mixed(make_full(2), 0)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        Decomposition((float("nan"),), (st,), (st,))
     with pytest.raises(InvalidArgumentError):
         Decomposition((0.5, 0.2), (st, st), (st, st))  # weights sum to 0.7
     with pytest.raises(InvalidArgumentError):

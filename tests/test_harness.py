@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from raggio_kit import bell
 from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor, tensor_element
 from raggio_kit.bell import (
     CHSH_QUANTUM_BOUND,
+    SCAN_CHUNK_SETTINGS,
     chsh_optimize,
     random_observables,
     random_settings_chsh,
@@ -115,6 +117,38 @@ def test_bell_scan_matches_loop_reference(a, b):
         assert abs(scan.max_abs_value - expected) <= 1e-12
 
 
+def _count_chunks(monkeypatch):
+    calls = []
+    evaluate = bell._chsh_values
+
+    def counted(product, states, a, b):
+        calls.append(len(states))
+        return evaluate(product, states, a, b)
+
+    monkeypatch.setattr(bell, "_chsh_values", counted)
+    return calls
+
+
+def test_bell_scan_chunks_match_loop_reference(monkeypatch):
+    # one state per chunk: three chunks, drawing the same stream as the loop
+    settings = SCAN_CHUNK_SETTINGS // 2 + 1
+    reference = _loop_scan_values(M2, D2, 3, 5, settings)
+    calls = _count_chunks(monkeypatch)
+    rng = np.random.default_rng(5)
+    product = tensor(M2, D2)
+    values = random_settings_chsh(product, _sample_states(product, 3, rng), settings, rng)
+    assert calls == [1, 1, 1]
+    np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
+    scan = bell_one_side_classical(M2, D2, samples=3, seed=5, settings=settings)
+    assert abs(scan.max_abs_value - np.abs(reference).max()) <= 1e-12
+
+
+def test_bell_scan_small_sizes_are_one_chunk(monkeypatch):
+    calls = _count_chunks(monkeypatch)
+    bell_one_side_classical(M3, make_commutative(4), samples=10, seed=0, settings=10)
+    assert calls == [10]
+
+
 def test_bell_scan_argument_checks():
     with pytest.raises(InvalidArgumentError):
         bell_one_side_classical(M2, D2, samples=2, seed=-1, settings=2)
@@ -122,6 +156,8 @@ def test_bell_scan_argument_checks():
         bell_one_side_classical(M2, D2, samples=-1, seed=0, settings=2)
     with pytest.raises(InvalidArgumentError):
         bell_one_side_classical(M2, D2, samples=2, seed=0, settings=-1)
+    with pytest.raises(InvalidArgumentError):  # a nan tol would read as a violated bound
+        bell_one_side_classical(M2, D2, samples=2, seed=0, settings=2, tol=float("nan"))
     empty = bell_one_side_classical(M2, D2, samples=0, seed=0, settings=3)
     assert empty.bound_holds and empty.max_abs_value == 0.0
 

@@ -1,0 +1,84 @@
+"""Property tests of the joint-block layout over random factor shapes: each
+factor has 1-3 blocks of size 1-3, and the product dimension is at most 12."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
+
+from raggio_kit.algebra import FdAlgebra, joint_blocks, make_commutative, split_dense, tensor
+from raggio_kit.entanglement import classical_decompose, reconstruct
+from raggio_kit.errors import InvalidDimensionError
+from raggio_kit.states import (
+    product_state,
+    random_mixed,
+    random_vector_state,
+    restrict_to_factor,
+    trace_distance,
+)
+
+SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+FACTOR_PAIRS = st.tuples(SHAPES, SHAPES).filter(lambda p: sum(p[0]) * sum(p[1]) <= 12)
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(FACTOR_PAIRS)
+def test_joint_blocks_follow_the_tensor_block_order(dims):
+    a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
+    product = tensor(a, b)
+    blocks = joint_blocks(product)
+    assert [idx for idx, *_ in blocks] == list(range(product.num_blocks))
+    assert [(i, j) for _, i, j, _, _ in blocks] == [
+        (i, j) for i in range(a.num_blocks) for j in range(b.num_blocks)
+    ]
+    assert all(n == a.block_dims[i] and m == b.block_dims[j] for _, i, j, n, m in blocks)
+    assert tuple(n * m for *_, n, m in blocks) == product.block_dims
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, SEEDS, st.data())
+def test_split_dense_round_trips_and_rejects_off_block_mass(dims, seed, data):
+    product = tensor(FdAlgebra(dims[0]), FdAlgebra(dims[1]))
+    rng = np.random.default_rng(seed)
+    blocks = [
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in product.block_dims
+    ]
+    dense = block_diag(*blocks)
+    back = split_dense(product, dense, tol=0.0)
+    assert len(back) == len(blocks)
+    assert all(np.array_equal(x, y) for x, y in zip(back, blocks))
+
+    owner = np.repeat(np.arange(product.num_blocks), product.block_dims)
+    outside = np.argwhere(owner[:, None] != owner[None, :])
+    if len(outside):
+        r, c = outside[data.draw(st.integers(0, len(outside) - 1))]
+        dense[r, c] = 1e-6
+        with pytest.raises(InvalidDimensionError):
+            split_dense(product, dense, tol=1e-9)
+        assert all(np.array_equal(x, y) for x, y in zip(split_dense(product, dense, 1e-5), blocks))
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, SEEDS)
+def test_restrictions_of_a_product_state_give_back_the_factors(dims, seed):
+    rng = np.random.default_rng(seed)
+    x, y = random_mixed(FdAlgebra(dims[0]), rng), random_mixed(FdAlgebra(dims[1]), rng)
+    joint = product_state(x, y)
+    for keep, want in (("a", x), ("b", y)):
+        got = restrict_to_factor(joint, keep)
+        assert got.algebra == want.algebra
+        assert max(np.max(np.abs(g - w)) for g, w in zip(got.blocks, want.blocks)) <= 1e-12
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, SEEDS)
+def test_classical_decompose_reconstructs_with_either_side_commutative(dims, seed):
+    rng = np.random.default_rng(seed)
+    a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
+    products = (tensor(make_commutative(a.total_dim), b), tensor(a, make_commutative(b.total_dim)))
+    for product in products:
+        for state in (random_mixed(product, rng), random_vector_state(product, rng)):
+            dec = classical_decompose(state)
+            assert trace_distance(reconstruct(dec, product), state) <= 1e-9

@@ -113,6 +113,9 @@ def test_state_from_dict_rejects_off_block_mass():
     }
     with pytest.raises(InvalidArgumentError):
         state_from_dict(payload)
+    payload["entries"][1] = payload["entries"][2] = [float("nan"), 0.0]
+    with pytest.raises(InvalidArgumentError):
+        state_from_dict(payload)
 
 
 def test_pure_vector_roundtrip():
@@ -133,6 +136,15 @@ def test_decomposition_roundtrip():
     back = decomposition_from_dict(payload)
     assert back.num_terms == dec.num_terms
     np.testing.assert_allclose(back.weights, dec.weights, atol=1e-15)
+
+
+def test_decomposition_from_dict_rejects_non_finite_weights():
+    dec = classical_decompose(random_mixed(tensor(M2, make_commutative(2)), 4))
+    payload = decomposition_to_dict(dec)
+    payload["weights"][0] = float("nan")
+    payload = json.loads(json.dumps(payload))  # written as NaN, which json parses back
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        decomposition_from_dict(payload)
 
 
 def test_verdict_payloads_validate():
