@@ -49,6 +49,14 @@ class FdAlgebra:
             raise InvalidDimensionError(
                 f"block dimensions must be positive, got {self.block_dims}"
             )
+        if self.factors is not None:
+            da, db = (f.block_dims for f in self.factors)
+            joint = tuple(n * m for n in da for m in db)
+            if self.block_dims != joint:
+                raise InvalidDimensionError(
+                    f"block dimensions {list(self.block_dims)} do not match the factors, "
+                    f"which give {list(joint)}"
+                )
 
     @property
     def total_dim(self) -> int:
@@ -104,8 +112,7 @@ def tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     docstring.  In finite dimension the C*-tensor product is unique, so the
     elementwise Kronecker construction is the whole story.
     """
-    dims = tuple(na * nb for na in a.block_dims for nb in b.block_dims)
-    return FdAlgebra(dims, factors=(a, b))
+    return FdAlgebra(tuple(na * nb for na in a.block_dims for nb in b.block_dims), factors=(a, b))
 
 
 def _require_factors(alg: FdAlgebra) -> tuple[FdAlgebra, FdAlgebra]:

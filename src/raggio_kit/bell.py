@@ -156,19 +156,29 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     return element(h.algebra, [_sign(blk) for blk in h.blocks])
 
 
-def _effective(state: State, c: AlgebraElement, side: int) -> AlgebraElement:
-    """Self-adjoint H on factor ``side`` (0: A, 1: B) with Tr(H X) equal to
-    Re omega(X (x) C), respectively Re omega(C (x) X), for self-adjoint X."""
-    target = state.algebra.factors[side]
-    out = [np.zeros((d, d), dtype=complex) for d in target.block_dims]
+def _effective(state: State, x, side: int) -> list[np.ndarray]:
+    """Per block of factor ``side`` (0: A, 1: B), the (2, d, d) stack of the
+    self-adjoint H_t with Tr(H_t Y) equal to Re omega(Y (x) C_t), respectively
+    Re omega(C_t (x) Y), for self-adjoint Y, where C = (X1 + X2, X1 - X2) and
+    ``x`` holds the (2, d, d) stack of (X1, X2) per block of the other factor."""
+    c = [np.stack((s[0] + s[1], s[0] - s[1])) for s in x]
+    out = [np.zeros((2, d, d), dtype=complex) for d in state.algebra.factors[side].block_dims]
     for idx, i, j, n, m in joint_blocks(state.algebra):
         if side == 0:
-            k, op, spec = i, np.kron(np.eye(n), c.blocks[j]), "ajbj->ab"
+            k, op, spec = i, np.kron(np.eye(n), c[j]), "tajbj->tab"
         else:
-            k, op, spec = j, np.kron(c.blocks[i], np.eye(m)), "iaib->ab"
-        contracted = np.einsum(spec, (state.blocks[idx] @ op).reshape(n, m, n, m))
+            k, op, spec = j, np.kron(c[i], np.eye(m)), "tiaib->tab"
+        contracted = np.einsum(spec, (state.blocks[idx] @ op).reshape(2, n, m, n, m))
         out[k] = out[k] + herm(contracted)
-    return element(target, out)
+    return out
+
+
+def _half_step(state: State, x, side: int) -> tuple[list[np.ndarray], float]:
+    """Exact maximization on factor ``side`` against the (X1, X2) stacks ``x`` of
+    the other factor: the signs of the effective operators, as (2, d, d) stacks
+    per block, and the value reached, the sum of their trace norms."""
+    h = _effective(state, x, side)
+    return [_sign(s) for s in h], trace_norm(s[0] for s in h) + trace_norm(s[1] for s in h)
 
 
 def seesaw(
@@ -190,26 +200,24 @@ def seesaw(
         raise PreconditionError("need at least one see-saw round")
     if not -np.inf < tol < np.inf:
         raise InvalidArgumentError(f"tolerance must be finite, got {tol!r}")
+    alg_a, alg_b = state.algebra.factors
+    if not b1.algebra == b2.algebra == alg_b:
+        raise AlgebraMismatchError("b1 and b2 must live on the second factor")
     prev = -np.inf
     history: list[float] = []
     converged = False
-    a1 = a2 = None
+    b = [np.stack(pair) for pair in zip(b1.blocks, b2.blocks)]
     for _ in range(max_rounds):
-        h1 = _effective(state, b1 + b2, 0)
-        h2 = _effective(state, b1 - b2, 0)
-        a1, a2 = sign_operator(h1), sign_operator(h2)
-        history.append(trace_norm(h1.blocks) + trace_norm(h2.blocks))
-
-        k1 = _effective(state, a1 + a2, 1)
-        k2 = _effective(state, a1 - a2, 1)
-        b1, b2 = sign_operator(k1), sign_operator(k2)
-        value = trace_norm(k1.blocks) + trace_norm(k2.blocks)
+        a, value = _half_step(state, b, 0)
+        history.append(value)
+        b, value = _half_step(state, a, 1)
         history.append(value)
         if value - prev < tol:
             converged = True
             break
         prev = value
-    return ChshObservables(a1, a2, b1, b2), history, converged
+    obs = [element(alg, [s[t] for s in x]) for alg, x in ((alg_a, a), (alg_b, b)) for t in (0, 1)]
+    return ChshObservables(*obs), history, converged
 
 
 def _random_signs(z: np.ndarray, dims) -> list[np.ndarray]:
@@ -254,7 +262,7 @@ def chsh_optimize(
         raise UnsupportedShapeError("CHSH optimization needs a tensor product algebra")
     alg_b = state.algebra.factors[1]
     rngs = _as_rng(seed).spawn(restarts - 1)
-    best: tuple[float, ChshObservables, bool] | None = None
+    runs = []
     iterations = 0
     for r in range(restarts):
         if r == 0:
@@ -264,16 +272,9 @@ def chsh_optimize(
             b2 = random_dichotomic(alg_b, rngs[r - 1])
         obs, history, converged = seesaw(state, b1, b2, tol=tol, max_rounds=max_rounds)
         iterations += len(history) // 2
-        value = abs(chsh_value(state, obs))
-        if best is None or value > best[0]:
-            best = (value, obs, converged)
-    return ChshResult(
-        value=best[0],
-        observables=best[1],
-        restarts=restarts,
-        iterations=iterations,
-        converged=best[2],
-    )
+        runs.append((abs(chsh_value(state, obs)), obs, converged))
+    value, obs, converged = max(runs, key=lambda run: run[0])
+    return ChshResult(value, obs, restarts, iterations, converged)
 
 
 def canonical_qubit_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshObservables:
@@ -291,10 +292,8 @@ def horodecki_two_qubit(state: State) -> float:
     eigenvalues of T^T T, the supremum over contractions is
     max(2, 2 sqrt(M)); the classical value 2 is always available.
     """
-    if state.algebra.block_dims != (4,) or state.algebra.factors is None:
-        raise UnsupportedShapeError("the closed form needs a state on M2 (x) M2")
-    alg_a, alg_b = state.algebra.factors
-    if alg_a.block_dims != (2,) or alg_b.block_dims != (2,):
+    factors = state.algebra.factors
+    if factors is None or (factors[0].block_dims, factors[1].block_dims) != ((2,), (2,)):
         raise UnsupportedShapeError("the closed form needs a state on M2 (x) M2")
     paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     rho = state.blocks[0]

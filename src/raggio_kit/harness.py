@@ -224,8 +224,8 @@ def verify_equivalence(
         labeled.append((f"sample {k} ({kind})", st))
     job_seeds = master.integers(0, 2**63 - 1, size=(len(labeled), 2))
 
-    def examine(args):
-        (label, state), (s_search, s_chsh) = args
+    results = []
+    for (label, state), (s_search, s_chsh) in zip(labeled, job_seeds):
         v = separability_test(state, budget, tol=decomposition_tol, seed=int(s_search))
         r = chsh_optimize(state, restarts=restarts, seed=int(s_chsh))
         success = None
@@ -233,9 +233,7 @@ def verify_equivalence(
             dec = classical_decompose(state)
             err = trace_distance(reconstruct(dec, product), state)
             success = err <= RECONSTRUCTION_TOL
-        return label, v, r.value, success
-
-    results = [examine(job) for job in zip(labeled, job_seeds)]
+        results.append((label, v, r.value, success))
 
     entangled_witness = None
     for label, v, _, _ in results:

@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdAlgebra, element, split_dense, tensor
+from .algebra import AlgebraElement, FdAlgebra, element, split_dense
 from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
 from .errors import InvalidArgumentError, InvalidDimensionError
@@ -49,24 +49,18 @@ def algebra_from_dict(data) -> FdAlgebra:
     if not isinstance(data, dict) or "block_dims" not in data:
         raise InvalidArgumentError("algebra payload needs a block_dims list")
     dims = data["block_dims"]
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
-    ):
-        raise InvalidArgumentError(f"block_dims must be positive integers, got {dims!r}")
+    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+        raise InvalidArgumentError(f"block_dims must be a list of integers, got {dims!r}")
+    factors = None
     if "factors" in data:
-        factors = data["factors"]
-        if not isinstance(factors, list) or len(factors) != 2:
+        pair = data["factors"]
+        if not isinstance(pair, list) or len(pair) != 2:
             raise InvalidArgumentError("factors must be a pair of algebras")
-        alg = tensor(algebra_from_dict(factors[0]), algebra_from_dict(factors[1]))
-        if alg.block_dims != tuple(dims):
-            raise InvalidArgumentError(
-                f"declared block_dims {dims} do not match the factors, "
-                f"which give {list(alg.block_dims)}"
-            )
-        return alg
-    return FdAlgebra(tuple(dims))
+        factors = (algebra_from_dict(pair[0]), algebra_from_dict(pair[1]))
+    try:
+        return FdAlgebra(tuple(dims), factors=factors)
+    except InvalidDimensionError as exc:
+        raise InvalidArgumentError(f"algebra: {exc}") from exc
 
 
 def element_to_dict(x: AlgebraElement) -> dict:

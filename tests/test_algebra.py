@@ -20,7 +20,10 @@ from raggio_kit.algebra import (
     unit,
     zero,
 )
+from raggio_kit.bell import chsh_optimize
+from raggio_kit.entanglement import ppt_check, separability_test
 from raggio_kit.errors import AlgebraMismatchError, InvalidDimensionError
+from raggio_kit.states import maximally_mixed, restrict_to_factor
 
 
 def random_element(alg, rng):
@@ -50,6 +53,22 @@ def test_invalid_dimensions():
         FdAlgebra(())
     with pytest.raises(InvalidDimensionError):
         FdAlgebra((2, 0))
+
+
+def test_factors_must_give_the_block_dims():
+    # a mismatch once reached restrict_to_factor, ppt_check, separability_test
+    # and chsh_optimize, which then failed with numpy reshape/matmul errors
+    m2 = make_full(2)
+    for dims in [(3,), (2, 2), (4, 4), (2, 1)]:
+        with pytest.raises(InvalidDimensionError, match="do not match the factors"):
+            FdAlgebra(dims, factors=(m2, m2))
+    declared = FdAlgebra((4,), factors=(m2, m2))
+    assert declared == tensor(m2, m2)
+    st = maximally_mixed(declared)
+    assert restrict_to_factor(st, "a").algebra == m2
+    assert ppt_check(st) == pytest.approx(0.25)
+    assert separability_test(st, seed=0).decomposable is True
+    assert chsh_optimize(st, restarts=2, seed=0).value == pytest.approx(2.0)
 
 
 def test_commutativity_flag():

@@ -81,26 +81,29 @@ def test_sign_operator():
 
 
 def test_effective_operators_reproduce_expectations():
-    # the see-saw is built on Tr(H X) = omega(X (x) C); check the identity
-    # for random states, observables, and both sides
+    # the see-saw is built on Tr(H_t X) = Re omega(X (x) C_t) with
+    # C = (Y1 + Y2, Y1 - Y2); check it for random states and settings on both sides
     rng = np.random.default_rng(1)
     alg_a = direct_sum(make_full(2), make_commutative(2))
     alg_b = make_full(3)
     prod = tensor(alg_a, alg_b)
+
+    def stacks(alg):
+        y1, y2 = random_dichotomic(alg, rng), random_dichotomic(alg, rng)
+        return [np.stack(pair) for pair in zip(y1.blocks, y2.blocks)], (y1 + y2, y1 - y2)
+
     for _ in range(10):
         st = random_mixed(prod, rng)
-        c = random_dichotomic(alg_b, rng)
-        x = random_dichotomic(alg_a, rng)
-        h = _effective(st, c, 0)
-        lhs = sum(np.trace(hb @ xb).real for hb, xb in zip(h.blocks, x.blocks))
-        rhs = expectation(st, tensor_element(x, c, prod)).real
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-        d = random_dichotomic(alg_a, rng)
-        y = random_dichotomic(alg_b, rng)
-        k = _effective(st, d, 1)
-        lhs = sum(np.trace(kb @ yb).real for kb, yb in zip(k.blocks, y.blocks))
-        rhs = expectation(st, tensor_element(d, y, prod)).real
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        for side, (own, other) in enumerate(((alg_a, alg_b), (alg_b, alg_a))):
+            y, c = stacks(other)
+            h = _effective(st, y, side)
+            assert [s.shape for s in h] == [(2, d, d) for d in own.block_dims]
+            for t in (0, 1):
+                x = random_dichotomic(own, rng)
+                lhs = sum(np.trace(hb[t] @ xb).real for hb, xb in zip(h, x.blocks))
+                pair = (x, c[t]) if side == 0 else (c[t], x)
+                rhs = expectation(st, tensor_element(*pair, prod)).real
+                assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_canonical_settings_on_singlet():
@@ -271,6 +274,37 @@ def test_seeded_optimize_iterations_are_pinned():
     res = chsh_optimize(werner(0.9), restarts=6, seed=99)
     assert res.iterations == 12
     assert res.value == 2.5455844122715723
+
+
+def test_seeded_multiblock_seesaw_history_is_pinned():
+    # on (M2 + M1) (x) (M2 + D1) every block of either factor sums two joint
+    # blocks, so these values also pin the order of that accumulation
+    m2 = make_full(2)
+    alg_a, alg_b = direct_sum(m2, make_full(1)), direct_sum(m2, make_commutative(1))
+    rng = np.random.default_rng(417)
+    st = random_vector_state(tensor(alg_a, alg_b), rng)
+    b1, b2 = random_dichotomic(alg_b, rng), random_dichotomic(alg_b, rng)
+    _, history, converged = seesaw(st, b1, b2)
+    assert converged and len(history) == 40
+    assert history[:4] == [
+        1.9014250282692347,
+        1.9758418488202003,
+        1.9952535216775575,
+        2.0194402175463955,
+    ]
+    assert history[-1] == 2.1698331196463414
+    res = chsh_optimize(st, restarts=4, seed=5)
+    assert res.iterations == 25
+    assert res.value == 2.169833119642624
+    assert res.converged
+
+
+def test_seesaw_rejects_b_side_off_the_second_factor():
+    st = random_mixed(tensor(M2, make_full(3)), 0)
+    with pytest.raises(AlgebraMismatchError):
+        seesaw(st, unit(M2), unit(M2))
+    with pytest.raises(AlgebraMismatchError):
+        seesaw(st, unit(make_full(3)), unit(M2))
 
 
 def test_optimize_rejects_negative_seed():
