@@ -19,6 +19,7 @@ search is guaranteed to terminate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,44 +202,36 @@ def classical_decompose(state: State) -> Decomposition:
 # fully-corrective Frank-Wolfe search for an explicit product decomposition
 
 
-def _alternating_min(G4, n: int, m: int, a, b, rounds: int = 40):
-    """Minimize <a (x) b, G a (x) b> by alternating eigenvector updates."""
-    val = np.inf
-    for _ in range(rounds):
-        eff_a = herm(np.einsum("ajbk,j,k->ab", G4, b.conj(), b))
-        a = np.linalg.eigh(eff_a)[1][:, 0]
-        eff_b = herm(np.einsum("ajbk,a,b->jk", G4, a.conj(), a))
-        wb, vb = np.linalg.eigh(eff_b)
-        b = vb[:, 0]
-        new = float(wb[0])
-        if val - new < 1e-14:
-            val = new
-            break
-        val = new
-    return val, a, b
-
-
-def _linear_minimizer(G: np.ndarray, n: int, m: int, rng, n_random: int = 6):
-    """Pure product state minimizing <., G .>, from many alternation starts.
+def _linear_minimizer(G: np.ndarray, n: int, m: int, rng, n_random: int = 6, rounds: int = 40):
+    """Pure product state minimizing <., G .>, by alternating eigenvector updates.
 
     Deterministic starts come from the product split of every eigenvector of
-    G; a few random starts guard against shared local minima.
+    G; a few random starts guard against shared local minima.  All starts
+    alternate as one stack, and each drops out once its value stops falling.
     """
     G4 = G.reshape(n, m, n, m)
-    starts = []
-    vecs = np.linalg.eigh(G)[1]
-    for idx in range(vecs.shape[1]):
-        starts.append(_product_split(vecs[:, idx], n, m))
-    for _ in range(n_random):
-        a0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        starts.append((a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0)))
-    best = (np.inf, None, None)
-    for a0, b0 in starts:
-        val, a, b = _alternating_min(G4, n, m, a0, b0)
-        if val < best[0]:
-            best = (val, a, b)
-    return best[1], best[2]
+    u, _, vh = np.linalg.svd(np.linalg.eigh(G)[1].T.reshape(-1, n, m))
+    # per random start: n reals, n imaginaries, m reals, m imaginaries; each
+    # is normalized on its own, since a row-wise norm rounds differently
+    r = rng.standard_normal((n_random, 2 * (n + m)))
+    ra, rb = r[:, :n] + 1j * r[:, n : 2 * n], r[:, 2 * n : 2 * n + m] + 1j * r[:, 2 * n + m :]
+    a = np.concatenate([u[:, :, 0], [v / np.linalg.norm(v) for v in ra]])
+    b = np.concatenate([vh[:, 0], [v / np.linalg.norm(v) for v in rb]])
+    val = np.full(len(a), np.inf)
+    live = np.arange(len(a))
+    for _ in range(rounds):
+        bl = b[live]
+        a[live] = np.linalg.eigh(herm(np.einsum("ajbk,sj,sk->sab", G4, bl.conj(), bl)))[1][:, :, 0]
+        al = a[live]
+        wb, vb = np.linalg.eigh(herm(np.einsum("ajbk,sa,sb->sjk", G4, al.conj(), al)))
+        b[live] = vb[:, :, 0]
+        stopped = val[live] - wb[:, 0] < 1e-14
+        val[live] = wb[:, 0]
+        live = live[~stopped]
+        if not len(live):
+            break
+    best = int(np.argmin(val))
+    return a[best], b[best]
 
 
 def _nnls_weights(projs, rho: np.ndarray, gamma: float = 4.0) -> np.ndarray:
@@ -354,10 +347,14 @@ def separability_test(
     larger blocks may exhaust the iteration ``budget`` and end
     ``Undetermined``.
     """
-    if budget < 1:
-        raise InvalidArgumentError("search budget must be a positive iteration count")
-    if not -np.inf < tol < np.inf:
-        raise InvalidArgumentError(f"tolerance must be finite, got {tol!r}")
+    try:
+        count = None if isinstance(budget, bool) else operator.index(budget)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
+        raise InvalidArgumentError(f"search budget must be a positive integer, got {budget!r}")
+    if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0.0 < tol < np.inf:
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
     rng = _as_rng(seed)
     if isinstance(state, PureVector):
         coeffs = schmidt(state)
@@ -403,7 +400,7 @@ def separability_test(
         w_blk = float(np.trace(blk).real)
         if w_blk <= CLASSICAL_WEIGHT_TOL:
             continue
-        terms, err = _block_pair_decomposition(blk / w_blk, n, m, tol, budget, rng)
+        terms, err = _block_pair_decomposition(blk / w_blk, n, m, tol, count, rng)
         if terms is None:
             return SeparabilityVerdict(
                 UNDETERMINED,

@@ -288,7 +288,8 @@ def singlet(product: FdAlgebra | None = None) -> PureVector:
     """The two-qubit singlet (e1 (x) e2 - e2 (x) e1) / sqrt(2)."""
     if product is None:
         product = qubit_pair()
-    if product.factors is None or product.block_dims != (4,):
+    factors = product.factors
+    if factors is None or (factors[0].block_dims, factors[1].block_dims) != ((2,), (2,)):
         raise UnsupportedShapeError("singlet lives on M2 (x) M2")
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0 / np.sqrt(2.0)

@@ -133,6 +133,15 @@ def test_separability_non_finite_tol(capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_separability_zero_tol(capsys):
+    code, out, err = run(
+        capsys, "separability", "--werner", "0.2", "--seed", "1", "--tol", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "positive" in err
+
+
 def test_chsh_singlet_text(capsys):
     code, out, _ = run(capsys, "chsh", "--singlet", "--seed", "4", "--restarts", "8")
     assert code == 0

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor
+from raggio_kit.algebra import direct_sum, herm, make_commutative, make_full, tensor
 from raggio_kit.entanglement import (
     ENTANGLED_PPT,
     ENTANGLED_PURE,
     SEPARABLE,
     UNDETERMINED,
     Decomposition,
+    _linear_minimizer,
+    _product_split,
     classical_decompose,
     is_entangled_pure,
     ppt_check,
@@ -290,3 +292,79 @@ def test_decomposition_validation():
 def test_verdict_decomposable_property():
     assert separability_test(werner(0.5), seed=0).decomposable is False
     assert separability_test(werner(0.1), seed=0).decomposable is True
+
+
+def test_separability_rejects_non_integer_budgets():
+    # a non-integer budget used to reach range() on M3 (x) M3 as a TypeError
+    rng = np.random.default_rng(10)
+    st = random_product_mixture(make_full(3), make_full(3), 2, rng)
+    for budget in (2.5, True, "3", None):
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            separability_test(st, budget, seed=0)
+    assert separability_test(werner(0.1), np.int64(5), seed=0).tag == SEPARABLE
+
+
+def test_separability_rejects_non_positive_tolerance():
+    # tol <= 0 can never be met, so the search would only run out its budget
+    for tol in (0.0, -1e-6, "1e-6", None):
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            separability_test(werner(0.1), seed=0, tol=tol)
+    assert separability_test(werner(0.1), seed=0, tol=np.float32(1e-4)).tag == SEPARABLE
+
+
+def _loop_linear_minimizer(G, n, m, rng, n_random=6):
+    """The oracle as a loop over its starts, one alternating search each."""
+    G4 = G.reshape(n, m, n, m)
+    vecs = np.linalg.eigh(G)[1]
+    starts = [_product_split(vecs[:, idx], n, m) for idx in range(vecs.shape[1])]
+    for _ in range(n_random):
+        a0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        starts.append((a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0)))
+    best = (np.inf, None, None)
+    for a, b in starts:
+        val = np.inf
+        for _ in range(40):
+            a = np.linalg.eigh(herm(np.einsum("ajbk,j,k->ab", G4, b.conj(), b)))[1][:, 0]
+            wb, vb = np.linalg.eigh(herm(np.einsum("ajbk,a,b->jk", G4, a.conj(), a)))
+            b, new = vb[:, 0], float(wb[0])
+            stopped = val - new < 1e-14
+            val = new
+            if stopped:
+                break
+        if val < best[0]:
+            best = (val, a, b)
+    return best[1], best[2]
+
+
+def _product_value(G, a, b):
+    v = np.kron(a, b)
+    return float(np.vdot(v, G @ v).real)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_linear_minimizer_matches_per_start_loop(n, m):
+    for seed in range(5):
+        g = np.random.default_rng([seed, n, m])
+        G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+        rng_loop, rng_stack = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _product_value(G, *_loop_linear_minimizer(G, n, m, rng_loop))
+        assert abs(_product_value(G, *_linear_minimizer(G, n, m, rng_stack)) - expected) <= 1e-12
+        # the random starts take the same draws, so later calls see the same stream
+        assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_seeded_product_mixture_search_is_pinned():
+    # seeded searches must reproduce bit for bit: these values pin the
+    # oracle's starts, its draw order and every Frank-Wolfe re-fit on 2x3
+    rng = np.random.default_rng(2026)
+    st = random_product_mixture(make_full(2), make_full(3), 3, rng)
+    v = separability_test(st, seed=17)
+    assert v.tag == SEPARABLE
+    assert v.decomposition.num_terms == 30
+    assert v.error == 9.334933111560402e-07
+    assert v.decomposition.weights[:3] == (
+        0.5295073228696915,
+        0.20094705225528423,
+        0.11463272885543248,
+    )

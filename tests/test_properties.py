@@ -6,8 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
-from raggio_kit.algebra import FdAlgebra, joint_blocks, make_commutative, split_dense, tensor
-from raggio_kit.entanglement import classical_decompose, reconstruct
+from raggio_kit.algebra import (
+    FdAlgebra,
+    herm,
+    joint_blocks,
+    make_commutative,
+    split_dense,
+    tensor,
+)
+from raggio_kit.entanglement import (
+    _linear_minimizer,
+    _product_split,
+    classical_decompose,
+    reconstruct,
+)
 from raggio_kit.errors import InvalidDimensionError
 from raggio_kit.states import (
     product_state,
@@ -82,3 +94,23 @@ def test_classical_decompose_reconstructs_with_either_side_commutative(dims, see
         for state in (random_mixed(product, rng), random_vector_state(product, rng)):
             dec = classical_decompose(state)
             assert trace_distance(reconstruct(dec, product), state) <= 1e-9
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 3), SEEDS)
+def test_linear_minimizer_returns_a_product_state_below_every_eigenvector_split(n, m, seed):
+    # the alternation never raises a start's value, so the winner lies between
+    # the minimum over all states and the best eigenvector-split start
+    rng = np.random.default_rng(seed)
+    dim = n * m
+    G = herm(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+    def value(a, b):
+        v = np.kron(a, b)
+        return float(np.vdot(v, G @ v).real)
+
+    a, b = _linear_minimizer(G, n, m, rng)
+    assert abs(np.linalg.norm(a) - 1.0) <= 1e-12 and abs(np.linalg.norm(b) - 1.0) <= 1e-12
+    eigvals, vecs = np.linalg.eigh(G)
+    best_split = min(value(*_product_split(vecs[:, k], n, m)) for k in range(dim))
+    assert eigvals[0] - 1e-12 <= value(a, b) <= best_split + 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from raggio_kit.algebra import (
+    FdAlgebra,
     direct_sum,
     element,
     make_commutative,
@@ -251,6 +252,18 @@ def test_werner_family():
         werner(1.5)
     with pytest.raises(InvalidArgumentError):
         werner(-0.1)
+
+
+def test_singlet_and_werner_need_two_qubit_factors():
+    # M4 (x) M1 has one 4-dimensional joint block, where (e2 - e3) / sqrt(2)
+    # is a product vector, not a singlet
+    for product in (tensor(make_full(4), make_full(1)), tensor(make_full(1), make_full(4))):
+        with pytest.raises(UnsupportedShapeError):
+            singlet(product)
+        with pytest.raises(UnsupportedShapeError):
+            werner(1.0, product)
+    declared = FdAlgebra((4,), factors=(make_full(2), make_full(2)))
+    np.testing.assert_array_equal(werner(0.5, declared).blocks[0], werner(0.5).blocks[0])
 
 
 def test_random_states_are_states():
