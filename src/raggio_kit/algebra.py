@@ -30,6 +30,11 @@ HERMITICITY_TOL = 1e-9
 COMMUTATOR_TOL = 1e-12
 
 
+def _is_count(value, minimum: int = 1) -> bool:
+    """True for an int or numpy integer, but not a bool, of at least ``minimum``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum
+
+
 @dataclass(frozen=True)
 class FdAlgebra:
     """A multi-matrix algebra, identified by its ordered block dimensions.
@@ -45,9 +50,9 @@ class FdAlgebra:
     def __post_init__(self):
         if len(self.block_dims) == 0:
             raise InvalidDimensionError("algebra needs at least one block")
-        if any(d < 1 for d in self.block_dims):
+        if not all(map(_is_count, self.block_dims)):
             raise InvalidDimensionError(
-                f"block dimensions must be positive, got {self.block_dims}"
+                f"block dimensions must be positive integers, got {self.block_dims}"
             )
         if self.factors is not None:
             da, db = (f.block_dims for f in self.factors)
@@ -88,15 +93,13 @@ class FdAlgebra:
 
 def make_full(n: int) -> FdAlgebra:
     """The full matrix algebra M_n of complex n x n matrices."""
-    if n < 1:
-        raise InvalidDimensionError(f"M_n needs n >= 1, got {n}")
     return FdAlgebra((n,))
 
 
 def make_commutative(m: int) -> FdAlgebra:
     """The commutative algebra of functions on m points (diagonal matrices)."""
-    if m < 1:
-        raise InvalidDimensionError(f"D_m needs m >= 1, got {m}")
+    if not _is_count(m):
+        raise InvalidDimensionError(f"D_m needs an integer m >= 1, got {m!r}")
     return FdAlgebra((1,) * m)
 
 

@@ -32,13 +32,8 @@ from .algebra import (
     trace_norm,
     unit,
 )
-from .errors import (
-    AlgebraMismatchError,
-    InvalidArgumentError,
-    PreconditionError,
-    UnsupportedShapeError,
-)
-from .states import State, _as_rng
+from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
+from .states import State, _as_rng, check_count, check_tol
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -196,10 +191,8 @@ def seesaw(
     """
     if state.algebra.factors is None:
         raise UnsupportedShapeError("see-saw needs a state on a tensor product algebra")
-    if max_rounds < 1:
-        raise PreconditionError("need at least one see-saw round")
-    if not -np.inf < tol < np.inf:
-        raise InvalidArgumentError(f"tolerance must be finite, got {tol!r}")
+    max_rounds = check_count(max_rounds, "max_rounds")
+    tol = check_tol(tol)
     alg_a, alg_b = state.algebra.factors
     if not b1.algebra == b2.algebra == alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
@@ -256,8 +249,7 @@ def chsh_optimize(
     classical bound.  Remaining restarts start from random dichotomic
     observables with independently spawned generators.
     """
-    if restarts < 1:
-        raise InvalidArgumentError("need at least one restart")
+    restarts = check_count(restarts, "restarts")
     if state.algebra.factors is None:
         raise UnsupportedShapeError("CHSH optimization needs a tensor product algebra")
     alg_b = state.algebra.factors[1]

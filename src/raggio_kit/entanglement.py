@@ -19,7 +19,6 @@ search is guaranteed to terminate.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,8 @@ from .states import (
     PureVector,
     State,
     _as_rng,
+    check_count,
+    check_tol,
     mixture,
     point_state,
     product_state,
@@ -347,14 +348,8 @@ def separability_test(
     larger blocks may exhaust the iteration ``budget`` and end
     ``Undetermined``.
     """
-    try:
-        count = None if isinstance(budget, bool) else operator.index(budget)
-    except TypeError:
-        count = None
-    if count is None or count < 1:
-        raise InvalidArgumentError(f"search budget must be a positive integer, got {budget!r}")
-    if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0.0 < tol < np.inf:
-        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
+    count = check_count(budget, "search budget")
+    tol = check_tol(tol)
     rng = _as_rng(seed)
     if isinstance(state, PureVector):
         coeffs = schmidt(state)

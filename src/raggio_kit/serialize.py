@@ -49,7 +49,7 @@ def algebra_from_dict(data) -> FdAlgebra:
     if not isinstance(data, dict) or "block_dims" not in data:
         raise InvalidArgumentError("algebra payload needs a block_dims list")
     dims = data["block_dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list):
         raise InvalidArgumentError(f"block_dims must be a list of integers, got {dims!r}")
     factors = None
     if "factors" in data:

@@ -16,6 +16,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     FdAlgebra,
+    _is_count,
     embed,
     herm,
     joint_blocks,
@@ -33,6 +34,7 @@ from .errors import (
 STATE_HERMITICITY_TOL = 1e-9
 STATE_EIGENVALUE_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -42,6 +44,20 @@ def _as_rng(seed) -> np.random.Generator:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"invalid seed {seed!r}: {exc}") from exc
+
+
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; it must be an integer (not a bool) of at least ``minimum``."""
+    if not _is_count(value, minimum):
+        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_tol(value, name: str = "tolerance") -> float:
+    """``value`` as a float; it must be a positive finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES) or not 0.0 < value < np.inf:
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
@@ -238,7 +254,7 @@ def point_state(algebra: FdAlgebra, index: int) -> State:
     """Evaluation at one point of a commutative algebra (a Dirac measure)."""
     if not algebra.is_commutative:
         raise InvalidArgumentError("point states need a commutative algebra")
-    if not 0 <= index < algebra.num_blocks:
+    if check_count(index, "point index", minimum=0) >= algebra.num_blocks:
         raise InvalidArgumentError(
             f"point index {index} out of range for {algebra.num_blocks} points"
         )
@@ -299,8 +315,8 @@ def singlet(product: FdAlgebra | None = None) -> PureVector:
 
 def werner(p: float, product: FdAlgebra | None = None) -> State:
     """Werner mixture p |singlet><singlet| + (1 - p) 1/4 on M2 (x) M2."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p}")
+    if not isinstance(p, _REAL_TYPES) or not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p!r}")
     if product is None:
         product = qubit_pair()
     psi = singlet(product).vector

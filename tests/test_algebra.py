@@ -53,6 +53,14 @@ def test_invalid_dimensions():
         FdAlgebra(())
     with pytest.raises(InvalidDimensionError):
         FdAlgebra((2, 0))
+    # make_full(2.5) used to fail only later and make_full(True) described itself
+    # as MTrue; make_commutative(2.0) ended in a TypeError
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(InvalidDimensionError):
+            make_full(bad)
+        with pytest.raises(InvalidDimensionError):
+            make_commutative(bad)
+    assert make_full(np.int64(2)) == make_full(2)
 
 
 def test_factors_must_give_the_block_dims():

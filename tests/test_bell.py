@@ -213,10 +213,15 @@ def test_seesaw_requires_factors_and_budget():
     flat = maximally_mixed(make_full(4))
     with pytest.raises(UnsupportedShapeError):
         seesaw(flat, unit(M2), unit(M2))
-    with pytest.raises(PreconditionError):
-        seesaw(singlet().state(), unit(M2), unit(M2), max_rounds=0)
     with pytest.raises(InvalidArgumentError):
-        chsh_optimize(singlet().state(), restarts=0, seed=0)
+        seesaw(singlet().state(), unit(M2), unit(M2), max_rounds=0)
+    for max_rounds in (2.5, True):
+        with pytest.raises(InvalidArgumentError, match="max_rounds"):
+            seesaw(singlet().state(), unit(M2), unit(M2), max_rounds=max_rounds)
+    # 2.5 used to end in a TypeError from range, and True ran one restart
+    for restarts in (0, 2.5, True):
+        with pytest.raises(InvalidArgumentError, match="restarts"):
+            chsh_optimize(singlet().state(), restarts=restarts, seed=0)
 
 
 def test_horodecki_requires_two_qubits():
@@ -312,9 +317,10 @@ def test_optimize_rejects_negative_seed():
         chsh_optimize(singlet().state(), restarts=2, seed=-1)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0, -1, "x"])
 def test_non_finite_tolerance_is_rejected(tol):
-    # a nan tolerance would never end a see-saw early: every restart would run 500 rounds
+    # a nan, zero or negative tolerance would never end a see-saw early: every
+    # restart would run 500 rounds; a string used to end in a TypeError
     st = werner(0.9)
     with pytest.raises(InvalidArgumentError, match="finite"):
         chsh_optimize(st, restarts=2, seed=1, tol=tol)

@@ -156,8 +156,15 @@ def test_bell_scan_argument_checks():
         bell_one_side_classical(M2, D2, samples=-1, seed=0, settings=2)
     with pytest.raises(InvalidArgumentError):
         bell_one_side_classical(M2, D2, samples=2, seed=0, settings=-1)
-    with pytest.raises(InvalidArgumentError):  # a nan tol would read as a violated bound
-        bell_one_side_classical(M2, D2, samples=2, seed=0, settings=2, tol=float("nan"))
+    # a nan or negative tol would read as a violated bound, a string as a TypeError
+    for tol in (float("nan"), -1, "x"):
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            bell_one_side_classical(M2, D2, samples=2, seed=0, settings=2, tol=tol)
+    for bad in (2.5, True):
+        with pytest.raises(InvalidArgumentError, match="samples"):
+            bell_one_side_classical(M2, D2, samples=bad, seed=0, settings=2)
+        with pytest.raises(InvalidArgumentError, match="settings"):
+            bell_one_side_classical(M2, D2, samples=2, seed=0, settings=bad)
     empty = bell_one_side_classical(M2, D2, samples=0, seed=0, settings=3)
     assert empty.bound_holds and empty.max_abs_value == 0.0
 
@@ -219,6 +226,12 @@ def test_verify_argument_checks_and_seed_fallback():
         verify_equivalence(M2, D2, samples=0, seed=0)
     with pytest.raises(InvalidArgumentError):
         verify_equivalence(M2, D2, samples=2, seed=-1)
+    # 2.5 used to end in a TypeError from range, and True ran one sample
+    for samples in (2.5, True):
+        with pytest.raises(InvalidArgumentError, match="samples"):
+            verify_equivalence(M2, D2, samples=samples, seed=0)
+    with pytest.raises(InvalidArgumentError, match="seed"):  # used to run and report seed 1
+        verify_equivalence(M2, D2, samples=2, seed=1.5)
     rep = verify_equivalence(make_full(1), D2, samples=2)
     assert isinstance(rep.seed, int)
     assert rep.verdict == VERDICT_CONSISTENT

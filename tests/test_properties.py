@@ -1,5 +1,6 @@
 """Property tests of the joint-block layout over random factor shapes: each
-factor has 1-3 blocks of size 1-3, and the product dimension is at most 12."""
+factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
+A last property feeds malformed counts and tolerances to the public API."""
 
 import numpy as np
 import pytest
@@ -11,22 +12,29 @@ from raggio_kit.algebra import (
     herm,
     joint_blocks,
     make_commutative,
+    make_full,
     split_dense,
     tensor,
+    unit,
 )
+from raggio_kit.bell import chsh_optimize, seesaw
 from raggio_kit.entanglement import (
     _linear_minimizer,
     _product_split,
     classical_decompose,
     reconstruct,
+    separability_test,
 )
-from raggio_kit.errors import InvalidDimensionError
+from raggio_kit.errors import InvalidDimensionError, RaggioKitError
+from raggio_kit.harness import bell_one_side_classical, verify_equivalence
 from raggio_kit.states import (
+    point_state,
     product_state,
     random_mixed,
     random_vector_state,
     restrict_to_factor,
     trace_distance,
+    werner,
 )
 
 SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
@@ -114,3 +122,53 @@ def test_linear_minimizer_returns_a_product_state_below_every_eigenvector_split(
     eigvals, vecs = np.linalg.eigh(G)
     best_split = min(value(*_product_split(vecs[:, k], n, m)) for k in range(dim))
     assert eigvals[0] - 1e-12 <= value(a, b) <= best_split + 1e-12
+
+
+M2, D2 = make_full(2), make_commutative(2)
+WERNER = werner(0.9)
+BAD_COUNTS = st.one_of(
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.integers(max_value=-1),
+)
+BAD_TOLERANCES = st.one_of(
+    st.sampled_from([0, -1, float("nan"), float("inf"), -float("inf")]),
+    st.floats(max_value=0.0),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+COUNT_ARGUMENTS = [
+    lambda v: separability_test(WERNER, budget=v, seed=0),
+    lambda v: seesaw(WERNER, unit(M2), unit(M2), max_rounds=v),
+    lambda v: chsh_optimize(WERNER, restarts=v, seed=0),
+    lambda v: bell_one_side_classical(M2, D2, samples=v, seed=0),
+    lambda v: bell_one_side_classical(M2, D2, settings=v, seed=0),
+    lambda v: verify_equivalence(M2, D2, samples=v, seed=0),
+    lambda v: point_state(D2, v),
+]
+TOLERANCE_ARGUMENTS = [
+    lambda v: separability_test(WERNER, tol=v, seed=0),
+    lambda v: seesaw(WERNER, unit(M2), unit(M2), tol=v),
+    lambda v: bell_one_side_classical(M2, D2, tol=v, seed=0),
+]
+BAD_ARGUMENTS = st.one_of(
+    st.tuples(st.sampled_from(COUNT_ARGUMENTS), BAD_COUNTS),
+    st.tuples(st.sampled_from(TOLERANCE_ARGUMENTS), BAD_TOLERANCES),
+    # a missing seed is valid: the report draws and records one
+    st.tuples(
+        st.just(lambda v: verify_equivalence(M2, D2, samples=1, seed=v)),
+        BAD_COUNTS.filter(lambda v: v is not None),
+    ),
+)
+
+
+@PROPERTY
+@given(BAD_ARGUMENTS)
+def test_bad_counts_and_tolerances_raise_domain_errors(case):
+    # pytest.raises lets any other exception, such as a raw TypeError, fail the test
+    call, value = case
+    with pytest.raises(RaggioKitError):
+        call(value)

@@ -60,6 +60,8 @@ def test_algebra_from_dict_rejects_garbage():
         algebra_from_dict({"block_dims": [0]})
     with pytest.raises(InvalidArgumentError):
         algebra_from_dict({"block_dims": [2.5]})
+    with pytest.raises(InvalidArgumentError):  # JSON true used to load as MTrue+M2
+        algebra_from_dict(json.loads('{"block_dims": [true, 2]}'))
     with pytest.raises(InvalidArgumentError):
         algebra_from_dict([2, 2])
     with pytest.raises(InvalidArgumentError):

@@ -230,6 +230,9 @@ def test_point_state():
     np.testing.assert_allclose(np.diagonal(st.matrix).real, [0.0, 1.0, 0.0])
     with pytest.raises(InvalidArgumentError):
         point_state(alg, 3)
+    for index in (1.5, True, -1):  # 1.5 used to give a trusted state of trace 0
+        with pytest.raises(InvalidArgumentError, match="point index"):
+            point_state(alg, index)
     with pytest.raises(InvalidArgumentError):
         point_state(make_full(2), 0)
 
@@ -252,6 +255,8 @@ def test_werner_family():
         werner(1.5)
     with pytest.raises(InvalidArgumentError):
         werner(-0.1)
+    with pytest.raises(InvalidArgumentError):  # used to end in a TypeError
+        werner("x")
 
 
 def test_singlet_and_werner_need_two_qubit_factors():
