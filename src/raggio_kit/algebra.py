@@ -48,8 +48,10 @@ class FdAlgebra:
     factors: tuple[FdAlgebra, FdAlgebra] | None = field(default=None)
 
     def __post_init__(self):
-        if len(self.block_dims) == 0:
-            raise InvalidDimensionError("algebra needs at least one block")
+        dims = self.block_dims
+        if not isinstance(dims, (tuple, list)) or len(dims) == 0:
+            raise InvalidDimensionError(f"block dimensions must be a nonempty tuple, got {dims!r}")
+        object.__setattr__(self, "block_dims", tuple(dims))
         if not all(map(_is_count, self.block_dims)):
             raise InvalidDimensionError(
                 f"block dimensions must be positive integers, got {self.block_dims}"

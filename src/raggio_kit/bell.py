@@ -289,10 +289,7 @@ def horodecki_two_qubit(state: State) -> float:
         raise UnsupportedShapeError("the closed form needs a state on M2 (x) M2")
     paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     rho = state.blocks[0]
-    t = np.empty((3, 3))
-    for u, su in enumerate(paulis):
-        for v, sv in enumerate(paulis):
-            t[u, v] = float(np.trace(rho @ np.kron(su, sv)).real)
+    t = np.array([[np.trace(rho @ np.kron(su, sv)).real for sv in paulis] for su in paulis])
     eigs = np.linalg.eigvalsh(t.T @ t)
     m = float(eigs[-1] + eigs[-2])
     return max(2.0, 2.0 * np.sqrt(m))

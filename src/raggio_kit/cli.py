@@ -177,18 +177,12 @@ def _cmd_separability(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(f"tag = {verdict.tag}")
-        if verdict.error is not None:
-            print(f"error = {_fmt(verdict.error)}")
-        if verdict.decomposition is not None:
-            print(f"terms = {verdict.decomposition.num_terms}")
-        if verdict.negative_eigenvalue is not None:
-            print(f"negative_eigenvalue = {_fmt(verdict.negative_eigenvalue)}")
-        if verdict.schmidt_coefficients is not None:
-            joined = " ".join(_fmt(float(c)) for c in verdict.schmidt_coefficients)
-            print(f"schmidt_coefficients = {joined}")
-        if verdict.details:
-            print(f"details = {verdict.details}")
+        for key, value in payload.items():
+            if key == "decomposition":
+                key, value = "terms", verdict.decomposition.num_terms
+            elif isinstance(value, list):
+                value = " ".join(_fmt(v) for v in value)
+            print(f"{key} = {_fmt(value)}")
     return 0
 
 

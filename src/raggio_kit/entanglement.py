@@ -1,20 +1,21 @@
-"""Decomposability tests: Schmidt rank, partial transposition, and explicit
-convex decompositions into product states.
+"""Decomposability tests: Schmidt rank, partial transposition, realignment,
+and explicit convex decompositions into product states.
 
 A state on A (x) B is decomposable (separable) when it is a convex
-combination of product states.  Three certificates are produced here:
+combination of product states.  Four certificates are produced here:
 
 * pure states: the Schmidt coefficients of the wavefunction,
 * entangled mixed states: a negative eigenvalue of the blockwise partial
-  transpose,
+  transpose, or else a realigned joint block of trace norm above 1,
 * separable mixed states: an explicit decomposition, found in the classical
-  case by conditioning on the commutative factor and otherwise by a
-  fully-corrective Frank-Wolfe search over pure product states.
+  case by conditioning on the commutative factor, on qubit-qubit blocks by
+  Wootters' closed form, and otherwise by a fully-corrective Frank-Wolfe
+  search over pure product states.
 
-Partial transposition is only a one-sided test in general, so the search
-verdict is ``Undetermined`` when neither certificate is found within budget;
-for qubit-qubit and qubit-qutrit blocks the transpose test is exact and the
-search is guaranteed to terminate.
+Both entanglement tests are one-sided in general, so the verdict is
+``Undetermined`` when no certificate is found within budget; for
+qubit-qubit and qubit-qutrit blocks the transpose test is exact, and the
+closed form or the search always finds the decomposition.
 """
 
 from __future__ import annotations
@@ -42,16 +43,23 @@ from .states import (
 SEPARABLE = "Separable"
 ENTANGLED_PURE = "EntangledPure"
 ENTANGLED_PPT = "EntangledPPT"
+ENTANGLED_REALIGNMENT = "EntangledRealignment"
 UNDETERMINED = "Undetermined"
 
 SCHMIDT_TOL = 1e-9
 PPT_TOL = 1e-9
+REALIGN_TOL = 1e-9
 CLASSICAL_WEIGHT_TOL = 1e-12
 DEFAULT_DECOMP_TOL = 1e-6
 
-# dims (n, m) for which a positive partial transpose already implies
-# separability, so the decomposition search cannot legitimately fail
-_EXACT_PPT_SHAPES = {(2, 2), (2, 3), (3, 2)}
+# dims (n, m) beyond qubit-qubit for which a positive partial transpose
+# already implies separability, so the search cannot legitimately fail
+_EXACT_PPT_SHAPES = {(2, 3), (3, 2)}
+
+# sigma_y (x) sigma_y, whose form v^T Y v vanishes exactly on product vectors,
+# and the orthogonal 4x4 Hadamard sign pattern
+_SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
+_HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,7 @@ def reconstruct(dec: Decomposition, product: FdAlgebra | None = None) -> State:
     """Reassemble the state sum_k w_k alpha_k (x) beta_k."""
     if product is None:
         product = tensor(dec.a_parts[0].algebra, dec.b_parts[0].algebra)
-    terms = [
-        product_state(a, b, product) for a, b in zip(dec.a_parts, dec.b_parts)
-    ]
+    terms = [product_state(a, b, product) for a, b in zip(dec.a_parts, dec.b_parts)]
     return mixture(dec.weights, terms)
 
 
@@ -108,6 +114,7 @@ class SeparabilityVerdict:
     error: float | None = None
     schmidt_coefficients: tuple[float, ...] | None = None
     negative_eigenvalue: float | None = None
+    realignment: float | None = None
     details: str = field(default="", compare=False)
 
     @property
@@ -115,7 +122,7 @@ class SeparabilityVerdict:
         """True/False when settled, None when the search was inconclusive."""
         if self.tag == SEPARABLE:
             return True
-        if self.tag in (ENTANGLED_PURE, ENTANGLED_PPT):
+        if self.tag in (ENTANGLED_PURE, ENTANGLED_PPT, ENTANGLED_REALIGNMENT):
             return False
         return None
 
@@ -169,6 +176,22 @@ def ppt_check(state: State) -> float:
         pt = state.blocks[idx].reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
         worst = min(worst, float(np.linalg.eigvalsh(herm(pt))[0]))
     return float(worst)
+
+
+def realignment_check(state: State) -> float:
+    """Largest trace norm of a realigned, normalized joint block.
+
+    The block rho[(a b), (c d)] is read as R[(a c), (b d)]; a value above
+    1 + REALIGN_TOL certifies entanglement (K. Chen, L.-A. Wu, QIC 3, 193, 2003).
+    """
+    worst = 0.0
+    for idx, _, _, n, m in joint_blocks(state.algebra):
+        blk = state.blocks[idx]
+        w = float(np.trace(blk).real)
+        if w > CLASSICAL_WEIGHT_TOL:
+            r = blk.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+            worst = max(worst, float(np.linalg.svd(r, compute_uv=False).sum()) / w)
+    return worst
 
 
 def classical_decompose(state: State) -> Decomposition:
@@ -241,12 +264,9 @@ def _nnls_weights(projs, rho: np.ndarray, gamma: float = 4.0) -> np.ndarray:
     The unit-sum constraint enters as a soft extra row with gain ``gamma``;
     hard normalization after the fit would fight the least-squares solution.
     """
-    cols = []
-    for p in projs:
-        v = p.reshape(-1)
-        cols.append(np.concatenate([v.real, v.imag, [gamma]]))
+    cols = np.array(projs).reshape(len(projs), -1).T
     target = np.concatenate([rho.reshape(-1).real, rho.reshape(-1).imag, [gamma]])
-    w, _ = nnls(np.column_stack(cols), target)
+    w, _ = nnls(np.vstack([cols.real, cols.imag, np.full(len(projs), gamma)]), target)
     return w
 
 
@@ -255,6 +275,12 @@ def _reconstruction_error(x: np.ndarray, rho: np.ndarray) -> float:
     if tr < 1e-30:
         return 1.0
     return 0.5 * trace_norm([x / tr - rho])
+
+
+def _terms_error(terms, rho: np.ndarray) -> float:
+    """Reconstruction error of (weight, a, b) terms against rho."""
+    x = sum(w * np.outer(np.kron(a, b), np.kron(a, b).conj()) for w, a, b in terms)
+    return _reconstruction_error(x, rho)
 
 
 def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rng):
@@ -296,6 +322,37 @@ def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rn
     return weights, atoms, err
 
 
+def _wootters_terms(rho: np.ndarray):
+    """At most four product terms of a two-qubit density of zero concurrence.
+
+    W. K. Wootters, PRL 80, 2245 (1998): with rho = V V*, Takagi-factor
+    tau = V^T Y V as U^T tau U = diag(lam) by one eigh of its real embedding,
+    phase the columns of V U so that sum_k lam_k e^{2i phi_k} = 0, and mix
+    them with Hadamard signs; each mixed vector v has v^T Y v = 0, so it is
+    a product vector.  Returns (terms, error) like the search.
+    """
+    w, e = np.linalg.eigh(rho)
+    v = e * np.sqrt(np.clip(w, 0.0, None))
+    tau = v.T @ _SPIN_FLIP @ v
+    lam, s = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    # the positive half, descending; its polar factor restores the unitarity
+    # that near-zero Takagi values leave ill-determined
+    lam = np.clip(lam[:3:-1], 0.0, None)
+    p, _, q = np.linalg.svd((s[:4] - 1j * s[4:])[:, :3:-1])
+    # close the quadrilateral of sides lam across a diagonal d: the shorter
+    # side of each triangle is placed by angle, the longer one by difference
+    d = max(lam[0] - lam[1], lam[2] - lam[3])
+    cos = (d * d + lam[1::2] ** 2 - lam[::2] ** 2) / np.maximum(2 * d * lam[1::2], 1e-300)
+    t = lam[1::2] * np.exp(1j * np.arccos(np.clip(cos, -1.0, 1.0)))
+    phase = np.exp(0.5j * np.angle([d - t[0], t[0], t[1] - d, -t[1]]))
+    terms = []
+    for vec in (v @ p @ q * phase @ _HADAMARD).T:
+        weight = float(np.vdot(vec, vec).real)
+        if weight > CLASSICAL_WEIGHT_TOL:
+            terms.append((weight, *_product_split(vec, 2, 2)))
+    return terms, _terms_error(terms, rho)
+
+
 def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
     """Decompose one PPT density on M_n (x) M_m; returns (terms, error) or None.
 
@@ -305,24 +362,21 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
     # decomposition of the other side already is a product decomposition
     if n == 1 or m == 1:
         w, v = np.linalg.eigh(rho)
-        terms = []
-        for k in range(len(w)):
-            if w[k] <= CLASSICAL_WEIGHT_TOL:
-                continue
-            vec = v[:, k]
-            a, b = (np.ones(1, dtype=complex), vec) if n == 1 else (vec, np.ones(1, dtype=complex))
-            terms.append((float(w[k]), a, b))
-        return terms, 0.0
+        one = np.ones(1, dtype=complex)
+        pairs = [(one, c) if n == 1 else (c, one) for c in v.T]
+        return [(float(x), *ab) for x, ab in zip(w, pairs) if x > CLASSICAL_WEIGHT_TOL], 0.0
 
     if np.trace(rho @ rho).real >= 1.0 - 1e-12:
-        vec = np.linalg.eigh(rho)[1][:, -1]
-        a, b = _product_split(vec, n, m)
-        x = np.outer(np.kron(a, b), np.kron(a, b).conj())
-        err = _reconstruction_error(x, rho)
+        terms = [(1.0, *_product_split(np.linalg.eigh(rho)[1][:, -1], n, m))]
+        err = _terms_error(terms, rho)
         if err <= tol:
-            return [(1.0, a, b)], err
-        # not a product vector after all; fall through to the search
+            return terms, err
+        # not a product vector after all; fall through
 
+    if (n, m) == (2, 2):
+        terms, err = _wootters_terms(rho)
+        if err <= tol:
+            return terms, err
     if (n, m) in _EXACT_PPT_SHAPES:
         max_iters = max(max_iters, 2000)
     weights, atoms, err = _fcfw_search(rho, n, m, tol, max_iters, rng)
@@ -342,22 +396,23 @@ def separability_test(
 
     Pure wavefunctions are settled by their Schmidt coefficients.  States
     with a commutative factor are decomposed exactly by conditioning.  For
-    the rest, a negative partial transpose certifies entanglement, and
-    otherwise a Frank-Wolfe search looks for an explicit decomposition; on
-    qubit-qubit and qubit-qutrit blocks one of the two must succeed, while
-    larger blocks may exhaust the iteration ``budget`` and end
-    ``Undetermined``.
+    the rest, a negative partial transpose certifies entanglement, and so
+    does a realigned joint block of trace norm above 1 + REALIGN_TOL (tag
+    ``EntangledRealignment``, value in ``realignment``).  Otherwise each
+    joint block is decomposed: qubit-qubit blocks by Wootters' closed form,
+    the rest by a Frank-Wolfe search.  On qubit-qubit and qubit-qutrit
+    blocks this always succeeds; larger blocks may exhaust the iteration
+    ``budget`` and end ``Undetermined``, which thus needs a positive
+    partial transpose, realignment at most 1 + REALIGN_TOL, and a stalled
+    search.  Neither test nor the closed form draws from ``seed``.
     """
     count = check_count(budget, "search budget")
     tol = check_tol(tol)
     rng = _as_rng(seed)
     if isinstance(state, PureVector):
-        coeffs = schmidt(state)
-        if int(np.sum(coeffs > SCHMIDT_TOL)) > 1:
-            return SeparabilityVerdict(
-                ENTANGLED_PURE,
-                schmidt_coefficients=tuple(float(c) for c in coeffs),
-            )
+        coeffs = tuple(float(c) for c in schmidt(state))
+        if sum(c > SCHMIDT_TOL for c in coeffs) > 1:
+            return SeparabilityVerdict(ENTANGLED_PURE, schmidt_coefficients=coeffs)
         alg_a, alg_b = state.algebra.factors
         n, m = alg_a.total_dim, alg_b.total_dim
         a, b = _product_split(state.vector, n, m)
@@ -368,10 +423,7 @@ def separability_test(
         )
         err = trace_distance(reconstruct(dec, state.algebra), state.state())
         return SeparabilityVerdict(
-            SEPARABLE,
-            decomposition=dec,
-            error=err,
-            schmidt_coefficients=tuple(float(c) for c in coeffs),
+            SEPARABLE, decomposition=dec, error=err, schmidt_coefficients=coeffs
         )
 
     if not isinstance(state, State):
@@ -387,8 +439,11 @@ def separability_test(
     if neg < -PPT_TOL:
         tag = ENTANGLED_PURE if purity(state) >= 1.0 - 1e-12 else ENTANGLED_PPT
         return SeparabilityVerdict(tag, negative_eigenvalue=neg)
+    ccnr = realignment_check(state)
+    if ccnr > 1.0 + REALIGN_TOL:
+        return SeparabilityVerdict(ENTANGLED_REALIGNMENT, realignment=ccnr)
 
-    # per-block searches; every joint block must admit a decomposition
+    # per-block decompositions; every joint block must admit one
     weights, a_parts, b_parts = [], [], []
     for idx, i, j, n, m in joint_blocks(state.algebra):
         blk = state.blocks[idx]
@@ -400,8 +455,9 @@ def separability_test(
             return SeparabilityVerdict(
                 UNDETERMINED,
                 error=err,
+                realignment=ccnr,
                 details=(
-                    f"transpose test passed but the search stalled at "
+                    f"transpose and realignment tests passed but the search stalled at "
                     f"reconstruction error {err:.3e} on block {(i, j)}"
                 ),
             )
@@ -411,4 +467,4 @@ def separability_test(
             b_parts.append(State(alg_b, embed(alg_b, j, np.outer(b, b.conj())), trusted=True))
     dec = Decomposition(tuple(weights), tuple(a_parts), tuple(b_parts))
     err = trace_distance(reconstruct(dec, state.algebra), state)
-    return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err)
+    return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err, realignment=ccnr)

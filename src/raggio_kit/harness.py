@@ -90,13 +90,8 @@ def _embedded_canonical_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshO
 def _sample_states(product: FdAlgebra, count: int, rng) -> list[State]:
     # alternate vector states and full-rank mixtures; both matter, since
     # decomposability failures show up differently for pure and mixed inputs
-    states = []
-    for k in range(count):
-        if k % 2 == 0:
-            states.append(random_vector_state(product, rng))
-        else:
-            states.append(random_mixed(product, rng))
-    return states
+    draw = (random_vector_state, random_mixed)
+    return [draw[k % 2](product, rng) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -230,11 +225,7 @@ def verify_equivalence(
         r = chsh_optimize(state, restarts=restarts, seed=int(s_chsh))
         results.append((label, v, r.value))
 
-    entangled_witness = None
-    for label, v, _ in results:
-        if v.decomposable is False:
-            entangled_witness = label
-            break
+    entangled_witness = next((label for label, v, _ in results if v.decomposable is False), None)
     entangled_found = entangled_witness is not None
     undetermined = sum(1 for _, v, _ in results if v.decomposable is None)
     best = max(results, key=lambda item: item[2])

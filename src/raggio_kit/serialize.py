@@ -8,6 +8,7 @@ other side.  Matching JSON Schemas ship in ``raggio_kit/schemas``.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -48,9 +49,6 @@ def algebra_to_dict(alg: FdAlgebra) -> dict:
 def algebra_from_dict(data) -> FdAlgebra:
     if not isinstance(data, dict) or "block_dims" not in data:
         raise InvalidArgumentError("algebra payload needs a block_dims list")
-    dims = data["block_dims"]
-    if not isinstance(dims, list):
-        raise InvalidArgumentError(f"block_dims must be a list of integers, got {dims!r}")
     factors = None
     if "factors" in data:
         pair = data["factors"]
@@ -58,7 +56,7 @@ def algebra_from_dict(data) -> FdAlgebra:
             raise InvalidArgumentError("factors must be a pair of algebras")
         factors = (algebra_from_dict(pair[0]), algebra_from_dict(pair[1]))
     try:
-        return FdAlgebra(tuple(dims), factors=factors)
+        return FdAlgebra(data["block_dims"], factors=factors)
     except InvalidDimensionError as exc:
         raise InvalidArgumentError(f"algebra: {exc}") from exc
 
@@ -154,6 +152,8 @@ def verdict_to_dict(v: SeparabilityVerdict) -> dict:
         out["schmidt_coefficients"] = [float(c) for c in v.schmidt_coefficients]
     if v.negative_eigenvalue is not None:
         out["negative_eigenvalue"] = float(v.negative_eigenvalue)
+    if v.realignment is not None:
+        out["realignment"] = float(v.realignment)
     if v.details:
         out["details"] = v.details
     return out
@@ -192,23 +192,8 @@ def chsh_result_to_dict(res: ChshResult) -> dict:
 
 
 def report_to_dict(rep: RaggioReport) -> dict:
-    return {
-        "schema": REPORT_SCHEMA_VERSION,
-        "algebra_a": rep.algebra_a,
-        "algebra_b": rep.algebra_b,
-        "a_commutative": rep.a_commutative,
-        "b_commutative": rep.b_commutative,
-        "samples": rep.samples,
-        "entangled_found": rep.entangled_found,
-        "entangled_witness": rep.entangled_witness,
-        "max_chsh": rep.max_chsh,
-        "max_chsh_witness": rep.max_chsh_witness,
-        "decomposition_success_rate": rep.decomposition_success_rate,
-        "undetermined_count": rep.undetermined_count,
-        "verdict": rep.verdict,
-        "seed": rep.seed,
-        "notes": list(rep.notes),
-    }
+    """The report's fields in declaration order, after the schema version."""
+    return {"schema": REPORT_SCHEMA_VERSION, **asdict(rep), "notes": list(rep.notes)}
 
 
 def load_schema(name: str) -> dict:

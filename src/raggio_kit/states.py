@@ -114,8 +114,6 @@ class State:
         if not self.trusted:
             if abs(tr - 1.0) > STATE_TRACE_TOL:
                 raise InvalidStateError(f"density trace is {tr!r}, expected 1")
-            if tr <= 0.0:
-                raise InvalidStateError("density trace must be positive")
             blocks = [b / tr for b in blocks]
         for b in blocks:
             b.setflags(write=False)
@@ -307,10 +305,7 @@ def singlet(product: FdAlgebra | None = None) -> PureVector:
     factors = product.factors
     if factors is None or (factors[0].block_dims, factors[1].block_dims) != ((2,), (2,)):
         raise UnsupportedShapeError("singlet lives on M2 (x) M2")
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0 / np.sqrt(2.0)
-    psi[2] = -1.0 / np.sqrt(2.0)
-    return PureVector(product, psi)
+    return PureVector(product, np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
 
 
 def werner(p: float, product: FdAlgebra | None = None) -> State:

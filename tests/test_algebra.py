@@ -63,6 +63,17 @@ def test_invalid_dimensions():
     assert make_full(np.int64(2)) == make_full(2)
 
 
+def test_block_dims_must_be_a_tuple_or_list():
+    # FdAlgebra([2]) used to build an unhashable algebra unequal to make_full(2),
+    # and FdAlgebra(3) ended in a raw TypeError from len
+    assert FdAlgebra([2]) == make_full(2)
+    assert FdAlgebra([2, 1]).block_dims == (2, 1)
+    assert hash(FdAlgebra([2, 1])) == hash(FdAlgebra((2, 1)))
+    for bad in (3, np.int64(3), 2.5, "22", None, {2: 1}, np.array([2]), []):
+        with pytest.raises(InvalidDimensionError):
+            FdAlgebra(bad)
+
+
 def test_factors_must_give_the_block_dims():
     # a mismatch once reached restrict_to_factor, ppt_check, separability_test
     # and chsh_optimize, which then failed with numpy reshape/matmul errors

@@ -110,6 +110,16 @@ def test_separability_from_state_file(capsys, tmp_path):
     assert "error = " in out
 
 
+def test_separability_reports_realignment(capsys, tmp_path, horodecki_state):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_dict(horodecki_state(0.5))))
+    code, out, _ = run(capsys, "separability", "--state", str(path), "--seed", "3")
+    assert code == 0
+    lines = dict(line.split(" = ") for line in out.splitlines())
+    assert lines["tag"] == "EntangledRealignment"
+    assert lines["realignment"] == "1.002327"
+
+
 def test_separability_missing_file(capsys):
     code, _, err = run(capsys, "separability", "--state", "/no/such/file.json", "--seed", "1")
     assert code == 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from raggio_kit.algebra import direct_sum, herm, make_commutative, make_full, te
 from raggio_kit.entanglement import (
     ENTANGLED_PPT,
     ENTANGLED_PURE,
+    ENTANGLED_REALIGNMENT,
+    PPT_TOL,
     SEPARABLE,
     UNDETERMINED,
     Decomposition,
@@ -13,6 +17,7 @@ from raggio_kit.entanglement import (
     classical_decompose,
     is_entangled_pure,
     ppt_check,
+    realignment_check,
     reconstruct,
     schmidt,
     separability_test,
@@ -368,3 +373,46 @@ def test_seeded_product_mixture_search_is_pinned():
         0.20094705225528423,
         0.11463272885543248,
     )
+
+
+def _best_time(fn, repeats=3):
+    best, out = np.inf, None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - start)
+    return out, best
+
+
+def test_bound_entangled_states_are_certified_by_realignment(tiles_state, horodecki_state):
+    # both families pass the transpose test; the Tiles state once ended
+    # Undetermined after its whole search budget
+    rng = np.random.default_rng(2003)
+    cases = [("tiles", tiles_state(), 1.0874)]
+    cases += [(f"tiles rotated {k}", tiles_state(rng), 1.0874) for k in range(3)]
+    cases += [(f"horodecki {a}", horodecki_state(a), ccnr)
+              for a, ccnr in ((0.1, 1.0025), (0.5, 1.0023), (0.9, 1.0005))]
+    for label, st, ccnr in cases:
+        assert ppt_check(st) >= -PPT_TOL, label
+        v, seconds = _best_time(lambda: separability_test(st, 50, seed=0))
+        assert v.tag == ENTANGLED_REALIGNMENT, label
+        assert v.decomposable is False
+        assert v.realignment == pytest.approx(ccnr, abs=1e-4), label
+        assert v.realignment == realignment_check(st)
+        assert seconds < 0.01, (label, seconds)
+
+
+def test_two_qubit_blocks_take_the_closed_form():
+    # Werner up to the threshold p = 1/3 and a multi-block product mixture:
+    # at most four terms per qubit-qubit block, exact to rounding
+    for p in (0.0, 0.2, 1.0 / 3.0):
+        v = separability_test(werner(p), seed=0)
+        assert v.tag == SEPARABLE and v.error <= 1e-12
+        assert v.decomposition.num_terms <= 4
+        assert v.realignment <= 1.0 + 1e-12  # Werner(1/3) sits on the bound
+    alg_a = direct_sum(make_full(2), make_commutative(1))
+    st = random_product_mixture(alg_a, make_full(2), 5, np.random.default_rng(12))
+    v = separability_test(st, seed=0)
+    assert v.tag == SEPARABLE and v.error <= 1e-12
+    # the 1x2 block splits by its eigenvectors into at most 2 terms
+    assert v.decomposition.num_terms <= 4 + 2

@@ -1,6 +1,8 @@
 """Property tests of the joint-block layout over random factor shapes: each
 factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
-A last property feeds malformed counts and tolerances to the public API."""
+Two properties cover the separability certificates on qubit and qutrit
+blocks, and a last one feeds malformed counts and tolerances to the public
+API."""
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.linalg import block_diag
 
 from raggio_kit.algebra import (
     FdAlgebra,
+    direct_sum,
     herm,
     joint_blocks,
     make_commutative,
@@ -19,15 +22,21 @@ from raggio_kit.algebra import (
 )
 from raggio_kit.bell import chsh_optimize, seesaw
 from raggio_kit.entanglement import (
+    PPT_TOL,
+    REALIGN_TOL,
+    SEPARABLE,
     _linear_minimizer,
     _product_split,
     classical_decompose,
+    ppt_check,
+    realignment_check,
     reconstruct,
     separability_test,
 )
 from raggio_kit.errors import InvalidDimensionError, RaggioKitError
 from raggio_kit.harness import bell_one_side_classical, verify_equivalence
 from raggio_kit.states import (
+    mixture,
     point_state,
     product_state,
     random_mixed,
@@ -102,6 +111,57 @@ def test_classical_decompose_reconstructs_with_either_side_commutative(dims, see
         for state in (random_mixed(product, rng), random_vector_state(product, rng)):
             dec = classical_decompose(state)
             assert trace_distance(reconstruct(dec, product), state) <= 1e-9
+
+
+def _product_mixture(alg_a, alg_b, terms: int, rng):
+    """A random mixture of product states; each factor is pure or full rank."""
+    draw = (random_vector_state, random_mixed)
+    parts = [
+        product_state(draw[rng.integers(2)](alg_a, rng), draw[rng.integers(2)](alg_b, rng))
+        for _ in range(terms)
+    ]
+    w = rng.random(terms) + 0.05
+    return mixture(w / w.sum(), parts)
+
+
+def _block_of(part) -> int:
+    return int(np.argmax([np.trace(b).real for b in part.blocks]))
+
+
+M2 = make_full(2)
+TWO_QUBIT_PPT = st.one_of(
+    st.tuples(st.just("product"), st.integers(1, 5), SEEDS),
+    st.tuples(st.just("multiblock"), st.integers(1, 5), SEEDS),
+    st.tuples(st.just("werner"), st.floats(0.0, 1.0 / 3.0), SEEDS),
+)
+
+
+@PROPERTY
+@given(TWO_QUBIT_PPT)
+def test_two_qubit_ppt_blocks_decompose_in_closed_form(case):
+    kind, size, seed = case
+    rng = np.random.default_rng(seed)
+    if kind == "werner":
+        state = werner(size)
+    else:
+        alg_a = M2 if kind == "product" else direct_sum(M2, make_commutative(1))
+        state = _product_mixture(alg_a, M2, size, rng)
+    v = separability_test(state, seed=0)
+    assert v.tag == SEPARABLE
+    assert v.error <= 1e-9
+    parts = zip(v.decomposition.a_parts, v.decomposition.b_parts)
+    assert 1 <= sum((_block_of(a), _block_of(b)) == (0, 0) for a, b in parts) <= 4
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(1, 5), SEEDS)
+def test_product_mixtures_never_fail_the_realignment_test(dims, terms, seed):
+    rng = np.random.default_rng(seed)
+    state = _product_mixture(make_full(dims[0]), make_full(dims[1]), terms, rng)
+    # past the transpose test, separability_test returns EntangledRealignment
+    # exactly when this value exceeds 1 + REALIGN_TOL
+    assert ppt_check(state) >= -PPT_TOL
+    assert realignment_check(state) <= 1.0 + REALIGN_TOL
 
 
 @PROPERTY

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -30,6 +31,8 @@ from raggio_kit.serialize import (
 from raggio_kit.states import random_mixed, singlet, trace_distance, werner
 
 M2 = make_full(2)
+SCHEMA_DIR = resources.files("raggio_kit") / "schemas"
+SCHEMA_NAMES = sorted(p.name.removesuffix(".schema.json") for p in SCHEMA_DIR.iterdir())
 
 
 def _validate(payload, schema_name):
@@ -149,13 +152,23 @@ def test_decomposition_from_dict_rejects_non_finite_weights():
         decomposition_from_dict(payload)
 
 
-def test_verdict_payloads_validate():
+def test_verdict_payloads_validate(tiles_state):
     for state, seed in ((werner(0.5), 0), (werner(0.2), 1)):
         payload = verdict_to_dict(separability_test(state, seed=seed))
         _validate(payload, "verdict")
     payload = verdict_to_dict(separability_test(singlet(), seed=2))
     _validate(payload, "verdict")
     assert payload["tag"] == "EntangledPure"
+    payload = verdict_to_dict(separability_test(tiles_state(), seed=3))
+    _validate(payload, "verdict")
+    assert payload["tag"] == "EntangledRealignment"
+    assert payload["realignment"] == pytest.approx(1.087412, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+def test_shipped_schemas_are_valid_under_their_metaschema(name):
+    schema = load_schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_chsh_result_payload_validates():
