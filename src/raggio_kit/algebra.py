@@ -57,7 +57,13 @@ class FdAlgebra:
                 f"block dimensions must be positive integers, got {self.block_dims}"
             )
         if self.factors is not None:
-            da, db = (f.block_dims for f in self.factors)
+            pair = self.factors
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2 or not all(
+                isinstance(f, FdAlgebra) for f in pair
+            ):
+                raise InvalidDimensionError(f"factors must be a pair of algebras, got {pair!r}")
+            object.__setattr__(self, "factors", tuple(pair))
+            da, db = (f.block_dims for f in pair)
             joint = tuple(n * m for n in da for m in db)
             if self.block_dims != joint:
                 raise InvalidDimensionError(

@@ -23,6 +23,7 @@ from .errors import InvalidArgumentError, RaggioKitError
 from .harness import verify_equivalence
 from .entanglement import is_entangled_pure, schmidt as schmidt_coeffs
 from .serialize import (
+    _is_pair,
     chsh_result_to_dict,
     pure_vector_from_dict,
     report_to_dict,
@@ -76,17 +77,10 @@ def _parse_amplitudes(text: str):
         raise UsageError(f"--psi is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise UsageError("--psi must be a nonempty JSON array of [re, im] pairs")
-    values = []
     for item in data:
-        ok = (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)
-        )
-        if not ok:
+        if not _is_pair(item):
             raise UsageError(f"--psi entry {item!r} is not a [re, im] pair")
-        values.append(complex(item[0], item[1]))
-    return values
+    return [complex(re, im) for re, im in data]
 
 
 def _read_json(path: str):

@@ -8,9 +8,10 @@ combination of product states.  Four certificates are produced here:
 * entangled mixed states: a negative eigenvalue of the blockwise partial
   transpose, or else a realigned joint block of trace norm above 1,
 * separable mixed states: an explicit decomposition, found in the classical
-  case by conditioning on the commutative factor, on qubit-qubit blocks by
-  Wootters' closed form, and otherwise by a fully-corrective Frank-Wolfe
-  search over pure product states.
+  case by conditioning on the commutative factor, and otherwise as (weight,
+  a, b) terms of pure product vectors a (x) b, per joint block by Wootters'
+  closed form on qubit-qubit blocks or by a fully-corrective Frank-Wolfe
+  search; every route's decomposition is re-measured against the state.
 
 Both entanglement tests are one-sided in general, so the verdict is
 ``Undetermined`` when no certificate is found within budget; for
@@ -51,6 +52,7 @@ PPT_TOL = 1e-9
 REALIGN_TOL = 1e-9
 CLASSICAL_WEIGHT_TOL = 1e-12
 DEFAULT_DECOMP_TOL = 1e-6
+_WEIGHT_SUM_TOL = 1e-6  # slack on sum(weights) = 1, in Decomposition and the search
 
 # dims (n, m) beyond qubit-qubit for which a positive partial transpose
 # already implies separability, so the search cannot legitimately fail
@@ -81,7 +83,7 @@ class Decomposition:
         if np.any(w < -1e-12):
             raise InvalidArgumentError("decomposition weights must be nonnegative")
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise InvalidArgumentError(f"decomposition weights sum to {total!r}")
         w = np.clip(w, 0.0, None) / total
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
@@ -271,10 +273,7 @@ def _nnls_weights(projs, rho: np.ndarray, gamma: float = 4.0) -> np.ndarray:
 
 
 def _reconstruction_error(x: np.ndarray, rho: np.ndarray) -> float:
-    tr = float(np.trace(x).real)
-    if tr < 1e-30:
-        return 1.0
-    return 0.5 * trace_norm([x / tr - rho])
+    return 0.5 * trace_norm([x / float(np.trace(x).real) - rho])
 
 
 def _terms_error(terms, rho: np.ndarray) -> float:
@@ -286,40 +285,32 @@ def _terms_error(terms, rho: np.ndarray) -> float:
 def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rng):
     """Frank-Wolfe with full weight reoptimization at every round.
 
-    Returns (weights, atoms, error) with atoms as (a, b) vector pairs; the atom
-    count is capped at dim^2 + 1, enough for any point of the separable convex body.
+    Returns (terms, error) of the first iterate within ``tol`` whose weights
+    sum to 1 within _WEIGHT_SUM_TOL, else of the closest iterate, rescaled to
+    sum to 1.  NNLS keeps independent columns, so at most (n m)^2 terms.
     """
-    dim = n * m
-    cap = dim * dim + 1
-    atoms: list[tuple[np.ndarray, np.ndarray]] = []
-    projs: list[np.ndarray] = []
-    weights = np.zeros(0)
-    x = np.zeros((dim, dim), dtype=complex)
-    best = (np.inf, weights, list(atoms))
+    terms, projs, best = [], [], ([], np.inf)
+    x = np.zeros((n * m, n * m), dtype=complex)
     for _ in range(max_iters):
-        G = herm(x - rho)
-        a, b = _linear_minimizer(G, n, m, rng)
+        a, b = _linear_minimizer(herm(x - rho), n, m, rng)
         v = np.kron(a, b)
-        atoms.append((a, b))
+        terms.append((0.0, a, b))
         projs.append(np.outer(v, v.conj()))
         weights = _nnls_weights(projs, rho)
         keep = weights > 1e-14
-        atoms = [t for t, k in zip(atoms, keep) if k]
+        terms = [(float(w), a, b) for w, (_, a, b), k in zip(weights, terms, keep) if k]
         projs = [p for p, k in zip(projs, keep) if k]
         weights = weights[keep]
-        if len(atoms) > cap:
-            order = np.argsort(weights)[::-1][:cap]
-            atoms = [atoms[i] for i in order]
-            projs = [projs[i] for i in order]
-            weights = _nnls_weights(projs, rho)
         x = sum(w * p for w, p in zip(weights, projs))
         err = _reconstruction_error(x, rho)
-        if err < best[0]:
-            best = (err, weights.copy(), list(atoms))
-        if err <= tol:
-            break
-    err, weights, atoms = best
-    return weights, atoms, err
+        # the soft unit-sum row lets a loose fit miss 1 however small its error
+        if err <= tol and abs(weights.sum() - 1.0) <= _WEIGHT_SUM_TOL:
+            return terms, err
+        if err < best[1]:
+            best = terms, err
+    total = sum(w for w, _, _ in best[0])
+    terms = [(w / total, a, b) for w, a, b in best[0]]
+    return terms, _terms_error(terms, rho)
 
 
 def _wootters_terms(rho: np.ndarray):
@@ -354,10 +345,8 @@ def _wootters_terms(rho: np.ndarray):
 
 
 def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
-    """Decompose one PPT density on M_n (x) M_m; returns (terms, error) or None.
-
-    terms is a list of (weight, a_vector, b_vector).
-    """
+    """(weight, a, b) terms of one PPT density on M_n (x) M_m, and their
+    error; an error above ``tol`` means that no route succeeded."""
     # a one-dimensional factor carries no correlations: the spectral
     # decomposition of the other side already is a product decomposition
     if n == 1 or m == 1:
@@ -379,11 +368,22 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
             return terms, err
     if (n, m) in _EXACT_PPT_SHAPES:
         max_iters = max(max_iters, 2000)
-    weights, atoms, err = _fcfw_search(rho, n, m, tol, max_iters, rng)
-    if err > tol:
-        return None, err
-    terms = [(float(w), a, b) for w, (a, b) in zip(weights, atoms)]
-    return terms, err
+    return _fcfw_search(rho, n, m, tol, max_iters, rng)
+
+
+def _separable(state: State, dec, **fields) -> SeparabilityVerdict:
+    """A Separable verdict measuring ``dec`` against ``state``; ``dec`` is a
+    Decomposition or terms (weight, i, a, j, b), a and b on blocks i and j."""
+    if not isinstance(dec, Decomposition):
+        def pure(side, k, v):
+            alg = state.algebra.factors[side]
+            return State(alg, embed(alg, k, np.outer(v, v.conj())), trusted=True)
+
+        a_parts = tuple(pure(0, i, a) for _, i, a, _, _ in dec)
+        b_parts = tuple(pure(1, j, b) for _, _, _, j, b in dec)
+        dec = Decomposition(tuple(t[0] for t in dec), a_parts, b_parts)
+    err = trace_distance(reconstruct(dec, state.algebra), state)
+    return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err, **fields)
 
 
 def separability_test(
@@ -414,26 +414,16 @@ def separability_test(
         if sum(c > SCHMIDT_TOL for c in coeffs) > 1:
             return SeparabilityVerdict(ENTANGLED_PURE, schmidt_coefficients=coeffs)
         alg_a, alg_b = state.algebra.factors
-        n, m = alg_a.total_dim, alg_b.total_dim
-        a, b = _product_split(state.vector, n, m)
-        dec = Decomposition(
-            (1.0,),
-            (PureVector(alg_a, a).state(),),
-            (PureVector(alg_b, b).state(),),
-        )
-        err = trace_distance(reconstruct(dec, state.algebra), state.state())
-        return SeparabilityVerdict(
-            SEPARABLE, decomposition=dec, error=err, schmidt_coefficients=coeffs
-        )
+        a, b = _product_split(state.vector, alg_a.total_dim, alg_b.total_dim)
+        # each factor normalized as PureVector does
+        terms = [(1.0, 0, a / np.linalg.norm(a), 0, b / np.linalg.norm(b))]
+        return _separable(state.state(), terms, schmidt_coefficients=coeffs)
 
     if not isinstance(state, State):
         raise InvalidArgumentError(f"expected a State or PureVector, got {type(state)!r}")
-    alg_a, alg_b = _require_factors(state.algebra)
 
-    if alg_a.is_commutative or alg_b.is_commutative:
-        dec = classical_decompose(state)
-        err = trace_distance(reconstruct(dec, state.algebra), state)
-        return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err)
+    if any(f.is_commutative for f in _require_factors(state.algebra)):
+        return _separable(state, classical_decompose(state))
 
     neg = ppt_check(state)
     if neg < -PPT_TOL:
@@ -444,14 +434,14 @@ def separability_test(
         return SeparabilityVerdict(ENTANGLED_REALIGNMENT, realignment=ccnr)
 
     # per-block decompositions; every joint block must admit one
-    weights, a_parts, b_parts = [], [], []
+    terms = []
     for idx, i, j, n, m in joint_blocks(state.algebra):
         blk = state.blocks[idx]
         w_blk = float(np.trace(blk).real)
         if w_blk <= CLASSICAL_WEIGHT_TOL:
             continue
-        terms, err = _block_pair_decomposition(blk / w_blk, n, m, tol, count, rng)
-        if terms is None:
+        block_terms, err = _block_pair_decomposition(blk / w_blk, n, m, tol, count, rng)
+        if err > tol:
             return SeparabilityVerdict(
                 UNDETERMINED,
                 error=err,
@@ -461,10 +451,5 @@ def separability_test(
                     f"reconstruction error {err:.3e} on block {(i, j)}"
                 ),
             )
-        for w, a, b in terms:
-            weights.append(w_blk * w)
-            a_parts.append(State(alg_a, embed(alg_a, i, np.outer(a, a.conj())), trusted=True))
-            b_parts.append(State(alg_b, embed(alg_b, j, np.outer(b, b.conj())), trusted=True))
-    dec = Decomposition(tuple(weights), tuple(a_parts), tuple(b_parts))
-    err = trace_distance(reconstruct(dec, state.algebra), state)
-    return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err, realignment=ccnr)
+        terms += [(w_blk * w, i, a, j, b) for w, a, b in block_terms]
+    return _separable(state, terms, realignment=ccnr)

@@ -28,14 +28,24 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number as loaded by ``json``: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    """True for a [re, im] pair of JSON numbers."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
 def _unpairs(entries, count: int, what: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != count:
         raise InvalidArgumentError(f"{what}: expected {count} [re, im] pairs")
     out = np.empty(count, dtype=complex)
     for k, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InvalidArgumentError(f"{what}: entry {k} is not a [re, im] pair")
-        out[k] = complex(float(pair[0]), float(pair[1]))
+        if not _is_pair(pair):
+            raise InvalidArgumentError(f"{what}: entry {k} is not a [re, im] pair of numbers")
+        out[k] = complex(pair[0], pair[1])
     return out
 
 
@@ -134,11 +144,13 @@ def decomposition_from_dict(data) -> Decomposition:
     if not isinstance(data, dict):
         raise InvalidArgumentError("decomposition payload must be an object")
     try:
-        weights = tuple(float(w) for w in data["weights"])
-        a_parts = tuple(state_from_dict(s) for s in data["a_parts"])
-        b_parts = tuple(state_from_dict(s) for s in data["b_parts"])
+        lists = [data[key] for key in ("weights", "a_parts", "b_parts")]
     except KeyError as exc:
         raise InvalidArgumentError(f"decomposition payload misses {exc}") from exc
+    if not all(isinstance(x, list) for x in lists) or not all(map(_is_number, lists[0])):
+        raise InvalidArgumentError("decomposition needs a list of numbers and two lists of states")
+    weights = tuple(float(w) for w in lists[0])
+    a_parts, b_parts = (tuple(state_from_dict(s) for s in parts) for parts in lists[1:])
     return Decomposition(weights, a_parts, b_parts)
 
 

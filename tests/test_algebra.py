@@ -72,6 +72,14 @@ def test_block_dims_must_be_a_tuple_or_list():
     for bad in (3, np.int64(3), 2.5, "22", None, {2: 1}, np.array([2]), []):
         with pytest.raises(InvalidDimensionError):
             FdAlgebra(bad)
+    # factors=[M2, M2] used to build an unhashable algebra unequal to tensor(M2, M2),
+    # and other factors ended in a raw AttributeError, ValueError or TypeError
+    m2 = make_full(2)
+    assert FdAlgebra((4,), factors=[m2, m2]) == tensor(m2, m2)
+    assert hash(FdAlgebra((4,), factors=[m2, m2])) == hash(tensor(m2, m2))
+    for bad in (("x", m2), (m2,), 5, (m2, m2, m2), "ab", [(2,), (2,)]):
+        with pytest.raises(InvalidDimensionError):
+            FdAlgebra((4,), factors=bad)
 
 
 def test_factors_must_give_the_block_dims():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import raggio_kit
 from raggio_kit import cli
 from raggio_kit.cli import parse_algebra
 from raggio_kit.harness import RaggioReport
@@ -58,13 +63,28 @@ def test_born_from_file(capsys, tmp_path):
     )
 
 
-def test_born_bad_psi(capsys):
+def test_born_bad_psi(capsys, tmp_path):
     code, _, err = run(capsys, "born", "--psi", "[[0.5,0],zebra]")
     assert code == 2
     assert "--psi" in err
     code, _, err = run(capsys, "born", "--psi", "[[1,2,3]]")
     assert code == 2
     assert "pair" in err
+    for bad in ('[[true, 0]]', '[["1", 0]]', '[[1, null]]'):
+        code, _, err = run(capsys, "born", "--psi", bad)
+        assert code == 2
+        assert "--psi" in err and "pair" in err
+    # a vector file with a non-number amplitude used to print a ValueError traceback
+    payload = pure_vector_to_dict(singlet())
+    path = tmp_path / "psi.json"
+    for bad in ("x", None, [1], "1", True):
+        payload["psi"][0] = [bad, 0]
+        path.write_text(json.dumps(payload))
+        for argv in (["born"], ["separability", "--seed", "0"]):
+            code, out, err = run(capsys, *argv, "--state", str(path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: psi: entry 0") and err.count("\n") == 1
 
 
 def test_schmidt_singlet(capsys):
@@ -267,6 +287,21 @@ def test_unknown_command(capsys):
 
 def test_no_command(capsys):
     assert run(capsys)[0] == 2
+
+
+def test_domain_error_exit_code_reaches_the_process():
+    # every other test calls cli.run in-process; this one runs the module as a
+    # program, so the code must survive sys.exit and no traceback may escape
+    src = str(Path(raggio_kit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "raggio_kit.cli", "separability", "--werner", "2", "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_werner_out_of_range_is_domain_error(capsys):

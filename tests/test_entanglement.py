@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from raggio_kit.errors import (
     MissingFactorizationError,
     UnsupportedShapeError,
 )
+from raggio_kit.serialize import verdict_to_dict
 from raggio_kit.states import (
     PureVector,
     State,
@@ -373,6 +375,24 @@ def test_seeded_product_mixture_search_is_pinned():
         0.20094705225528423,
         0.11463272885543248,
     )
+
+
+def test_loose_tolerance_ends_in_a_verdict():
+    # the search once stopped at the first fit within a loose tol, whose weights
+    # missed 1 by more than Decomposition accepts, and raised InvalidArgumentError
+    rng = np.random.default_rng(0)
+    st = product_state(random_mixed(make_full(2), rng), random_mixed(make_full(3), rng))
+    for tol in (1.0, 0.1, 0.01):
+        v = separability_test(st, 400, tol=tol, seed=0)
+        assert v.tag == SEPARABLE
+        assert v.error <= tol
+    # 3x3 searches cut short keep their closest fit, with a finite error
+    st = random_product_mixture(make_full(3), make_full(3), 2, np.random.default_rng(1))
+    for budget, tol in ((1, 1.0), (1, 0.1), (5, 1.0), (5, 1e-6)):
+        v = separability_test(st, budget, tol=tol, seed=0)
+        assert v.tag == (SEPARABLE if v.error <= tol else UNDETERMINED)
+        json.dumps(verdict_to_dict(v), allow_nan=False)
+    assert v.tag == UNDETERMINED and 0.0 < v.error < 1.0
 
 
 def _best_time(fn, repeats=3):

@@ -1,8 +1,8 @@
 """Property tests of the joint-block layout over random factor shapes: each
 factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
 Two properties cover the separability certificates on qubit and qutrit
-blocks, and a last one feeds malformed counts and tolerances to the public
-API."""
+blocks, one the terms the Frank-Wolfe search returns, and a last one feeds
+malformed counts and tolerances to the public API."""
 
 import numpy as np
 import pytest
@@ -25,8 +25,10 @@ from raggio_kit.entanglement import (
     PPT_TOL,
     REALIGN_TOL,
     SEPARABLE,
+    _fcfw_search,
     _linear_minimizer,
     _product_split,
+    _terms_error,
     classical_decompose,
     ppt_check,
     realignment_check,
@@ -182,6 +184,23 @@ def test_linear_minimizer_returns_a_product_state_below_every_eigenvector_split(
     eigvals, vecs = np.linalg.eigh(G)
     best_split = min(value(*_product_split(vecs[:, k], n, m)) for k in range(dim))
     assert eigvals[0] - 1e-12 <= value(a, b) <= best_split + 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(2, 2), (2, 3)]), st.integers(1, 5), SEEDS, st.integers(1, 60))
+def test_search_returns_at_most_dim_squared_terms_with_their_measured_error(
+    dims, terms, seed, budget
+):
+    # NNLS keeps linearly independent columns of a (n m)^2-dimensional real
+    # space, so no atom cap is needed; the error returned is the one of the
+    # terms returned, whether the search succeeded or was cut short
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    rho = _product_mixture(make_full(n), make_full(m), terms, rng).blocks[0]
+    out, err = _fcfw_search(rho, n, m, 1e-6, budget, rng)
+    assert 1 <= len(out) <= (n * m) ** 2
+    assert err == _terms_error(out, rho)
+    assert abs(sum(w for w, _, _ in out) - 1.0) <= 1e-6
 
 
 M2, D2 = make_full(2), make_commutative(2)

@@ -97,6 +97,13 @@ def test_element_from_dict_rejects_bad_blocks():
     payload["blocks"][0]["entries"] = payload["blocks"][0]["entries"][:-1]
     with pytest.raises(InvalidArgumentError):
         element_from_dict(payload)
+    # entries must be JSON numbers: "1" and true used to load through float(),
+    # and "x", null and [1] ended in a raw ValueError or TypeError
+    for bad in ("1", True, "x", None, [1]):
+        payload = element_to_dict(element(M2, [np.eye(2)]))
+        payload["blocks"][0]["entries"][1] = [0.0, bad]
+        with pytest.raises(InvalidArgumentError, match="pair of numbers"):
+            element_from_dict(payload)
 
 
 def test_state_roundtrip():
@@ -150,6 +157,12 @@ def test_decomposition_from_dict_rejects_non_finite_weights():
     payload = json.loads(json.dumps(payload))  # written as NaN, which json parses back
     with pytest.raises(InvalidArgumentError, match="finite"):
         decomposition_from_dict(payload)
+    # weights: [null] and weights: 5 used to end in a raw TypeError
+    for key, bad in (("weights", [None]), ("weights", 5), ("weights", ["0.5", "0.5"]),
+                     ("weights", [True]), ("a_parts", 5)):
+        garbage = dict(decomposition_to_dict(dec), **{key: bad})
+        with pytest.raises(InvalidArgumentError):
+            decomposition_from_dict(garbage)
 
 
 def test_verdict_payloads_validate(tiles_state):
