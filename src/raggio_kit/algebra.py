@@ -24,7 +24,13 @@ from itertools import accumulate
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import AlgebraMismatchError, InvalidDimensionError, MissingFactorizationError
+from .errors import (
+    AlgebraMismatchError,
+    InvalidArgumentError,
+    InvalidDimensionError,
+    MissingFactorizationError,
+    UnsupportedShapeError,
+)
 
 HERMITICITY_TOL = 1e-9
 COMMUTATOR_TOL = 1e-12
@@ -163,10 +169,17 @@ def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
 
 
 def embed(alg: FdAlgebra, k: int, blk: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Blocks of ``alg`` holding ``blk`` at block ``k`` and zeros elsewhere."""
-    return tuple(
-        blk if idx == k else np.zeros((d, d), dtype=complex) for idx, d in enumerate(alg.block_dims)
-    )
+    """Blocks of ``alg`` holding ``blk`` in the top-left corner of block ``k``, zeros elsewhere."""
+    out = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
+    out[k][: len(blk), : len(blk)] = blk
+    return tuple(out)
+
+
+def _first_matrix_block(alg: FdAlgebra) -> int:
+    for k, d in enumerate(alg.block_dims):
+        if d >= 2:
+            return k
+    raise UnsupportedShapeError("algebra is commutative: no block of dimension >= 2")
 
 
 def herm(x: np.ndarray) -> np.ndarray:
@@ -185,6 +198,8 @@ def _as_block(mat, dim: int) -> np.ndarray:
         raise InvalidDimensionError(
             f"block of shape {arr.shape} does not match declared dimension {dim}"
         )
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("element blocks must have finite entries")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr

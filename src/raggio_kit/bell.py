@@ -25,8 +25,10 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     FdAlgebra,
+    _first_matrix_block,
     _stack_norm,
     element,
+    embed,
     herm,
     joint_blocks,
     trace_norm,
@@ -270,11 +272,12 @@ def chsh_optimize(
 
 
 def canonical_qubit_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshObservables:
-    """The standard settings reaching 2 sqrt(2) on the singlet."""
-    if alg_a.block_dims != (2,) or alg_b.block_dims != (2,):
-        raise UnsupportedShapeError("canonical settings are defined for M2, M2")
-    algs = (alg_a, alg_a, alg_b, alg_b)
-    return ChshObservables(*(element(alg, [x]) for alg, x in zip(algs, CANONICAL_QUBIT_SETTINGS)))
+    """The standard settings reaching 2 sqrt(2) on the singlet, in the top-left 2x2
+    corner of each factor's first matrix block (on M2, all of it), zero elsewhere."""
+    obs = []
+    for alg, x in zip((alg_a, alg_a, alg_b, alg_b), CANONICAL_QUBIT_SETTINGS):
+        obs.append(element(alg, embed(alg, _first_matrix_block(alg), x)))
+    return ChshObservables(*obs)
 
 
 def horodecki_two_qubit(state: State) -> float:

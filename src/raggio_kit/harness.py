@@ -9,11 +9,11 @@ For finite-dimensional factors the following are equivalent:
 The harness exercises both directions on sampled states.  When a factor is
 commutative it demands explicit decompositions and the classical bound for
 every sample; when neither is, random samples prove nothing by themselves
-(they may all happen to be separable), so known witnesses are injected into
-the sample set: an embedded singlet (entangled, beta = 2 sqrt(2)) and an
-embedded Werner mixture at p = 1/2 (entangled by partial transposition yet
-beta = 2, showing the two failure modes are inequivalent pointwise even
-though the theorem ties them together globally).
+(they may all happen to be separable), so two witnesses join them, placed
+where ``canonical_qubit_observables`` puts its settings, in the top-left 2x2
+corners of the first matrix blocks: ``singlet()`` (beta = 2 sqrt(2)) and
+``werner(0.5)``, entangled by partial transposition yet at beta = 2 (the two
+failure modes differ pointwise, though the theorem ties them together globally).
 """
 
 from __future__ import annotations
@@ -22,18 +22,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FdAlgebra, element, embed, joint_blocks, tensor
+from .algebra import FdAlgebra, _first_matrix_block, embed, joint_blocks, tensor
 from .bell import (
-    CANONICAL_QUBIT_SETTINGS,
     CHSH_QUANTUM_BOUND,
-    ChshObservables,
+    canonical_qubit_observables,
     chsh_optimize,
     chsh_value,
     random_settings_chsh,
 )
 from .entanglement import separability_test
-from .errors import ResourceLimitError, UnsupportedShapeError
-from .states import State, _as_rng, check_count, check_tol, random_mixed, random_vector_state
+from .errors import ResourceLimitError
+from .states import (
+    State,
+    _as_rng,
+    check_count,
+    check_tol,
+    random_mixed,
+    random_vector_state,
+    singlet,
+    werner,
+)
 
 PRODUCT_DIM_CAP = 64
 CHSH_SLACK = 1e-6
@@ -42,15 +50,8 @@ VERDICT_CONSISTENT = "ConsistentWithTheorem"
 VERDICT_INCONSISTENT = "InconsistentWithTheorem"
 
 
-def _first_matrix_block(alg: FdAlgebra) -> int:
-    for k, d in enumerate(alg.block_dims):
-        if d >= 2:
-            return k
-    raise UnsupportedShapeError("algebra is commutative: no block of dimension >= 2")
-
-
 def _embed_two_qubit_density(alg_a: FdAlgebra, alg_b: FdAlgebra, rho4: np.ndarray) -> State:
-    """Place a two-qubit density on the first 2x2 corners of matrix blocks.
+    """Place a validated two-qubit density on the first 2x2 corners of matrix blocks.
 
     The result is a genuine state on tensor(alg_a, alg_b) supported on one
     joint block; restriction to the chosen corners reproduces ``rho4``.
@@ -58,33 +59,28 @@ def _embed_two_qubit_density(alg_a: FdAlgebra, alg_b: FdAlgebra, rho4: np.ndarra
     ia, jb = _first_matrix_block(alg_a), _first_matrix_block(alg_b)
     product = tensor(alg_a, alg_b)
     idx, n, m = next((idx, n, m) for idx, i, j, n, m in joint_blocks(product) if (i, j) == (ia, jb))
-    blk = np.zeros((n * m, n * m), dtype=complex)
-    corners = [r * m + s for r in (0, 1) for s in (0, 1)]
-    blk[np.ix_(corners, corners)] = rho4
-    return State(product, embed(product, idx, blk), trusted=True)
+    blk = np.zeros((n, m, n, m), dtype=complex)
+    blk[:2, :2, :2, :2] = rho4.reshape(2, 2, 2, 2)
+    return State(product, embed(product, idx, blk.reshape(n * m, n * m)), trusted=True)
 
 
 def embedded_singlet(alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
-    """Singlet state carried on the first noncommutative block of each factor."""
-    psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    return _embed_two_qubit_density(alg_a, alg_b, np.outer(psi, psi.conj()))
+    """singlet() carried on the first noncommutative block of each factor."""
+    return _embed_two_qubit_density(alg_a, alg_b, singlet().state().blocks[0])
 
 
 def embedded_werner(p: float, alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
-    psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    rho4 = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
-    return _embed_two_qubit_density(alg_a, alg_b, rho4)
+    """werner(p), with its check on ``p``, carried like embedded_singlet."""
+    return _embed_two_qubit_density(alg_a, alg_b, werner(p).blocks[0])
 
 
-def _embedded_canonical_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshObservables:
-    """The canonical qubit settings in the top-left corner of each factor's first matrix block."""
-    obs = []
-    for alg, x in zip((alg_a, alg_a, alg_b, alg_b), CANONICAL_QUBIT_SETTINGS):
-        k = _first_matrix_block(alg)
-        blk = np.zeros((alg.block_dims[k],) * 2, dtype=complex)
-        blk[:2, :2] = x
-        obs.append(element(alg, embed(alg, k, blk)))
-    return ChshObservables(*obs)
+def _capped_product(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
+    product = tensor(a, b)
+    if product.total_dim > PRODUCT_DIM_CAP:
+        raise ResourceLimitError(
+            f"product dimension {product.total_dim} exceeds the cap {PRODUCT_DIM_CAP}"
+        )
+    return product
 
 
 def _sample_states(product: FdAlgebra, count: int, rng) -> list[State]:
@@ -128,22 +124,13 @@ def bell_one_side_classical(
     samples = check_count(samples, "samples", minimum=0)
     settings = check_count(settings, "settings", minimum=0)
     tol = check_tol(tol)
-    product = tensor(a, b)
-    if product.total_dim > PRODUCT_DIM_CAP:
-        raise ResourceLimitError(
-            f"product dimension {product.total_dim} exceeds the cap {PRODUCT_DIM_CAP}"
-        )
+    product = _capped_product(a, b)
     rng = _as_rng(seed)
     values = random_settings_chsh(product, _sample_states(product, samples, rng), settings, rng)
     worst = float(np.max(np.abs(values), initial=0.0))
     if not (a.is_commutative or b.is_commutative):
-        witness = abs(
-            chsh_value(
-                embedded_singlet(a, b),
-                _embedded_canonical_observables(a, b),
-            )
-        )
-        worst = max(worst, witness)
+        witness = chsh_value(embedded_singlet(a, b), canonical_qubit_observables(a, b))
+        worst = max(worst, abs(witness))
     return BellScan(
         bound_holds=worst <= 2.0 + tol,
         max_abs_value=worst,
@@ -199,11 +186,7 @@ def verify_equivalence(
     driven by generators spawned from ``seed``.
     """
     samples = check_count(samples, "samples")
-    product = tensor(a, b)
-    if product.total_dim > PRODUCT_DIM_CAP:
-        raise ResourceLimitError(
-            f"product dimension {product.total_dim} exceeds the cap {PRODUCT_DIM_CAP}"
-        )
+    product = _capped_product(a, b)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % 2**32)
     seed = check_count(seed, "seed", minimum=0)

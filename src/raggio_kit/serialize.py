@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdAlgebra, element, split_dense
+from .algebra import AlgebraElement, FdAlgebra, _is_count, element, split_dense
 from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
 from .errors import InvalidArgumentError, InvalidDimensionError
@@ -90,7 +90,7 @@ def element_from_dict(data) -> AlgebraElement:
         raise InvalidArgumentError(f"expected {alg.num_blocks} blocks")
     mats = []
     for k, (item, dim) in enumerate(zip(blocks, alg.block_dims)):
-        if not isinstance(item, dict) or item.get("dim") != dim:
+        if not isinstance(item, dict) or not _is_count(item.get("dim")) or item["dim"] != dim:
             raise InvalidArgumentError(f"block {k} must declare dim {dim}")
         flat = _unpairs(item.get("entries"), dim * dim, f"block {k}")
         mats.append(flat.reshape(dim, dim))

@@ -310,10 +310,8 @@ def singlet(product: FdAlgebra | None = None) -> PureVector:
 
 def werner(p: float, product: FdAlgebra | None = None) -> State:
     """Werner mixture p |singlet><singlet| + (1 - p) 1/4 on M2 (x) M2."""
-    if not isinstance(p, _REAL_TYPES) or not 0.0 <= p <= 1.0:
+    if isinstance(p, bool) or not isinstance(p, _REAL_TYPES) or not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p!r}")
-    if product is None:
-        product = qubit_pair()
-    psi = singlet(product).vector
-    rho = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
-    return State(product, (rho,), trusted=True)
+    pure = singlet(product).state()
+    rho = p * pure.blocks[0] + (1.0 - p) * np.eye(4) / 4.0
+    return State(pure.algebra, (rho,), trusted=True)

@@ -22,7 +22,7 @@ from raggio_kit.algebra import (
 )
 from raggio_kit.bell import chsh_optimize
 from raggio_kit.entanglement import ppt_check, separability_test
-from raggio_kit.errors import AlgebraMismatchError, InvalidDimensionError
+from raggio_kit.errors import AlgebraMismatchError, InvalidArgumentError, InvalidDimensionError
 from raggio_kit.states import maximally_mixed, restrict_to_factor
 
 
@@ -256,6 +256,17 @@ def test_block_shape_mismatch_rejected():
         element(make_full(2), [np.eye(3)])
     with pytest.raises(InvalidDimensionError):
         AlgebraElement(make_commutative(2), (np.eye(1),))
+
+
+def test_non_finite_blocks_rejected():
+    # NaN used to build, and then reached eigh through sign_operator and operator_norm
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            element(make_full(2), [[[bad, 0.0], [0.0, 1.0]]])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            element_from_matrix(make_full(2), [[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            element(make_commutative(2), [np.eye(1), [[bad]]])
 
 
 def test_element_from_matrix():

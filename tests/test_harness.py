@@ -24,7 +24,7 @@ from raggio_kit.harness import (
     embedded_werner,
     verify_equivalence,
 )
-from raggio_kit.states import expectation, purity, restrict_to_factor
+from raggio_kit.states import expectation, purity, restrict_to_factor, singlet, werner
 
 M2, M3 = make_full(2), make_full(3)
 D2, D3 = make_commutative(2), make_commutative(3)
@@ -60,6 +60,25 @@ def test_embedded_werner_transpose_eigenvalue():
     st = embedded_werner(0.5, M3, M2)
     assert ppt_check(st) == pytest.approx(-0.125, abs=1e-9)
     assert separability_test(st, seed=0).decomposable is False
+
+
+def test_embedded_witnesses_on_two_qubits_are_the_plain_ones():
+    # both witnesses are built from states.singlet and states.werner, so on
+    # M2 (x) M2 the embedding is the identity, bit for bit
+    pairs = [(embedded_singlet(M2, M2), singlet().state())]
+    pairs += [(embedded_werner(p, M2, M2), werner(p)) for p in (0.0, 0.2, 0.5, 1.0)]
+    for got, want in pairs:
+        assert got.algebra == want.algebra
+        assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
+
+
+def test_embedded_werner_checks_its_parameter():
+    # used to return a non-positive "state" for p = 1.5, whose CHSH value
+    # passed 2 sqrt(2), and to hand NaN to LAPACK
+    for bad in (1.5, float("nan"), True, "x"):
+        for a, b in ((M2, M2), (M2, M3)):
+            with pytest.raises(InvalidArgumentError):
+                embedded_werner(bad, a, b)
 
 
 def test_bell_scan_classical_side():

@@ -1,8 +1,11 @@
 """Property tests of the joint-block layout over random factor shapes: each
 factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
 Two properties cover the separability certificates on qubit and qutrit
-blocks, one the terms the Frank-Wolfe search returns, and a last one feeds
-malformed counts and tolerances to the public API."""
+blocks, one the terms the Frank-Wolfe search returns, one the embedded
+two-qubit witnesses, and a last one feeds malformed counts and tolerances
+to the public API."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +23,13 @@ from raggio_kit.algebra import (
     tensor,
     unit,
 )
-from raggio_kit.bell import chsh_optimize, seesaw
+from raggio_kit.bell import (
+    CHSH_QUANTUM_BOUND,
+    canonical_qubit_observables,
+    chsh_optimize,
+    chsh_value,
+    seesaw,
+)
 from raggio_kit.entanglement import (
     PPT_TOL,
     REALIGN_TOL,
@@ -35,8 +44,13 @@ from raggio_kit.entanglement import (
     reconstruct,
     separability_test,
 )
-from raggio_kit.errors import InvalidDimensionError, RaggioKitError
-from raggio_kit.harness import bell_one_side_classical, verify_equivalence
+from raggio_kit.errors import InvalidDimensionError, RaggioKitError, UnsupportedShapeError
+from raggio_kit.harness import (
+    bell_one_side_classical,
+    embedded_singlet,
+    embedded_werner,
+    verify_equivalence,
+)
 from raggio_kit.states import (
     mixture,
     point_state,
@@ -201,6 +215,26 @@ def test_search_returns_at_most_dim_squared_terms_with_their_measured_error(
     assert 1 <= len(out) <= (n * m) ** 2
     assert err == _terms_error(out, rho)
     assert abs(sum(w for w, _, _ in out) - 1.0) <= 1e-6
+
+
+NONCOMMUTATIVE = SHAPES.filter(lambda dims: max(dims) >= 2)
+
+
+@PROPERTY
+@given(NONCOMMUTATIVE, NONCOMMUTATIVE, st.integers(1, 3), st.floats(1.0 / 3.0, 1.0))
+def test_embedded_witnesses_keep_their_two_qubit_values(dims_a, dims_b, points, p):
+    # the singlet and the canonical settings sit in the same corners, so the
+    # value is the two-qubit one; p >= 1/3 keeps the zeros around the
+    # embedded Werner block from setting the smallest transpose eigenvalue
+    a, b = FdAlgebra(dims_a), FdAlgebra(dims_b)
+    value = chsh_value(embedded_singlet(a, b), canonical_qubit_observables(a, b))
+    assert abs(value - CHSH_QUANTUM_BOUND) <= 1e-12
+    assert abs(ppt_check(embedded_werner(p, a, b)) - (1.0 - 3.0 * p) / 4.0) <= 1e-12
+    d = make_commutative(points)
+    for build in (canonical_qubit_observables, embedded_singlet, partial(embedded_werner, p)):
+        for pair in ((d, b), (a, d)):
+            with pytest.raises(UnsupportedShapeError):
+                build(*pair)
 
 
 M2, D2 = make_full(2), make_commutative(2)

@@ -104,6 +104,12 @@ def test_element_from_dict_rejects_bad_blocks():
         payload["blocks"][0]["entries"][1] = [0.0, bad]
         with pytest.raises(InvalidArgumentError, match="pair of numbers"):
             element_from_dict(payload)
+    # dim must be an integer: true and 1.0 used to pass as 1, since True == 1.0 == 1
+    for bad in (True, 1.0):
+        payload = element_to_dict(element(make_commutative(2), [np.eye(1), np.eye(1)]))
+        payload["blocks"][0]["dim"] = bad
+        with pytest.raises(InvalidArgumentError, match="must declare dim"):
+            element_from_dict(payload)
 
 
 def test_state_roundtrip():

@@ -257,6 +257,8 @@ def test_werner_family():
         werner(-0.1)
     with pytest.raises(InvalidArgumentError):  # used to end in a TypeError
         werner("x")
+    with pytest.raises(InvalidArgumentError):  # a bool used to pass as p = 1
+        werner(True)
 
 
 def test_singlet_and_werner_need_two_qubit_factors():
