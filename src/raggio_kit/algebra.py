@@ -36,9 +36,14 @@ HERMITICITY_TOL = 1e-9
 COMMUTATOR_TOL = 1e-12
 
 
+def _is_real(value) -> bool:
+    """True for an int, float or real numpy scalar, but not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _is_count(value, minimum: int = 1) -> bool:
     """True for an int or numpy integer, but not a bool, of at least ``minimum``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum
+    return isinstance(value, (int, np.integer)) and _is_real(value) and value >= minimum
 
 
 @dataclass(frozen=True)

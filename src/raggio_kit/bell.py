@@ -35,7 +35,7 @@ from .algebra import (
     unit,
 )
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
-from .states import State, _as_rng, check_count, check_tol
+from .states import State, _as_rng, check_count, check_tol, qubit_pair
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -187,6 +187,8 @@ def seesaw(
 ):
     """Alternating maximization from a given B side.
 
+    ``b1`` and ``b2`` must be self-adjoint contractions on the second factor,
+    as in :class:`ChshObservables`; other starts raise PreconditionError.
     Returns ``(observables, history, converged)`` where ``history`` holds the
     value after every half-step.  Each half-step maximizes exactly, so the
     history is nondecreasing up to rounding.
@@ -202,6 +204,7 @@ def seesaw(
     history: list[float] = []
     converged = False
     b = [np.stack(pair) for pair in zip(b1.blocks, b2.blocks)]
+    _check_observable(b, "see-saw start (b1, b2)")
     for _ in range(max_rounds):
         a, value = _half_step(state, b, 0)
         history.append(value)
@@ -287,8 +290,7 @@ def horodecki_two_qubit(state: State) -> float:
     eigenvalues of T^T T, the supremum over contractions is
     max(2, 2 sqrt(M)); the classical value 2 is always available.
     """
-    factors = state.algebra.factors
-    if factors is None or (factors[0].block_dims, factors[1].block_dims) != ((2,), (2,)):
+    if state.algebra != qubit_pair():
         raise UnsupportedShapeError("the closed form needs a state on M2 (x) M2")
     paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     rho = state.blocks[0]

@@ -34,6 +34,7 @@ from .states import (
     _as_rng,
     check_count,
     check_tol,
+    check_weights,
     mixture,
     point_state,
     product_state,
@@ -53,6 +54,8 @@ REALIGN_TOL = 1e-9
 CLASSICAL_WEIGHT_TOL = 1e-12
 DEFAULT_DECOMP_TOL = 1e-6
 _WEIGHT_SUM_TOL = 1e-6  # slack on sum(weights) = 1, in Decomposition and the search
+LMO_RANDOM_STARTS, LMO_ROUNDS = 6, 40  # per call of the product-state oracle
+NNLS_SUM_GAIN = 4.0  # weight of the soft unit-sum row in the Frank-Wolfe re-fit
 
 # dims (n, m) beyond qubit-qubit for which a positive partial transpose
 # already implies separability, so the search cannot legitimately fail
@@ -73,19 +76,10 @@ class Decomposition:
     b_parts: tuple[State, ...]
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.a_parts) == len(self.b_parts)):
-            raise InvalidArgumentError("weights and parts must have matching lengths")
-        if len(self.weights) == 0:
-            raise InvalidArgumentError("a decomposition needs at least one term")
-        w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise InvalidArgumentError(f"decomposition weights must be finite, got {w}")
-        if np.any(w < -1e-12):
-            raise InvalidArgumentError("decomposition weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise InvalidArgumentError(f"decomposition weights sum to {total!r}")
-        w = np.clip(w, 0.0, None) / total
+        if len(self.a_parts) != len(self.b_parts):
+            raise InvalidArgumentError("a_parts and b_parts must have matching lengths")
+        w = check_weights(self.weights, len(self.a_parts), _WEIGHT_SUM_TOL)
+        w = np.clip(w, 0.0, None) / float(w.sum())
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         alg_a = self.a_parts[0].algebra
         alg_b = self.b_parts[0].algebra
@@ -228,7 +222,7 @@ def classical_decompose(state: State) -> Decomposition:
 # fully-corrective Frank-Wolfe search for an explicit product decomposition
 
 
-def _linear_minimizer(G: np.ndarray, n: int, m: int, rng, n_random: int = 6, rounds: int = 40):
+def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
     """Pure product state minimizing <., G .>, by alternating eigenvector updates.
 
     Deterministic starts come from the product split of every eigenvector of
@@ -239,13 +233,13 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng, n_random: int = 6, rou
     u, _, vh = np.linalg.svd(np.linalg.eigh(G)[1].T.reshape(-1, n, m))
     # per random start: n reals, n imaginaries, m reals, m imaginaries; each
     # is normalized on its own, since a row-wise norm rounds differently
-    r = rng.standard_normal((n_random, 2 * (n + m)))
+    r = rng.standard_normal((LMO_RANDOM_STARTS, 2 * (n + m)))
     ra, rb = r[:, :n] + 1j * r[:, n : 2 * n], r[:, 2 * n : 2 * n + m] + 1j * r[:, 2 * n + m :]
     a = np.concatenate([u[:, :, 0], [v / np.linalg.norm(v) for v in ra]])
     b = np.concatenate([vh[:, 0], [v / np.linalg.norm(v) for v in rb]])
     val = np.full(len(a), np.inf)
     live = np.arange(len(a))
-    for _ in range(rounds):
+    for _ in range(LMO_ROUNDS):
         bl = b[live]
         a[live] = np.linalg.eigh(herm(np.einsum("ajbk,sj,sk->sab", G4, bl.conj(), bl)))[1][:, :, 0]
         al = a[live]
@@ -260,15 +254,15 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng, n_random: int = 6, rou
     return a[best], b[best]
 
 
-def _nnls_weights(projs, rho: np.ndarray, gamma: float = 4.0) -> np.ndarray:
+def _nnls_weights(projs, rho: np.ndarray) -> np.ndarray:
     """Nonnegative weights fitting sum_k w_k P_k to rho.
 
-    The unit-sum constraint enters as a soft extra row with gain ``gamma``;
-    hard normalization after the fit would fight the least-squares solution.
+    The unit-sum constraint enters as a soft extra row (NNLS_SUM_GAIN); hard
+    normalization after the fit would fight the least-squares solution.
     """
     cols = np.array(projs).reshape(len(projs), -1).T
-    target = np.concatenate([rho.reshape(-1).real, rho.reshape(-1).imag, [gamma]])
-    w, _ = nnls(np.vstack([cols.real, cols.imag, np.full(len(projs), gamma)]), target)
+    target = np.concatenate([rho.reshape(-1).real, rho.reshape(-1).imag, [NNLS_SUM_GAIN]])
+    w, _ = nnls(np.vstack([cols.real, cols.imag, np.full(len(projs), NNLS_SUM_GAIN)]), target)
     return w
 
 

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdAlgebra, _is_count, element, split_dense
+from .algebra import AlgebraElement, FdAlgebra, _is_count, _is_real, element, split_dense
 from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
 from .errors import InvalidArgumentError, InvalidDimensionError
@@ -28,14 +28,9 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _is_number(value) -> bool:
-    """True for a JSON number as loaded by ``json``: an int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_pair(value) -> bool:
-    """True for a [re, im] pair of JSON numbers."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+    """True for a [re, im] pair of real numbers."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
 
 
 def _unpairs(entries, count: int, what: str) -> np.ndarray:
@@ -147,11 +142,10 @@ def decomposition_from_dict(data) -> Decomposition:
         lists = [data[key] for key in ("weights", "a_parts", "b_parts")]
     except KeyError as exc:
         raise InvalidArgumentError(f"decomposition payload misses {exc}") from exc
-    if not all(isinstance(x, list) for x in lists) or not all(map(_is_number, lists[0])):
-        raise InvalidArgumentError("decomposition needs a list of numbers and two lists of states")
-    weights = tuple(float(w) for w in lists[0])
+    if not all(isinstance(x, list) for x in lists):
+        raise InvalidArgumentError("decomposition needs a list of weights and two lists of states")
     a_parts, b_parts = (tuple(state_from_dict(s) for s in parts) for parts in lists[1:])
-    return Decomposition(weights, a_parts, b_parts)
+    return Decomposition(lists[0], a_parts, b_parts)
 
 
 def verdict_to_dict(v: SeparabilityVerdict) -> dict:

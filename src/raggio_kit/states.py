@@ -17,6 +17,7 @@ from .algebra import (
     AlgebraElement,
     FdAlgebra,
     _is_count,
+    _is_real,
     embed,
     herm,
     joint_blocks,
@@ -34,7 +35,6 @@ from .errors import (
 STATE_HERMITICITY_TOL = 1e-9
 STATE_EIGENVALUE_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
-_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -55,9 +55,21 @@ def check_count(value, name: str, minimum: int = 1) -> int:
 
 def check_tol(value, name: str = "tolerance") -> float:
     """``value`` as a float; it must be a positive finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES) or not 0.0 < value < np.inf:
+    if not _is_real(value) or not 0.0 < value < np.inf:
         raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def check_weights(weights, count: int, slack: float) -> np.ndarray:
+    """``weights`` as a float array: ``count >= 1`` finite real numbers (not
+    bools), none below -1e-12, that sum to 1 within ``slack``."""
+    sequence = isinstance(weights, (list, tuple)) or np.ndim(weights) == 1
+    if not (sequence and count >= 1 and len(weights) == count and all(map(_is_real, weights))):
+        raise InvalidArgumentError(f"weights must be {count} >= 1 real numbers, got {weights!r}")
+    w = np.array(weights, dtype=float)
+    if not np.all(np.isfinite(w)) or np.any(w < -1e-12) or abs(w.sum() - 1.0) > slack:
+        raise InvalidArgumentError(f"weights must be finite, nonnegative and sum to 1, got {w}")
+    return w
 
 
 def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
@@ -181,13 +193,7 @@ def trace_distance(a: State, b: State) -> float:
 def mixture(weights, parts) -> State:
     """Convex combination sum_i w_i rho_i of states on a shared algebra."""
     parts = list(parts)
-    w = np.asarray(weights, dtype=float)
-    if len(parts) == 0 or w.shape != (len(parts),):
-        raise InvalidArgumentError("need one weight per state")
-    if np.any(w < -1e-12):
-        raise InvalidArgumentError(f"mixture weights must be nonnegative, got {w}")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise InvalidArgumentError(f"mixture weights sum to {w.sum()!r}, expected 1")
+    w = check_weights(weights, len(parts), 1e-12)
     alg = parts[0].algebra
     blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
     for wi, s in zip(w, parts):
@@ -300,17 +306,15 @@ def qubit_pair() -> FdAlgebra:
 
 def singlet(product: FdAlgebra | None = None) -> PureVector:
     """The two-qubit singlet (e1 (x) e2 - e2 (x) e1) / sqrt(2)."""
-    if product is None:
-        product = qubit_pair()
-    factors = product.factors
-    if factors is None or (factors[0].block_dims, factors[1].block_dims) != ((2,), (2,)):
+    pair = qubit_pair()
+    if product not in (None, pair):
         raise UnsupportedShapeError("singlet lives on M2 (x) M2")
-    return PureVector(product, np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
+    return PureVector(pair, np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
 
 
 def werner(p: float, product: FdAlgebra | None = None) -> State:
     """Werner mixture p |singlet><singlet| + (1 - p) 1/4 on M2 (x) M2."""
-    if isinstance(p, bool) or not isinstance(p, _REAL_TYPES) or not 0.0 <= p <= 1.0:
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p!r}")
     pure = singlet(product).state()
     rho = p * pure.blocks[0] + (1.0 - p) * np.eye(4) / 4.0

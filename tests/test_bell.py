@@ -312,6 +312,15 @@ def test_seesaw_rejects_b_side_off_the_second_factor():
         seesaw(st, unit(make_full(3)), unit(M2))
 
 
+def test_seesaw_rejects_starts_that_are_not_self_adjoint_contractions():
+    # 10 * unit used to give a history starting at 20, above 2 sqrt(2)
+    st = singlet().state()
+    for bad in (10 * unit(M2), element(M2, [np.array([[0.0, 1.0], [0.0, 0.0]])])):
+        for b1, b2 in ((bad, unit(M2)), (unit(M2), bad)):
+            with pytest.raises(PreconditionError):
+                seesaw(st, b1, b2)
+
+
 def test_optimize_rejects_negative_seed():
     with pytest.raises(InvalidArgumentError):
         chsh_optimize(singlet().state(), restarts=2, seed=-1)

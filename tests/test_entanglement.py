@@ -292,6 +292,9 @@ def test_decomposition_validation():
         Decomposition((1.0,), (st,), (st, st))
     with pytest.raises(InvalidArgumentError):
         Decomposition((), (), ())
+    for weights in ((True,), ("0.5", "0.5")):  # both used to be accepted
+        with pytest.raises(InvalidArgumentError):
+            Decomposition(weights, (st,) * len(weights), (st,) * len(weights))
     dec = Decomposition((0.25, 0.75), (st, st), (st, st))
     assert sum(dec.weights) == pytest.approx(1.0, abs=1e-15)
 

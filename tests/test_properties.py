@@ -2,8 +2,8 @@
 factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
 Two properties cover the separability certificates on qubit and qutrit
 blocks, one the terms the Frank-Wolfe search returns, one the embedded
-two-qubit witnesses, and a last one feeds malformed counts and tolerances
-to the public API."""
+two-qubit witnesses, and a last one feeds malformed counts, tolerances,
+weights and see-saw starts to the public API."""
 
 from functools import partial
 
@@ -34,6 +34,7 @@ from raggio_kit.entanglement import (
     PPT_TOL,
     REALIGN_TOL,
     SEPARABLE,
+    Decomposition,
     _fcfw_search,
     _linear_minimizer,
     _product_split,
@@ -239,6 +240,7 @@ def test_embedded_witnesses_keep_their_two_qubit_values(dims_a, dims_b, points, 
 
 M2, D2 = make_full(2), make_commutative(2)
 WERNER = werner(0.9)
+M2_STATE = random_mixed(M2, 0)
 BAD_COUNTS = st.one_of(
     st.floats().filter(lambda x: not x.is_integer()),
     st.booleans(),
@@ -267,9 +269,40 @@ TOLERANCE_ARGUMENTS = [
     lambda v: seesaw(WERNER, unit(M2), unit(M2), tol=v),
     lambda v: bell_one_side_classical(M2, D2, tol=v, seed=0),
 ]
+BAD_REAL_WEIGHTS = st.one_of(
+    st.just(float("nan")),
+    st.floats(-1e6, -1e-6),
+    st.floats(1.001, 1e6),  # a lone weight, or a mixing parameter, above 1
+)
+BAD_WEIGHTS = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.sampled_from([float("inf"), -float("inf")]),
+    BAD_REAL_WEIGHTS,
+)
+WEIGHT_ARGUMENTS = [
+    lambda v: mixture([v], [WERNER]),
+    lambda v: Decomposition((v,), (M2_STATE,), (M2_STATE,)),
+    werner,
+]
+
+
+def _weighted_sign(v):
+    """(1 - v) 1 + v (-1) on M2, a contraction exactly when 0 <= v <= 1."""
+    return (1.0 - 2.0 * v) * unit(M2)
+
+
+# a bool or numeric string scales a start like a number, so the starts take reals
+START_ARGUMENTS = [
+    lambda v: seesaw(WERNER, _weighted_sign(v), unit(M2)),
+    lambda v: seesaw(WERNER, unit(M2), _weighted_sign(v)),
+]
 BAD_ARGUMENTS = st.one_of(
     st.tuples(st.sampled_from(COUNT_ARGUMENTS), BAD_COUNTS),
     st.tuples(st.sampled_from(TOLERANCE_ARGUMENTS), BAD_TOLERANCES),
+    st.tuples(st.sampled_from(WEIGHT_ARGUMENTS), BAD_WEIGHTS),
+    st.tuples(st.sampled_from(START_ARGUMENTS), BAD_REAL_WEIGHTS),
     # a missing seed is valid: the report draws and records one
     st.tuples(
         st.just(lambda v: verify_equivalence(M2, D2, samples=1, seed=v)),

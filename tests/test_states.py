@@ -222,6 +222,12 @@ def test_mixture():
         mixture([0.7, 0.4, -0.1], parts)
     with pytest.raises(InvalidArgumentError):
         mixture([0.5, 0.3, 0.1], parts)
+    # bools and strings used to be read as numbers, and NaN reached the density check
+    for weights in ([True], ["0.5", "0.5"]):
+        with pytest.raises(InvalidArgumentError):
+            mixture(weights, parts[: len(weights)])
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        mixture([float("nan")], parts[:1])
 
 
 def test_point_state():
