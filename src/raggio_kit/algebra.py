@@ -34,11 +34,25 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-9
 COMMUTATOR_TOL = 1e-12
+OFF_BLOCK_TOL = 1e-12  # largest entry element_from_matrix lets lie off the blocks
 
 
 def _is_real(value) -> bool:
     """True for an int, float or real numpy scalar, but not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _as_numbers(values) -> np.ndarray:
+    """``values`` as a complex array; its entries must be numbers (dtype kind i, u, f or c)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iufc":
+        raise InvalidArgumentError(f"entries must be numbers, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=complex)
+
+
+def _hermiticity_defect(x: np.ndarray) -> float:
+    """Largest entry modulus of X - X* over a (..., d, d) stack of matrices."""
+    return float(np.max(np.abs(x - x.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def _is_count(value, minimum: int = 1) -> bool:
@@ -159,7 +173,7 @@ def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
     Raises InvalidDimensionError on a wrong shape or on an entry outside the
     blocks larger than ``tol`` in modulus.
     """
-    arr = np.asarray(arr, dtype=complex)
+    arr = _as_numbers(arr)
     n = alg.total_dim
     if arr.shape != (n, n):
         raise InvalidDimensionError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
@@ -198,7 +212,7 @@ def trace_norm(blocks) -> float:
 
 
 def _as_block(mat, dim: int) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
+    arr = _as_numbers(mat)
     if arr.shape != (dim, dim):
         raise InvalidDimensionError(
             f"block of shape {arr.shape} does not match declared dimension {dim}"
@@ -237,9 +251,7 @@ class AlgebraElement:
         return block_diag(*self.blocks)
 
     def is_self_adjoint(self, tol: float = HERMITICITY_TOL) -> bool:
-        return all(
-            np.max(np.abs(blk - blk.conj().T), initial=0.0) <= tol for blk in self.blocks
-        )
+        return all(_hermiticity_defect(blk) <= tol for blk in self.blocks)
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         _require_same_algebra(self, other)
@@ -253,6 +265,8 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, tuple(-x for x in self.blocks))
 
     def __mul__(self, scalar) -> AlgebraElement:
+        if not (_is_real(scalar) or isinstance(scalar, (complex, np.complexfloating))):
+            raise InvalidArgumentError(f"elements scale by numbers, not by {scalar!r}")
         s = complex(scalar)
         return AlgebraElement(self.algebra, tuple(s * x for x in self.blocks))
 
@@ -272,9 +286,9 @@ def element(algebra: FdAlgebra, blocks) -> AlgebraElement:
     return AlgebraElement(algebra, tuple(blocks))
 
 
-def element_from_matrix(algebra: FdAlgebra, mat, off_block_tol: float = 1e-12) -> AlgebraElement:
-    """Split a dense matrix into blocks, rejecting off-block mass above tolerance."""
-    return AlgebraElement(algebra, split_dense(algebra, mat, off_block_tol))
+def element_from_matrix(algebra: FdAlgebra, mat) -> AlgebraElement:
+    """Split a dense matrix into blocks, rejecting off-block entries above OFF_BLOCK_TOL."""
+    return AlgebraElement(algebra, split_dense(algebra, mat, OFF_BLOCK_TOL))
 
 
 def unit(algebra: FdAlgebra) -> AlgebraElement:
@@ -290,7 +304,7 @@ def zero(algebra: FdAlgebra) -> AlgebraElement:
 
 def diagonal_element(algebra: FdAlgebra, values) -> AlgebraElement:
     """Element with the given diagonal (handy for commutative algebras)."""
-    vals = np.asarray(values, dtype=complex)
+    vals = _as_numbers(values)
     if vals.shape != (algebra.total_dim,):
         raise InvalidDimensionError(
             f"need {algebra.total_dim} diagonal values, got shape {vals.shape}"
@@ -350,12 +364,12 @@ def matrix_units(algebra: FdAlgebra):
                 yield AlgebraElement(algebra, embed(algebra, k, e))
 
 
-def commutes_exactly(algebra: FdAlgebra, tol: float = COMMUTATOR_TOL) -> bool:
-    """Brute-force commutativity check over all pairs of matrix units."""
+def commutes_exactly(algebra: FdAlgebra) -> bool:
+    """Brute force: no commutator of two matrix units has norm above COMMUTATOR_TOL."""
     units = list(matrix_units(algebra))
     for i, x in enumerate(units):
         for y in units[i + 1 :]:
             comm = multiply(x, y) - multiply(y, x)
-            if operator_norm(comm) > tol:
+            if operator_norm(comm) > COMMUTATOR_TOL:
                 return False
     return True

@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    HERMITICITY_TOL,
     AlgebraElement,
     FdAlgebra,
     _first_matrix_block,
+    _hermiticity_defect,
     _stack_norm,
     element,
     embed,
@@ -35,7 +37,7 @@ from .algebra import (
     unit,
 )
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
-from .states import State, _as_rng, check_count, check_tol, qubit_pair
+from .states import State, _as_rng, _as_state, check_count, qubit_pair
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -49,8 +51,9 @@ CANONICAL_QUBIT_SETTINGS = (
     _INV_SQRT2 * (SIGMA_X - SIGMA_Z),
 )
 
-OBSERVABLE_TOL = 1e-9
+OBSERVABLE_TOL = 1e-9  # slack on the operator norm of a contraction
 SIGN_EIGENVALUE_TOL = 1e-12
+SEESAW_GAIN_TOL, SEESAW_MAX_ROUNDS = 1e-10, 500  # per see-saw run: convergence gain, round cap
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * np.sqrt(2.0)
 # random settings drawn and evaluated at once by random_settings_chsh
@@ -59,9 +62,8 @@ SCAN_CHUNK_SETTINGS = 1000
 
 def _check_observable(blocks, label: str) -> None:
     """Require self-adjoint contractions in every (..., d, d) block stack."""
-    for b in blocks:
-        if not np.max(np.abs(b - b.conj().swapaxes(-1, -2)), initial=0.0) <= OBSERVABLE_TOL:
-            raise PreconditionError(f"{label} must be self-adjoint")
+    if not all(_hermiticity_defect(b) <= HERMITICITY_TOL for b in blocks):
+        raise PreconditionError(f"{label} must be self-adjoint")
     nrm = max(_stack_norm(b) for b in blocks)
     if nrm > 1.0 + OBSERVABLE_TOL:
         raise PreconditionError(f"{label} must be a contraction, norm is {nrm!r}")
@@ -178,25 +180,18 @@ def _half_step(state: State, x, side: int) -> tuple[list[np.ndarray], float]:
     return [_sign(s) for s in h], trace_norm(s[0] for s in h) + trace_norm(s[1] for s in h)
 
 
-def seesaw(
-    state: State,
-    b1: AlgebraElement,
-    b2: AlgebraElement,
-    tol: float = 1e-10,
-    max_rounds: int = 500,
-):
+def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
     """Alternating maximization from a given B side.
 
     ``b1`` and ``b2`` must be self-adjoint contractions on the second factor,
     as in :class:`ChshObservables`; other starts raise PreconditionError.
     Returns ``(observables, history, converged)`` where ``history`` holds the
     value after every half-step.  Each half-step maximizes exactly, so the
-    history is nondecreasing up to rounding.
+    history is nondecreasing up to rounding.  The run converges at the first
+    round gaining less than SEESAW_GAIN_TOL, or stops at SEESAW_MAX_ROUNDS.
     """
     if state.algebra.factors is None:
         raise UnsupportedShapeError("see-saw needs a state on a tensor product algebra")
-    max_rounds = check_count(max_rounds, "max_rounds")
-    tol = check_tol(tol)
     alg_a, alg_b = state.algebra.factors
     if not b1.algebra == b2.algebra == alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
@@ -205,12 +200,12 @@ def seesaw(
     converged = False
     b = [np.stack(pair) for pair in zip(b1.blocks, b2.blocks)]
     _check_observable(b, "see-saw start (b1, b2)")
-    for _ in range(max_rounds):
+    for _ in range(SEESAW_MAX_ROUNDS):
         a, value = _half_step(state, b, 0)
         history.append(value)
         b, value = _half_step(state, a, 1)
         history.append(value)
-        if value - prev < tol:
+        if value - prev < SEESAW_GAIN_TOL:
             converged = True
             break
         prev = value
@@ -240,21 +235,17 @@ def random_observables(alg_a: FdAlgebra, alg_b: FdAlgebra, rng=None) -> ChshObse
     return ChshObservables(*(random_dichotomic(x, rng) for x in (alg_a, alg_a, alg_b, alg_b)))
 
 
-def chsh_optimize(
-    state: State,
-    restarts: int = 16,
-    seed=None,
-    tol: float = 1e-10,
-    max_rounds: int = 500,
-) -> ChshResult:
-    """Best see-saw value over restarts.
+def chsh_optimize(state, restarts: int = 16, seed=None) -> ChshResult:
+    """Best see-saw value over restarts, for a State or a PureVector.
 
     Restart 0 seeds both B observables with the unit; its fixed point has
     value exactly 2, so the reported maximum never falls below the
     classical bound.  Remaining restarts start from random dichotomic
-    observables with independently spawned generators.
+    observables with independently spawned generators.  Each restart is one
+    :func:`seesaw` call (SEESAW_GAIN_TOL, SEESAW_MAX_ROUNDS).
     """
     restarts = check_count(restarts, "restarts")
+    state = _as_state(state)
     if state.algebra.factors is None:
         raise UnsupportedShapeError("CHSH optimization needs a tensor product algebra")
     alg_b = state.algebra.factors[1]
@@ -267,7 +258,7 @@ def chsh_optimize(
         else:
             b1 = random_dichotomic(alg_b, rngs[r - 1])
             b2 = random_dichotomic(alg_b, rngs[r - 1])
-        obs, history, converged = seesaw(state, b1, b2, tol=tol, max_rounds=max_rounds)
+        obs, history, converged = seesaw(state, b1, b2)
         iterations += len(history) // 2
         runs.append((abs(chsh_value(state, obs)), obs, converged))
     value, obs, converged = max(runs, key=lambda run: run[0])

@@ -18,10 +18,9 @@ import sys
 
 from .algebra import FdAlgebra, direct_sum, make_commutative, make_full, tensor
 from .bell import chsh_optimize
-from .entanglement import separability_test
+from .entanglement import is_entangled_pure, schmidt as schmidt_coeffs, separability_test
 from .errors import InvalidArgumentError, RaggioKitError
 from .harness import verify_equivalence
-from .entanglement import is_entangled_pure, schmidt as schmidt_coeffs
 from .serialize import (
     _is_pair,
     chsh_result_to_dict,
@@ -182,8 +181,6 @@ def _cmd_separability(args) -> int:
 
 def _cmd_chsh(args) -> int:
     state = _load_state_arg(args)
-    if isinstance(state, PureVector):
-        state = state.state()
     result = chsh_optimize(state, restarts=args.restarts, seed=args.seed)
     if args.format == "json":
         print(json.dumps(chsh_result_to_dict(result), indent=2))

@@ -32,6 +32,7 @@ from .states import (
     PureVector,
     State,
     _as_rng,
+    _as_state,
     check_count,
     check_tol,
     check_weights,
@@ -52,6 +53,7 @@ SCHMIDT_TOL = 1e-9
 PPT_TOL = 1e-9
 REALIGN_TOL = 1e-9
 CLASSICAL_WEIGHT_TOL = 1e-12
+PURE_PURITY = 1.0 - 1e-12  # a density with Tr(rho^2) at least this is read as pure
 DEFAULT_DECOMP_TOL = 1e-6
 _WEIGHT_SUM_TOL = 1e-6  # slack on sum(weights) = 1, in Decomposition and the search
 LMO_RANDOM_STARTS, LMO_ROUNDS = 6, 40  # per call of the product-state oracle
@@ -144,15 +146,18 @@ class PureVerdict:
         return self.entangled
 
 
-def is_entangled_pure(psi: PureVector, tol: float = SCHMIDT_TOL) -> PureVerdict:
-    """Entangled iff more than one Schmidt coefficient exceeds ``tol``.
+def _schmidt_entangled(coeffs) -> bool:
+    return int(np.sum(np.asarray(coeffs) > SCHMIDT_TOL)) > 1
+
+
+def is_entangled_pure(psi: PureVector) -> PureVerdict:
+    """Entangled iff more than one Schmidt coefficient exceeds SCHMIDT_TOL.
 
     The certificate is the purity of either reduced state, sum_i s_i^4,
     which drops below 1 exactly when the state is entangled.
     """
     coeffs = schmidt(psi)
-    flag = int(np.sum(coeffs > tol)) > 1
-    return PureVerdict(flag, float(np.sum(coeffs**4)))
+    return PureVerdict(_schmidt_entangled(coeffs), float(np.sum(coeffs**4)))
 
 
 def _product_split(vec: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +354,7 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
         pairs = [(one, c) if n == 1 else (c, one) for c in v.T]
         return [(float(x), *ab) for x, ab in zip(w, pairs) if x > CLASSICAL_WEIGHT_TOL], 0.0
 
-    if np.trace(rho @ rho).real >= 1.0 - 1e-12:
+    if np.trace(rho @ rho).real >= PURE_PURITY:
         terms = [(1.0, *_product_split(np.linalg.eigh(rho)[1][:, -1], n, m))]
         err = _terms_error(terms, rho)
         if err <= tol:
@@ -405,7 +410,7 @@ def separability_test(
     rng = _as_rng(seed)
     if isinstance(state, PureVector):
         coeffs = tuple(float(c) for c in schmidt(state))
-        if sum(c > SCHMIDT_TOL for c in coeffs) > 1:
+        if _schmidt_entangled(coeffs):
             return SeparabilityVerdict(ENTANGLED_PURE, schmidt_coefficients=coeffs)
         alg_a, alg_b = state.algebra.factors
         a, b = _product_split(state.vector, alg_a.total_dim, alg_b.total_dim)
@@ -413,15 +418,13 @@ def separability_test(
         terms = [(1.0, 0, a / np.linalg.norm(a), 0, b / np.linalg.norm(b))]
         return _separable(state.state(), terms, schmidt_coefficients=coeffs)
 
-    if not isinstance(state, State):
-        raise InvalidArgumentError(f"expected a State or PureVector, got {type(state)!r}")
-
+    state = _as_state(state)
     if any(f.is_commutative for f in _require_factors(state.algebra)):
         return _separable(state, classical_decompose(state))
 
     neg = ppt_check(state)
     if neg < -PPT_TOL:
-        tag = ENTANGLED_PURE if purity(state) >= 1.0 - 1e-12 else ENTANGLED_PPT
+        tag = ENTANGLED_PURE if purity(state) >= PURE_PURITY else ENTANGLED_PPT
         return SeparabilityVerdict(tag, negative_eigenvalue=neg)
     ccnr = realignment_check(state)
     if ccnr > 1.0 + REALIGN_TOL:

@@ -32,19 +32,12 @@ from .bell import (
 )
 from .entanglement import separability_test
 from .errors import ResourceLimitError
-from .states import (
-    State,
-    _as_rng,
-    check_count,
-    check_tol,
-    random_mixed,
-    random_vector_state,
-    singlet,
-    werner,
-)
+from .states import State, _as_rng, check_count, random_mixed, random_vector_state, singlet, werner
 
 PRODUCT_DIM_CAP = 64
 CHSH_SLACK = 1e-6
+SCAN_SLACK = 1e-9  # bell_one_side_classical's slack on the classical bound 2
+SEARCH_BUDGET = 150  # separability_test budget per state examined by verify_equivalence
 RECONSTRUCTION_TOL = 1e-9
 VERDICT_CONSISTENT = "ConsistentWithTheorem"
 VERDICT_INCONSISTENT = "InconsistentWithTheorem"
@@ -104,17 +97,13 @@ class BellScan:
 
 
 def bell_one_side_classical(
-    a: FdAlgebra,
-    b: FdAlgebra,
-    samples: int = 100,
-    seed=None,
-    settings: int = 50,
-    tol: float = 1e-9,
+    a: FdAlgebra, b: FdAlgebra, samples: int = 100, seed=None, settings: int = 50
 ) -> BellScan:
     """Scan for violations of the classical bound |beta| <= 2.
 
-    With a commutative factor no violation can exist, and the scan confirms
-    the bound on every sample.  With two noncommutative factors the scan
+    The bound holds when no value exceeds 2 + SCAN_SLACK in modulus.  With a
+    commutative factor no violation can exist, and the scan confirms the
+    bound on every sample.  With two noncommutative factors the scan
     also evaluates the canonical settings on an embedded singlet, so it
     reports a violation regardless of what the random draws happen to find.
 
@@ -123,7 +112,6 @@ def bell_one_side_classical(
     """
     samples = check_count(samples, "samples", minimum=0)
     settings = check_count(settings, "settings", minimum=0)
-    tol = check_tol(tol)
     product = _capped_product(a, b)
     rng = _as_rng(seed)
     values = random_settings_chsh(product, _sample_states(product, samples, rng), settings, rng)
@@ -132,7 +120,7 @@ def bell_one_side_classical(
         witness = chsh_value(embedded_singlet(a, b), canonical_qubit_observables(a, b))
         worst = max(worst, abs(witness))
     return BellScan(
-        bound_holds=worst <= 2.0 + tol,
+        bound_holds=worst <= 2.0 + SCAN_SLACK,
         max_abs_value=worst,
         samples=samples,
         settings=settings,
@@ -164,17 +152,12 @@ class RaggioReport:
 
 
 def verify_equivalence(
-    a: FdAlgebra,
-    b: FdAlgebra,
-    samples: int = 100,
-    seed=None,
-    restarts: int = 4,
-    decomposition_tol: float = 1e-6,
-    budget: int = 150,
+    a: FdAlgebra, b: FdAlgebra, samples: int = 100, seed=None, restarts: int = 4
 ) -> RaggioReport:
     """Check both directions of the equivalence on one pair of factors.
 
-    Every examined state goes through separability_test and chsh_optimize.
+    Every examined state goes through separability_test, with budget
+    SEARCH_BUDGET and its default tolerance, and chsh_optimize.
     With a commutative factor, the share of verdicts whose reconstruction
     error is within RECONSTRUCTION_TOL is recorded as the success rate; the
     verdict then demands no entanglement, success rate 1, and max CHSH
@@ -204,7 +187,7 @@ def verify_equivalence(
 
     results = []
     for (label, state), (s_search, s_chsh) in zip(labeled, job_seeds):
-        v = separability_test(state, budget, tol=decomposition_tol, seed=int(s_search))
+        v = separability_test(state, SEARCH_BUDGET, seed=int(s_search))
         r = chsh_optimize(state, restarts=restarts, seed=int(s_chsh))
         results.append((label, v, r.value))
 

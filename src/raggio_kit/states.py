@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    HERMITICITY_TOL,
     AlgebraElement,
     FdAlgebra,
+    _as_numbers,
+    _hermiticity_defect,
     _is_count,
     _is_real,
     embed,
@@ -32,7 +35,6 @@ from .errors import (
     UnsupportedShapeError,
 )
 
-STATE_HERMITICITY_TOL = 1e-9
 STATE_EIGENVALUE_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
 
@@ -53,10 +55,10 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def check_tol(value, name: str = "tolerance") -> float:
+def check_tol(value) -> float:
     """``value`` as a float; it must be a positive finite real number (not a bool)."""
     if not _is_real(value) or not 0.0 < value < np.inf:
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {value!r}")
     return float(value)
 
 
@@ -81,8 +83,8 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
     """
     if not np.all(np.isfinite(blk)):
         raise InvalidStateError(f"{label} has non-finite entries")
-    herm_defect = np.max(np.abs(blk - blk.conj().T), initial=0.0)
-    if herm_defect > STATE_HERMITICITY_TOL:
+    herm_defect = _hermiticity_defect(blk)
+    if herm_defect > HERMITICITY_TOL:
         raise InvalidStateError(f"{label} is not Hermitian (defect {herm_defect:.3e})")
     blk = herm(blk)
     w, v = np.linalg.eigh(blk)
@@ -114,7 +116,7 @@ class State:
             )
         blocks = []
         for k, (blk, dim) in enumerate(zip(self.blocks, self.algebra.block_dims)):
-            arr = np.asarray(blk, dtype=complex)
+            arr = _as_numbers(blk)
             if arr.shape != (dim, dim):
                 raise InvalidStateError(
                     f"density block {k} has shape {arr.shape}, expected {(dim, dim)}"
@@ -151,7 +153,7 @@ class PureVector:
                 "vector states with a single wavefunction need a single-block algebra; "
                 f"got blocks {self.algebra.block_dims}"
             )
-        psi = np.asarray(self.vector, dtype=complex).reshape(-1)
+        psi = _as_numbers(self.vector).reshape(-1)
         if psi.shape != (self.algebra.total_dim,):
             raise InvalidStateError(
                 f"vector has {psi.size} entries, algebra dimension is {self.algebra.total_dim}"
@@ -169,6 +171,15 @@ class PureVector:
         """The induced density matrix |psi><psi|."""
         psi = self.vector
         return State(self.algebra, (np.outer(psi, psi.conj()),), trusted=True)
+
+
+def _as_state(state) -> State:
+    """``state``, or the state a PureVector induces; other types raise InvalidArgumentError."""
+    if isinstance(state, PureVector):
+        return state.state()
+    if not isinstance(state, State):
+        raise InvalidArgumentError(f"expected a State or PureVector, got {type(state)!r}")
+    return state
 
 
 def expectation(state: State, x: AlgebraElement) -> complex:

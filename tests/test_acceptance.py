@@ -74,7 +74,6 @@ def test_criterion_1_classical_side_chsh_bound():
                 samples=100,
                 seed=1000 * n + m,
                 settings=50,
-                tol=1e-9,
             )
             worst = max(worst, scan.max_abs_value)
             if not scan.bound_holds:

@@ -233,6 +233,13 @@ def test_arithmetic():
     np.testing.assert_allclose((x - y).blocks[0], x.blocks[0] - y.blocks[0])
     np.testing.assert_allclose((2.5 * x).blocks[0], 2.5 * x.blocks[0])
     np.testing.assert_allclose((x * (1 + 1j)).blocks[0], (1 + 1j) * x.blocks[0])
+    np.testing.assert_allclose((1j * x).blocks[0], 1j * x.blocks[0])
+    # True and "0.5" used to scale like numbers, None to end in a raw TypeError
+    for bad in (True, "0.5", None):
+        with pytest.raises(InvalidArgumentError, match="numbers"):
+            bad * x
+        with pytest.raises(InvalidArgumentError, match="numbers"):
+            x * bad
     np.testing.assert_allclose((-x).blocks[0], -x.blocks[0])
 
 
@@ -267,6 +274,13 @@ def test_non_finite_blocks_rejected():
             element_from_matrix(make_full(2), [[1.0, 0.0], [0.0, bad]])
         with pytest.raises(InvalidArgumentError, match="finite"):
             element(make_commutative(2), [np.eye(1), [[bad]]])
+    # an entry that is no number used to end in a raw ValueError
+    with pytest.raises(InvalidArgumentError, match="numbers"):
+        element(make_full(2), [[["a", 1], [1, 0]]])
+    with pytest.raises(InvalidArgumentError, match="numbers"):
+        diagonal_element(make_full(2), ["a", 1])
+    with pytest.raises(InvalidArgumentError, match="numbers"):
+        element_from_matrix(make_full(2), [[None, 0], [0, 1]])
 
 
 def test_element_from_matrix():

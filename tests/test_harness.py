@@ -175,10 +175,6 @@ def test_bell_scan_argument_checks():
         bell_one_side_classical(M2, D2, samples=-1, seed=0, settings=2)
     with pytest.raises(InvalidArgumentError):
         bell_one_side_classical(M2, D2, samples=2, seed=0, settings=-1)
-    # a nan or negative tol would read as a violated bound, a string as a TypeError
-    for tol in (float("nan"), -1, "x"):
-        with pytest.raises(InvalidArgumentError, match="tolerance"):
-            bell_one_side_classical(M2, D2, samples=2, seed=0, settings=2, tol=tol)
     for bad in (2.5, True):
         with pytest.raises(InvalidArgumentError, match="samples"):
             bell_one_side_classical(M2, D2, samples=bad, seed=0, settings=2)

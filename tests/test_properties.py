@@ -3,7 +3,7 @@ factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
 Two properties cover the separability certificates on qubit and qutrit
 blocks, one the terms the Frank-Wolfe search returns, one the embedded
 two-qubit witnesses, and a last one feeds malformed counts, tolerances,
-weights and see-saw starts to the public API."""
+weights, see-saw starts and entries that are no numbers to the public API."""
 
 from functools import partial
 
@@ -14,7 +14,9 @@ from scipy.linalg import block_diag
 
 from raggio_kit.algebra import (
     FdAlgebra,
+    diagonal_element,
     direct_sum,
+    element,
     herm,
     joint_blocks,
     make_commutative,
@@ -53,6 +55,8 @@ from raggio_kit.harness import (
     verify_equivalence,
 )
 from raggio_kit.states import (
+    PureVector,
+    State,
     mixture,
     point_state,
     product_state,
@@ -257,7 +261,6 @@ BAD_TOLERANCES = st.one_of(
 )
 COUNT_ARGUMENTS = [
     lambda v: separability_test(WERNER, budget=v, seed=0),
-    lambda v: seesaw(WERNER, unit(M2), unit(M2), max_rounds=v),
     lambda v: chsh_optimize(WERNER, restarts=v, seed=0),
     lambda v: bell_one_side_classical(M2, D2, samples=v, seed=0),
     lambda v: bell_one_side_classical(M2, D2, settings=v, seed=0),
@@ -266,8 +269,6 @@ COUNT_ARGUMENTS = [
 ]
 TOLERANCE_ARGUMENTS = [
     lambda v: separability_test(WERNER, tol=v, seed=0),
-    lambda v: seesaw(WERNER, unit(M2), unit(M2), tol=v),
-    lambda v: bell_one_side_classical(M2, D2, tol=v, seed=0),
 ]
 BAD_REAL_WEIGHTS = st.one_of(
     st.just(float("nan")),
@@ -286,6 +287,16 @@ WEIGHT_ARGUMENTS = [
     lambda v: Decomposition((v,), (M2_STATE,), (M2_STATE,)),
     werner,
 ]
+# every entry is the value, so the array takes its dtype (True among ints would be an int)
+NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=3), st.none())
+NUMBER_ARGUMENTS = [
+    lambda v: v * unit(M2),
+    lambda v: unit(M2) * v,
+    lambda v: element(M2, [[[v, v], [v, v]]]),
+    lambda v: diagonal_element(D2, [v, v]),
+    lambda v: State(M2, ([[v, v], [v, v]],)),
+    lambda v: PureVector(M2, [v, v]),
+]
 
 
 def _weighted_sign(v):
@@ -302,6 +313,7 @@ BAD_ARGUMENTS = st.one_of(
     st.tuples(st.sampled_from(COUNT_ARGUMENTS), BAD_COUNTS),
     st.tuples(st.sampled_from(TOLERANCE_ARGUMENTS), BAD_TOLERANCES),
     st.tuples(st.sampled_from(WEIGHT_ARGUMENTS), BAD_WEIGHTS),
+    st.tuples(st.sampled_from(NUMBER_ARGUMENTS), NOT_NUMBERS),
     st.tuples(st.sampled_from(START_ARGUMENTS), BAD_REAL_WEIGHTS),
     # a missing seed is valid: the report draws and records one
     st.tuples(

@@ -56,6 +56,11 @@ def test_state_validation():
         State(alg, (np.eye(2),))  # trace 2
     with pytest.raises(InvalidStateError):
         State(alg, (np.eye(2) / 2, np.eye(2) / 2))  # block count
+    # bools and strings used to be read as numbers
+    with pytest.raises(InvalidArgumentError, match="numbers"):
+        State(alg, ([[True, False], [False, False]],))
+    with pytest.raises(InvalidArgumentError, match="numbers"):
+        PureVector(alg, ["1", "0"])
 
 
 @pytest.mark.parametrize("amplitudes", [[np.nan, 1, 0, 0], [np.inf, 1, 0, 0], [1, 0, 0, -np.inf]])
