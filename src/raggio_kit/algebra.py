@@ -44,10 +44,20 @@ def _is_real(value) -> bool:
 
 def _as_numbers(values) -> np.ndarray:
     """``values`` as a complex array; its entries must be numbers (dtype kind i, u, f or c)."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # numpy's "inhomogeneous shape" for a ragged nested list
+        raise InvalidArgumentError(f"entries must form a regular array: {exc}") from exc
     if arr.dtype.kind not in "iufc":
         raise InvalidArgumentError(f"entries must be numbers, got dtype {arr.dtype}")
     return np.asarray(arr, dtype=complex)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``, so no caller's array is aliased or frozen."""
+    out = arr.copy()
+    out.setflags(write=False)
+    return out
 
 
 def _hermiticity_defect(x: np.ndarray) -> float:
@@ -219,9 +229,7 @@ def _as_block(mat, dim: int) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise InvalidArgumentError("element blocks must have finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 @dataclass(frozen=True)

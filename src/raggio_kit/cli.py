@@ -118,18 +118,26 @@ def _add_state_source(sub: argparse.ArgumentParser) -> None:
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--state", metavar="FILE", help="state or vector as JSON")
     src.add_argument("--singlet", action="store_true", help="the two-qubit singlet")
-    src.add_argument(
-        "--werner", type=float, metavar="P", help="Werner mixture at parameter P"
-    )
+    src.add_argument("--werner", type=float, metavar="P", help="Werner mixture at parameter P")
+
+
+def _add_vector_source(sub: argparse.ArgumentParser, psi_help: str) -> None:
+    src = sub.add_mutually_exclusive_group(required=True)
+    src.add_argument("--psi", help=psi_help)
+    src.add_argument("--state", metavar="FILE", help="vector as JSON")
+
+
+def _load_vector_arg(args, algebra=None) -> PureVector:
+    """The --state vector, or the --psi amplitudes on the named ``algebra`` (default M_n)."""
+    if args.state is not None:
+        return pure_vector_from_dict(_read_json(args.state))
+    alg = None if algebra is None else parse_algebra(algebra)
+    amps = _parse_amplitudes(args.psi)
+    return PureVector(alg or make_full(len(amps)), amps)
 
 
 def _cmd_born(args) -> int:
-    if args.state is not None:
-        psi = pure_vector_from_dict(_read_json(args.state))
-    else:
-        amps = _parse_amplitudes(args.psi)
-        psi = PureVector(make_full(len(amps)), amps)
-    probs = restrict_to_diagonal(psi)
+    probs = restrict_to_diagonal(_load_vector_arg(args))
     if args.format == "json":
         print(json.dumps({"probabilities": [float(p) for p in probs]}, indent=2))
     else:
@@ -139,13 +147,9 @@ def _cmd_born(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
-    if args.state is not None:
-        psi = pure_vector_from_dict(_read_json(args.state))
-    else:
-        if args.algebra is None:
-            raise UsageError("--algebra is required together with --psi")
-        alg = parse_algebra(args.algebra)
-        psi = PureVector(alg, _parse_amplitudes(args.psi))
+    if args.state is None and args.algebra is None:
+        raise UsageError("--algebra is required together with --psi")
+    psi = _load_vector_arg(args, args.algebra)
     coeffs = schmidt_coeffs(psi)
     verdict = is_entangled_pure(psi)
     if args.format == "json":
@@ -222,26 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("json", "text"), default="text", help="output format"
-        )
+        p.add_argument("--format", choices=("json", "text"), default="text", help="output format")
 
     p_born = sub.add_parser("born", help="squared amplitudes of a unit vector")
-    src = p_born.add_mutually_exclusive_group(required=True)
-    src.add_argument(
-        "--psi", help="JSON [re, im] pairs, e.g. '[[0.7071,0],[0.7071,0]]'"
-    )
-    src.add_argument("--state", metavar="FILE", help="vector as JSON")
+    _add_vector_source(p_born, "JSON [re, im] pairs, e.g. '[[0.7071,0],[0.7071,0]]'")
     common(p_born)
     p_born.set_defaults(func=_cmd_born)
 
     p_schmidt = sub.add_parser("schmidt", help="Schmidt coefficients of a wavefunction")
-    src = p_schmidt.add_mutually_exclusive_group(required=True)
-    src.add_argument("--psi", help="JSON [re, im] pairs")
-    src.add_argument("--state", metavar="FILE", help="vector as JSON")
-    p_schmidt.add_argument(
-        "--algebra", help="tensor algebra for --psi, e.g. 'M2 x M2'"
-    )
+    _add_vector_source(p_schmidt, "JSON [re, im] pairs")
+    p_schmidt.add_argument("--algebra", help="tensor algebra for --psi, e.g. 'M2 x M2'")
     common(p_schmidt)
     p_schmidt.set_defaults(func=_cmd_schmidt)
 
@@ -285,16 +279,12 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, RaggioKitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RaggioKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

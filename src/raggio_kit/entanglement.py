@@ -416,7 +416,7 @@ def separability_test(
         a, b = _product_split(state.vector, alg_a.total_dim, alg_b.total_dim)
         # each factor normalized as PureVector does
         terms = [(1.0, 0, a / np.linalg.norm(a), 0, b / np.linalg.norm(b))]
-        return _separable(state.state(), terms, schmidt_coefficients=coeffs)
+        return _separable(state, terms, schmidt_coefficients=coeffs)
 
     state = _as_state(state)
     if any(f.is_commutative for f in _require_factors(state.algebra)):

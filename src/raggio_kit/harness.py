@@ -59,7 +59,7 @@ def _embed_two_qubit_density(alg_a: FdAlgebra, alg_b: FdAlgebra, rho4: np.ndarra
 
 def embedded_singlet(alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
     """singlet() carried on the first noncommutative block of each factor."""
-    return _embed_two_qubit_density(alg_a, alg_b, singlet().state().blocks[0])
+    return _embed_two_qubit_density(alg_a, alg_b, singlet().blocks[0])
 
 
 def embedded_werner(p: float, alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:

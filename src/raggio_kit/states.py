@@ -18,6 +18,7 @@ from .algebra import (
     AlgebraElement,
     FdAlgebra,
     _as_numbers,
+    _frozen,
     _hermiticity_defect,
     _is_count,
     _is_real,
@@ -100,9 +101,9 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
 class State:
     """A state given by its block-diagonal density matrix.
 
-    Construction validates positivity and renormalizes the trace; callers
-    producing blocks that are exact by construction can pass
-    ``trusted=True`` to skip the eigen-solves.
+    Construction validates positivity and renormalizes the trace; callers producing blocks
+    that are exact by construction can pass ``trusted=True`` to skip the eigen-solves.
+    Either way the blocks are stored as read-only copies; the caller's arrays stay its own.
     """
 
     algebra: FdAlgebra
@@ -124,14 +125,12 @@ class State:
             if not self.trusted:
                 arr = _clean_density_block(arr, f"density block {k}")
             blocks.append(arr)
-        tr = float(sum(np.trace(b).real for b in blocks))
         if not self.trusted:
+            tr = float(sum(np.trace(b).real for b in blocks))
             if abs(tr - 1.0) > STATE_TRACE_TOL:
                 raise InvalidStateError(f"density trace is {tr!r}, expected 1")
             blocks = [b / tr for b in blocks]
-        for b in blocks:
-            b.setflags(write=False)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "blocks", tuple(map(_frozen, blocks)))
 
     matrix = AlgebraElement.matrix
 
@@ -140,12 +139,14 @@ class State:
 class PureVector:
     """A unit vector on a single-block algebra, inducing the state <psi, A psi>.
 
-    The vector is normalized on construction, so callers may pass rounded
-    amplitudes; only the zero vector is rejected.
+    The vector is normalized on construction, so callers may pass rounded amplitudes; only
+    the zero vector is rejected.  ``blocks`` holds the induced density ``(|psi><psi|,)``,
+    so a PureVector is accepted wherever a State is.
     """
 
     algebra: FdAlgebra
     vector: np.ndarray
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.algebra.num_blocks != 1:
@@ -163,21 +164,20 @@ class PureVector:
         nrm = float(np.linalg.norm(psi))
         if nrm < 1e-12:
             raise InvalidStateError("cannot normalize the zero vector")
-        psi = psi / nrm
-        psi.setflags(write=False)
+        psi = _frozen(psi / nrm)
         object.__setattr__(self, "vector", psi)
+        object.__setattr__(self, "blocks", (_frozen(np.outer(psi, psi.conj())),))
+
+    matrix = AlgebraElement.matrix
 
     def state(self) -> State:
-        """The induced density matrix |psi><psi|."""
-        psi = self.vector
-        return State(self.algebra, (np.outer(psi, psi.conj()),), trusted=True)
+        """The induced density matrix |psi><psi| as a State."""
+        return State(self.algebra, self.blocks, trusted=True)
 
 
-def _as_state(state) -> State:
-    """``state``, or the state a PureVector induces; other types raise InvalidArgumentError."""
-    if isinstance(state, PureVector):
-        return state.state()
-    if not isinstance(state, State):
+def _as_state(state):
+    """``state`` itself if it is a State or a PureVector; other types raise InvalidArgumentError."""
+    if not isinstance(state, (State, PureVector)):
         raise InvalidArgumentError(f"expected a State or PureVector, got {type(state)!r}")
     return state
 
@@ -327,6 +327,6 @@ def werner(p: float, product: FdAlgebra | None = None) -> State:
     """Werner mixture p |singlet><singlet| + (1 - p) 1/4 on M2 (x) M2."""
     if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p!r}")
-    pure = singlet(product).state()
+    pure = singlet(product)
     rho = p * pure.blocks[0] + (1.0 - p) * np.eye(4) / 4.0
     return State(pure.algebra, (rho,), trusted=True)

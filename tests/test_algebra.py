@@ -281,6 +281,11 @@ def test_non_finite_blocks_rejected():
         diagonal_element(make_full(2), ["a", 1])
     with pytest.raises(InvalidArgumentError, match="numbers"):
         element_from_matrix(make_full(2), [[None, 0], [0, 1]])
+    # a ragged entry list used to end in numpy's raw "inhomogeneous shape" ValueError
+    with pytest.raises(InvalidArgumentError, match="regular"):
+        element(make_full(2), [[[1, 2], [3]]])
+    with pytest.raises(InvalidArgumentError, match="regular"):
+        diagonal_element(make_full(2), [1, [2]])
 
 
 def test_element_from_matrix():

@@ -11,6 +11,14 @@ from raggio_kit.algebra import (
     tensor_element,
     unit,
 )
+from raggio_kit.bell import (
+    chsh_value,
+    horodecki_two_qubit,
+    random_dichotomic,
+    random_observables,
+    seesaw,
+)
+from raggio_kit.entanglement import ppt_check, realignment_check
 from raggio_kit.errors import (
     AlgebraMismatchError,
     InvalidArgumentError,
@@ -36,6 +44,24 @@ from raggio_kit.states import (
     trace_distance,
     werner,
 )
+from raggio_kit.serialize import state_to_dict
+
+# every function that reads a state through its ``algebra`` and ``blocks``
+STATE_READERS = (
+    "ppt_check",
+    "realignment_check",
+    "purity",
+    "seesaw",
+    "chsh_value",
+    "trace_distance",
+    "expectation",
+    "restrict_to_factor",
+    "horodecki_two_qubit",
+    "mixture",
+    "product_state",
+    "state_to_dict",
+)
+PURE_CASES = {"singlet": None, "M2xM2": (2, 2), "M2xM3": (2, 3), "M3xM3": (3, 3)}
 
 
 def random_selfadjoint(alg, rng):
@@ -61,6 +87,24 @@ def test_state_validation():
         State(alg, ([[True, False], [False, False]],))
     with pytest.raises(InvalidArgumentError, match="numbers"):
         PureVector(alg, ["1", "0"])
+    with pytest.raises(InvalidArgumentError, match="regular"):
+        PureVector(alg, [[1], [0, 1]])
+
+
+def test_states_keep_read_only_copies_of_the_callers_arrays():
+    # a trusted State used to freeze and alias the caller's own array
+    a = np.eye(2) / 2 + 0j
+    for trusted in (True, False):
+        st = State(make_full(2), (a,), trusted=trusted)
+        a[0, 0] = 1.0
+        assert st.blocks[0][0, 0] == 0.5
+        assert not st.blocks[0].flags.writeable
+        a[0, 0] = 0.5
+    amplitudes = np.array([1.0, 0.0], dtype=complex)
+    psi = PureVector(make_full(2), amplitudes)
+    amplitudes[0] = 0.0
+    assert psi.vector[0] == 1.0
+    assert not psi.vector.flags.writeable and not psi.blocks[0].flags.writeable
 
 
 @pytest.mark.parametrize("amplitudes", [[np.nan, 1, 0, 0], [np.inf, 1, 0, 0], [1, 0, 0, -np.inf]])
@@ -321,3 +365,60 @@ def test_seed_handling_is_deterministic():
     np.testing.assert_allclose(a.matrix, c.matrix)
     with pytest.raises(InvalidArgumentError, match="seed"):
         random_mixed(make_full(3), -1)
+
+
+def _state_readers(product, rng) -> dict:
+    """Each of STATE_READERS as a function of the state alone; its other
+    arguments are drawn from ``rng`` once."""
+    alg_a, alg_b = product.factors
+    other = random_mixed(product, rng)
+    b1, b2 = random_dichotomic(alg_b, rng), random_dichotomic(alg_b, rng)
+    obs = random_observables(alg_a, alg_b, rng)
+    x = random_dichotomic(product, rng)
+    return {
+        "ppt_check": ppt_check,
+        "realignment_check": realignment_check,
+        "purity": purity,
+        "seesaw": lambda st: seesaw(st, b1, b2),
+        "chsh_value": lambda st: chsh_value(st, obs),
+        "trace_distance": lambda st: trace_distance(st, other),
+        "expectation": lambda st: expectation(st, x),
+        "restrict_to_factor": lambda st: (restrict_to_factor(st, "a"), restrict_to_factor(st, "b")),
+        "horodecki_two_qubit": horodecki_two_qubit,
+        "mixture": lambda st: mixture([0.25, 0.75], [st, other]),
+        "product_state": lambda st: product_state(st, maximally_mixed(alg_a)),
+        "state_to_dict": state_to_dict,
+    }
+
+
+def _plain(value):
+    """``value`` with every state and element turned into nested lists, for ``==``."""
+    if hasattr(value, "blocks"):
+        return [value.algebra, [blk.tolist() for blk in value.blocks]]
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if hasattr(value, "a1"):  # ChshObservables
+        return _plain([value.a1, value.a2, value.b1, value.b2])
+    return value
+
+
+@pytest.mark.parametrize(
+    "reader, case",
+    [
+        (reader, case)
+        for reader in STATE_READERS
+        for case in PURE_CASES
+        if reader != "horodecki_two_qubit" or case in ("singlet", "M2xM2")
+    ],
+)
+def test_pure_vector_reads_as_the_state_it_induces(reader, case):
+    # every reader but separability_test and chsh_optimize used to raise a
+    # raw AttributeError on a PureVector, which had no ``blocks``
+    rng = np.random.default_rng(7)
+    if PURE_CASES[case] is None:
+        psi = singlet()
+    else:
+        n, m = PURE_CASES[case]
+        psi = random_pure(tensor(make_full(n), make_full(m)), rng)
+    f = _state_readers(psi.algebra, rng)[reader]
+    assert _plain(f(psi)) == _plain(f(psi.state()))
