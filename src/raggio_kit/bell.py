@@ -288,4 +288,4 @@ def horodecki_two_qubit(state: State) -> float:
     t = np.array([[np.trace(rho @ np.kron(su, sv)).real for sv in paulis] for su in paulis])
     eigs = np.linalg.eigvalsh(t.T @ t)
     m = float(eigs[-1] + eigs[-2])
-    return max(2.0, 2.0 * np.sqrt(m))
+    return max(CHSH_CLASSICAL_BOUND, 2.0 * np.sqrt(m))

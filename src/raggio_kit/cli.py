@@ -18,7 +18,7 @@ import sys
 
 from .algebra import FdAlgebra, direct_sum, make_commutative, make_full, tensor
 from .bell import chsh_optimize
-from .entanglement import is_entangled_pure, schmidt as schmidt_coeffs, separability_test
+from .entanglement import DEFAULT_DECOMP_TOL, is_entangled_pure, separability_test
 from .errors import InvalidArgumentError, RaggioKitError
 from .harness import verify_equivalence
 from .serialize import (
@@ -99,7 +99,19 @@ def _fmt(value) -> str:
         return "null"
     if isinstance(value, float):
         return f"{value:.7g}"
+    if isinstance(value, list):
+        return " ".join(_fmt(v) for v in value)
     return str(value)
+
+
+def _lines(items) -> list[str]:
+    """One ``key = value`` text line per (key, value) pair."""
+    return [f"{key} = {_fmt(value)}" for key, value in items]
+
+
+def _indexed(name: str, values) -> list[tuple[str, float]]:
+    """Pairs ``(name[k], value)``, for outputs listed one entry per line."""
+    return [(f"{name}[{k}]", v) for k, v in enumerate(values)]
 
 
 def _load_state_arg(args):
@@ -136,86 +148,49 @@ def _load_vector_arg(args, algebra=None) -> PureVector:
     return PureVector(alg or make_full(len(amps)), amps)
 
 
-def _cmd_born(args) -> int:
-    probs = restrict_to_diagonal(_load_vector_arg(args))
-    if args.format == "json":
-        print(json.dumps({"probabilities": [float(p) for p in probs]}, indent=2))
-    else:
-        for k, p in enumerate(probs):
-            print(f"p[{k}] = {_fmt(float(p))}")
-    return 0
+def _cmd_born(args) -> tuple[dict, list[str], int]:
+    probs = [float(p) for p in restrict_to_diagonal(_load_vector_arg(args))]
+    return {"probabilities": probs}, _lines(_indexed("p", probs)), 0
 
 
-def _cmd_schmidt(args) -> int:
+def _cmd_schmidt(args) -> tuple[dict, list[str], int]:
     if args.state is None and args.algebra is None:
         raise UsageError("--algebra is required together with --psi")
-    psi = _load_vector_arg(args, args.algebra)
-    coeffs = schmidt_coeffs(psi)
-    verdict = is_entangled_pure(psi)
-    if args.format == "json":
-        payload = {
-            "coefficients": [float(c) for c in coeffs],
-            "entangled": verdict.entangled,
-            "reduced_purity": verdict.reduced_purity,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for k, c in enumerate(coeffs):
-            print(f"s[{k}] = {_fmt(float(c))}")
-        print(f"entangled = {_fmt(verdict.entangled)}")
-        print(f"reduced_purity = {_fmt(verdict.reduced_purity)}")
-    return 0
+    verdict = is_entangled_pure(_load_vector_arg(args, args.algebra))
+    coeffs = list(verdict.coefficients)
+    rest = {"entangled": verdict.entangled, "reduced_purity": verdict.reduced_purity}
+    return {"coefficients": coeffs, **rest}, _lines([*_indexed("s", coeffs), *rest.items()]), 0
 
 
-def _cmd_separability(args) -> int:
+def _cmd_separability(args) -> tuple[dict, list[str], int]:
     state = _load_state_arg(args)
     verdict = separability_test(state, args.budget, tol=args.tol, seed=args.seed)
     payload = verdict_to_dict(verdict)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            if key == "decomposition":
-                key, value = "terms", verdict.decomposition.num_terms
-            elif isinstance(value, list):
-                value = " ".join(_fmt(v) for v in value)
-            print(f"{key} = {_fmt(value)}")
-    return 0
+    items = [
+        ("terms", verdict.decomposition.num_terms) if key == "decomposition" else (key, value)
+        for key, value in payload.items()
+    ]
+    return payload, _lines(items), 0
 
 
-def _cmd_chsh(args) -> int:
+def _cmd_chsh(args) -> tuple[dict, list[str], int]:
     state = _load_state_arg(args)
-    result = chsh_optimize(state, restarts=args.restarts, seed=args.seed)
-    if args.format == "json":
-        print(json.dumps(chsh_result_to_dict(result), indent=2))
-    else:
-        print(f"value = {_fmt(result.value)}")
-        print(f"restarts = {result.restarts}")
-        print(f"converged = {_fmt(result.converged)}")
-    return 0
+    payload = chsh_result_to_dict(chsh_optimize(state, restarts=args.restarts, seed=args.seed))
+    return payload, _lines((k, v) for k, v in payload.items() if k != "observables"), 0
 
 
-def _cmd_raggio_check(args) -> int:
-    alg_a = parse_algebra(args.a)
-    alg_b = parse_algebra(args.b)
+def _cmd_raggio_check(args) -> tuple[dict, list[str], int]:
+    alg_a, alg_b = parse_algebra(args.a), parse_algebra(args.b)
     report = verify_equivalence(
-        alg_a,
-        alg_b,
-        samples=args.samples,
-        seed=args.seed,
-        restarts=args.restarts,
+        alg_a, alg_b, samples=args.samples, seed=args.seed, restarts=args.restarts
     )
     payload = report_to_dict(report)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            if key == "notes":
-                if value:
-                    print(f"notes = {'; '.join(value)}")
-            else:
-                print(f"{key} = {_fmt(value)}")
-    return 0 if report.consistent else 3
+    items = [
+        (key, "; ".join(value) if key == "notes" else value)
+        for key, value in payload.items()
+        if key != "notes" or value
+    ]
+    return payload, _lines(items), 0 if report.consistent else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep = sub.add_parser("separability", help="decomposability test with certificate")
     _add_state_source(p_sep)
     p_sep.add_argument("--seed", type=int, required=True, help="search seed")
-    p_sep.add_argument("--tol", type=float, default=1e-6, help="reconstruction tolerance")
+    p_sep.add_argument(
+        "--tol", type=float, default=DEFAULT_DECOMP_TOL, help="reconstruction tolerance"
+    )
     p_sep.add_argument("--budget", type=int, default=400, help="search iteration budget")
     common(p_sep)
     p_sep.set_defaults(func=_cmd_separability)
@@ -269,7 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse ``argv``, dispatch, and return the process exit code."""
+    """Parse ``argv``, dispatch, print the result, and return the exit code.
+
+    Each subcommand returns its JSON payload, its text lines and its exit
+    code; ``--format`` picks which of the two outputs is printed.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -278,10 +259,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except (UsageError, RaggioKitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    return code
 
 
 main = run

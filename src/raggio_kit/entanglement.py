@@ -137,17 +137,18 @@ def schmidt(psi: PureVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureVerdict:
-    """Entanglement flag for a pure state; truthiness follows the flag."""
+    """Entanglement flag for a pure state; truthiness follows the flag.
+
+    ``coefficients`` are the Schmidt coefficients the flag was decided
+    from, descending, as :func:`schmidt` returns them.
+    """
 
     entangled: bool
     reduced_purity: float
+    coefficients: tuple[float, ...] = ()
 
     def __bool__(self) -> bool:
         return self.entangled
-
-
-def _schmidt_entangled(coeffs) -> bool:
-    return int(np.sum(np.asarray(coeffs) > SCHMIDT_TOL)) > 1
 
 
 def is_entangled_pure(psi: PureVector) -> PureVerdict:
@@ -157,7 +158,8 @@ def is_entangled_pure(psi: PureVector) -> PureVerdict:
     which drops below 1 exactly when the state is entangled.
     """
     coeffs = schmidt(psi)
-    return PureVerdict(_schmidt_entangled(coeffs), float(np.sum(coeffs**4)))
+    entangled = int(np.sum(coeffs > SCHMIDT_TOL)) > 1
+    return PureVerdict(entangled, float(np.sum(coeffs**4)), tuple(float(c) for c in coeffs))
 
 
 def _product_split(vec: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,14 +411,14 @@ def separability_test(
     tol = check_tol(tol)
     rng = _as_rng(seed)
     if isinstance(state, PureVector):
-        coeffs = tuple(float(c) for c in schmidt(state))
-        if _schmidt_entangled(coeffs):
-            return SeparabilityVerdict(ENTANGLED_PURE, schmidt_coefficients=coeffs)
+        pure = is_entangled_pure(state)
+        if pure.entangled:
+            return SeparabilityVerdict(ENTANGLED_PURE, schmidt_coefficients=pure.coefficients)
         alg_a, alg_b = state.algebra.factors
         a, b = _product_split(state.vector, alg_a.total_dim, alg_b.total_dim)
         # each factor normalized as PureVector does
         terms = [(1.0, 0, a / np.linalg.norm(a), 0, b / np.linalg.norm(b))]
-        return _separable(state, terms, schmidt_coefficients=coeffs)
+        return _separable(state, terms, schmidt_coefficients=pure.coefficients)
 
     state = _as_state(state)
     if any(f.is_commutative for f in _require_factors(state.algebra)):

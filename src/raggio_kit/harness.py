@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import FdAlgebra, _first_matrix_block, embed, joint_blocks, tensor
 from .bell import (
+    CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_BOUND,
     canonical_qubit_observables,
     chsh_optimize,
@@ -120,7 +121,7 @@ def bell_one_side_classical(
         witness = chsh_value(embedded_singlet(a, b), canonical_qubit_observables(a, b))
         worst = max(worst, abs(witness))
     return BellScan(
-        bound_holds=worst <= 2.0 + SCAN_SLACK,
+        bound_holds=worst <= CHSH_CLASSICAL_BOUND + SCAN_SLACK,
         max_abs_value=worst,
         samples=samples,
         settings=settings,
@@ -205,14 +206,14 @@ def verify_equivalence(
         success_rate = np.mean([v.error <= RECONSTRUCTION_TOL for _, v, _ in results])
         consistent = (
             not entangled_found
-            and max_chsh <= 2.0 + CHSH_SLACK
+            and max_chsh <= CHSH_CLASSICAL_BOUND + CHSH_SLACK
             and success_rate == 1.0
         )
     else:
         # conditioning needs a commutative factor; vacuously successful here
         success_rate = 1.0
         notes.append("witnesses injected alongside the samples: singlet, Werner(0.5)")
-        consistent = entangled_found and max_chsh > 2.0 + CHSH_SLACK
+        consistent = entangled_found and max_chsh > CHSH_CLASSICAL_BOUND + CHSH_SLACK
     if undetermined:
         notes.append(
             f"{undetermined} of {len(results)} examined states left undetermined "

@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,3 +310,82 @@ def test_werner_out_of_range_is_domain_error(capsys):
     code, _, err = run(capsys, "separability", "--werner", "1.5", "--seed", "1")
     assert code == 1
     assert "[0, 1]" in err
+
+
+def test_schmidt_runs_one_svd(capsys, monkeypatch):
+    # the verdict carries the coefficients it was decided from, so the
+    # command does not decompose the same coefficient matrix twice
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code, out, _ = run(
+        capsys, "schmidt", "--algebra", "M2 x M2",
+        "--psi", "[[0,0],[0.70710678,0],[-0.70710678,0],[0,0]]",
+    )
+    assert code == 0
+    assert out.startswith("s[0] = 0.7071068\n")
+    assert len(calls) == 1
+
+
+def test_parser_defaults_are_the_library_defaults():
+    def defaults(func):
+        return {k: p.default for k, p in inspect.signature(func).parameters.items()}
+
+    parser = cli.build_parser()
+    sep = parser.parse_args(["separability", "--singlet", "--seed", "0"])
+    chsh = parser.parse_args(["chsh", "--singlet", "--seed", "0"])
+    check = parser.parse_args(["raggio-check", "--a", "M2", "--b", "D2", "--seed", "0"])
+    lib = defaults(cli.separability_test)
+    assert (sep.budget, sep.tol) == (lib["budget"], lib["tol"])
+    assert chsh.restarts == defaults(cli.chsh_optimize)["restarts"]
+    lib = defaults(cli.verify_equivalence)
+    assert (check.samples, check.restarts) == (lib["samples"], lib["restarts"])
+
+
+# text output is the JSON payload as ``key = value`` lines; the documented
+# exceptions are p[k] / s[k] (one line per entry), ``terms`` for the
+# decomposition, chsh's omitted observables and the ``; ``-joined notes
+_INDEXED = {"p": "probabilities", "s": "coefficients"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("born", "--psi", "[[0.6,0],[0,0.8],[0,0]]"),
+        ("schmidt", "--algebra", "M2 x M2", "--psi", "[[0.8,0],[0,0],[0,0],[0.6,0]]"),
+        ("separability", "--werner", "0.2", "--seed", "1"),
+        ("separability", "--singlet", "--seed", "0"),
+        ("chsh", "--singlet", "--seed", "4", "--restarts", "2"),
+        ("raggio-check", "--a", "M2", "--b", "M2", "--seed", "1", "--samples", "2"),
+    ],
+    ids=["born", "schmidt", "separability-mixed", "separability-pure", "chsh", "raggio-check"],
+)
+def test_text_lines_are_the_json_payload(capsys, argv):
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    shown = set()
+    for line in text.splitlines():
+        key, value = line.split(" = ", 1)
+        indexed = re.fullmatch(r"([ps])\[(\d+)\]", key)
+        if indexed:
+            key = _INDEXED[indexed.group(1)]
+            expected = payload[key][int(indexed.group(2))]
+        elif key == "terms":
+            key = "decomposition"
+            expected = len(payload[key]["weights"])
+        elif key == "notes":
+            expected = "; ".join(payload[key])
+        else:
+            expected = payload[key]
+        assert value == cli._fmt(expected), key
+        shown.add(key)
+    for key in set(payload) - shown:
+        assert (key == "observables" and argv[0] == "chsh") or (key == "notes" and not payload[key])

@@ -120,6 +120,20 @@ def test_is_entangled_pure_certificate_values():
     assert not v.entangled and v.reduced_purity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pure_verdict_carries_its_schmidt_coefficients():
+    # the coefficients the flag was decided from, as schmidt() and the
+    # separability verdict of the same vector report them
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    product = PureVector(tensor(make_full(2), make_full(3)), np.kron(a, b))
+    for psi in (singlet(), product, random_pure(tensor(make_full(3), make_full(3)), rng)):
+        v = is_entangled_pure(psi)
+        assert v.coefficients == tuple(float(c) for c in schmidt(psi))
+        assert v.coefficients == separability_test(psi, seed=0).schmidt_coefficients
+        assert v.reduced_purity == float(np.sum(np.array(v.coefficients) ** 4))
+
+
 def test_ppt_werner_closed_form():
     # min eigenvalue of the partially transposed Werner density is (1-3p)/4
     for p in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.75, 1.0):
