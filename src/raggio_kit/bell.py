@@ -33,7 +33,6 @@ from .algebra import (
     embed,
     herm,
     joint_blocks,
-    trace_norm,
     unit,
 )
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
@@ -137,11 +136,12 @@ def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.n
     return values
 
 
-def _sign(h: np.ndarray) -> np.ndarray:
-    """Sign of every self-adjoint matrix in a (..., d, d) stack, sign(0) = +1."""
+def _sign(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign of every self-adjoint matrix in a (..., d, d) stack, sign(0) = +1, and
+    the (..., d) eigenvalues it was read from, which also give the trace norms."""
     w, v = np.linalg.eigh(herm(h))
     s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
-    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2), w
 
 
 def sign_operator(h: AlgebraElement) -> AlgebraElement:
@@ -152,23 +152,23 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     affect the trace norm, so they are sent to +1 to keep the result
     dichotomic.
     """
-    return element(h.algebra, [_sign(blk) for blk in h.blocks])
+    return element(h.algebra, [_sign(blk)[0] for blk in h.blocks])
 
 
 def _effective(state: State, x, side: int) -> list[np.ndarray]:
     """Per block of factor ``side`` (0: A, 1: B), the (2, d, d) stack of the
     self-adjoint H_t with Tr(H_t Y) equal to Re omega(Y (x) C_t), respectively
     Re omega(C_t (x) Y), for self-adjoint Y, where C = (X1 + X2, X1 - X2) and
-    ``x`` holds the (2, d, d) stack of (X1, X2) per block of the other factor."""
+    ``x`` holds the (2, d, d) stack of (X1, X2) per block of the other factor.
+    Reading a joint block as rho[a, b, c, d], H_t[a, c] = sum rho[a, b, c, d] C_t[d, b];
+    side 1 is side 0 with the factor axes of rho swapped."""
     c = [np.stack((s[0] + s[1], s[0] - s[1])) for s in x]
     out = [np.zeros((2, d, d), dtype=complex) for d in state.algebra.factors[side].block_dims]
     for idx, i, j, n, m in joint_blocks(state.algebra):
-        if side == 0:
-            k, op, spec = i, np.kron(np.eye(n), c[j]), "tajbj->tab"
-        else:
-            k, op, spec = j, np.kron(c[i], np.eye(m)), "tiaib->tab"
-        contracted = np.einsum(spec, (state.blocks[idx] @ op).reshape(2, n, m, n, m))
-        out[k] = out[k] + herm(contracted)
+        rho = state.blocks[idx].reshape(n, m, n, m)
+        if side == 1:
+            rho, i, j = rho.transpose(1, 0, 3, 2), j, i
+        out[i] = out[i] + herm(np.einsum("abcd,tdb->tac", rho, c[j]))
     return out
 
 
@@ -176,8 +176,8 @@ def _half_step(state: State, x, side: int) -> tuple[list[np.ndarray], float]:
     """Exact maximization on factor ``side`` against the (X1, X2) stacks ``x`` of
     the other factor: the signs of the effective operators, as (2, d, d) stacks
     per block, and the value reached, the sum of their trace norms."""
-    h = _effective(state, x, side)
-    return [_sign(s) for s in h], trace_norm(s[0] for s in h) + trace_norm(s[1] for s in h)
+    signs, eigs = zip(*(_sign(s) for s in _effective(state, x, side)))
+    return list(signs), float(sum(np.abs(w).sum(axis=-1) for w in eigs).sum())
 
 
 def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
@@ -219,7 +219,7 @@ def _random_signs(z: np.ndarray, dims) -> list[np.ndarray]:
     out, off = [], 0
     for d in dims:
         g = z[..., off : off + 2 * d * d].reshape(*z.shape[:-1], 2, d, d)
-        out.append(_sign(g[..., 0, :, :] + 1j * g[..., 1, :, :]))
+        out.append(_sign(g[..., 0, :, :] + 1j * g[..., 1, :, :])[0])
         off += 2 * d * d
     return out
 

@@ -43,6 +43,8 @@ STATE_TRACE_TOL = 1e-9
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, bool):
+        raise InvalidArgumentError(f"invalid seed {seed!r}: a bool is not a seed")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -140,8 +142,8 @@ class PureVector:
     """A unit vector on a single-block algebra, inducing the state <psi, A psi>.
 
     The vector is normalized on construction, so callers may pass rounded amplitudes; only
-    the zero vector is rejected.  ``blocks`` holds the induced density ``(|psi><psi|,)``,
-    so a PureVector is accepted wherever a State is.
+    the zero vector and amplitudes whose norm overflows are rejected.  ``blocks`` holds the
+    induced density ``(|psi><psi|,)``, so a PureVector is accepted wherever a State is.
     """
 
     algebra: FdAlgebra
@@ -161,7 +163,10 @@ class PureVector:
             )
         if not np.all(np.isfinite(psi)):
             raise InvalidStateError("vector has non-finite amplitudes")
-        nrm = float(np.linalg.norm(psi))
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(psi))
+        if not np.isfinite(nrm):
+            raise InvalidStateError("vector norm overflows")
         if nrm < 1e-12:
             raise InvalidStateError("cannot normalize the zero vector")
         psi = _frozen(psi / nrm)

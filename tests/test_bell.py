@@ -9,6 +9,7 @@ from raggio_kit.algebra import (
     operator_norm,
     tensor,
     tensor_element,
+    trace_norm,
     unit,
 )
 from raggio_kit.bell import (
@@ -19,6 +20,7 @@ from raggio_kit.bell import (
     ChshObservables,
     _check_observable,
     _effective,
+    _half_step,
     canonical_qubit_observables,
     chsh_optimize,
     chsh_value,
@@ -104,6 +106,33 @@ def test_effective_operators_reproduce_expectations():
                 pair = (x, c[t]) if side == 0 else (c[t], x)
                 rhs = expectation(st, tensor_element(*pair, prod)).real
                 assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alg_a, alg_b",
+    [
+        (M2, M2),
+        (make_full(3), make_full(3)),
+        (M2, make_full(3)),
+        (direct_sum(M2, make_full(1)), direct_sum(M2, make_commutative(1))),
+    ],
+)
+def test_one_eigh_gives_the_signs_and_the_value(alg_a, alg_b):
+    # _sign reads each half-step's value off the eigenvalues of its own eigh:
+    # it must be the trace norm of the effective operators, and the last value
+    # of a run the CHSH value of the observables it returns
+    prod = tensor(alg_a, alg_b)
+    rng = np.random.default_rng(14)
+    for st in (random_mixed(prod, rng), random_vector_state(prod, rng)):
+        b1, b2 = random_dichotomic(alg_b, rng), random_dichotomic(alg_b, rng)
+        obs, history, _ = seesaw(st, b1, b2)
+        assert history[-1] == pytest.approx(abs(chsh_value(st, obs)), abs=1e-12)
+        x = [np.stack(pair) for pair in zip(b1.blocks, b2.blocks)]
+        for side in (0, 1, 0, 1, 0, 1):
+            h = _effective(st, x, side)
+            x, value = _half_step(st, x, side)
+            norms = trace_norm(s[0] for s in h) + trace_norm(s[1] for s in h)
+            assert value == pytest.approx(norms, abs=1e-12)
 
 
 def test_canonical_settings_on_singlet():
@@ -257,12 +286,12 @@ def test_seeded_seesaw_history_is_pinned():
     _, history, converged = seesaw(st, b1, b2)
     assert converged and len(history) == 56
     assert history[:4] == [
-        1.1573905638497777,
-        1.40010741463383,
-        1.4429928315466654,
-        1.4513926789745861,
+        1.1573905638497775,
+        1.4001074146338301,
+        1.4429928315466651,
+        1.4513926789745857,
     ]
-    assert history[-1] == 1.4564781015265704
+    assert history[-1] == 1.4564781015265709
 
 
 def test_seeded_optimize_iterations_are_pinned():
@@ -292,7 +321,7 @@ def test_seeded_multiblock_seesaw_history_is_pinned():
         1.9952535216775575,
         2.0194402175463955,
     ]
-    assert history[-1] == 2.1698331196463414
+    assert history[-1] == 2.169833119646341
     res = chsh_optimize(st, restarts=4, seed=5)
     assert res.iterations == 25
     assert res.value == 2.169833119642624
@@ -319,6 +348,9 @@ def test_seesaw_rejects_starts_that_are_not_self_adjoint_contractions():
 def test_optimize_rejects_negative_seed():
     with pytest.raises(InvalidArgumentError):
         chsh_optimize(singlet().state(), restarts=2, seed=-1)
+    for seed in (True, False):  # True used to run as seed 1
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            chsh_optimize(singlet(), restarts=2, seed=seed)
 
 
 def test_optimize_takes_a_pure_vector_as_its_state():

@@ -76,6 +76,9 @@ def test_born_bad_psi(capsys, tmp_path):
         code, _, err = run(capsys, "born", "--psi", bad)
         assert code == 2
         assert "--psi" in err and "pair" in err
+    # amplitudes whose norm overflows used to print p[0] = 0 and p[1] = 0 and exit 0
+    code, out, err = run(capsys, "born", "--psi", "[[1e308,0],[1e308,0]]")
+    assert (code, out, err) == (1, "", "error: vector norm overflows\n")
     # a vector file with a non-number amplitude used to print a ValueError traceback
     payload = pure_vector_to_dict(singlet())
     path = tmp_path / "psi.json"

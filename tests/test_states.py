@@ -113,6 +113,15 @@ def test_pure_vector_rejects_non_finite_amplitudes(amplitudes):
         PureVector(make_full(4), amplitudes)
 
 
+def test_pure_vector_rejects_an_overflowing_norm():
+    # the squared norm of these amplitudes overflows; they used to normalize to the zero vector
+    with pytest.raises(InvalidStateError, match="norm"):
+        PureVector(make_full(2), [1e200, 1e200])
+    amplitudes = np.array([1e150, 3e150j])
+    big = PureVector(make_full(2), amplitudes)
+    assert np.array_equal(big.vector, amplitudes / np.linalg.norm(amplitudes))
+
+
 def test_state_rejects_nan_on_the_diagonal():
     rho = np.diag([np.nan, 0.5]).astype(complex)
     with pytest.raises(InvalidStateError, match="non-finite"):
@@ -363,8 +372,9 @@ def test_seed_handling_is_deterministic():
     g = np.random.default_rng(123)
     c = random_mixed(make_full(3), g)
     np.testing.assert_allclose(a.matrix, c.matrix)
-    with pytest.raises(InvalidArgumentError, match="seed"):
-        random_mixed(make_full(3), -1)
+    for seed in (-1, True, False):  # a bool used to seed as 1 or 0
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            random_mixed(make_full(3), seed)
 
 
 def _state_readers(product, rng) -> dict:
