@@ -202,7 +202,27 @@ def report_to_dict(rep: RaggioReport) -> dict:
     return {"schema": REPORT_SCHEMA_VERSION, **asdict(rep), "notes": list(rep.notes)}
 
 
+def _file_refs(node) -> set[str]:
+    """The sibling file names that the ``$ref``s in a schema point at."""
+    if isinstance(node, dict):
+        file = node.get("$ref", "").partition("#")[0]
+        return set().union({file} - {""}, *map(_file_refs, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_file_refs, node))
+    return set()
+
+
 def load_schema(name: str) -> dict:
-    """Read one of the bundled JSON Schemas (by bare name, e.g. 'state')."""
-    path = resources.files("raggio_kit") / "schemas" / f"{name}.schema.json"
-    return json.loads(path.read_text())
+    """One of the bundled JSON Schemas (by bare name, e.g. 'state') as a self-contained
+    2020-12 compound document.  Every sibling file that it refers to, directly or through
+    another sibling, is embedded unchanged under ``$defs`` by file name, keeping its own
+    ``$id``; so a validator resolves each ``$ref`` offline, with no registry."""
+    folder = resources.files("raggio_kit") / "schemas"
+    own = f"{name}.schema.json"
+    found = {own: json.loads((folder / own).read_text())}
+    while missing := set().union(*map(_file_refs, found.values())) - set(found):
+        found.update((file, json.loads((folder / file).read_text())) for file in missing)
+    schema = found.pop(own)
+    if found:
+        schema["$defs"] = {**schema.get("$defs", {}), **dict(sorted(found.items()))}
+    return schema

@@ -86,10 +86,13 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
     """
     if not np.all(np.isfinite(blk)):
         raise InvalidStateError(f"{label} has non-finite entries")
-    herm_defect = _hermiticity_defect(blk)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow to inf here
+        herm_defect = _hermiticity_defect(blk)
+        blk = herm(blk)
     if herm_defect > HERMITICITY_TOL:
         raise InvalidStateError(f"{label} is not Hermitian (defect {herm_defect:.3e})")
-    blk = herm(blk)
+    if not np.all(np.isfinite(blk)):
+        raise InvalidStateError(f"{label} has a Hermitian part that overflows")
     w, v = np.linalg.eigh(blk)
     if w[0] < -STATE_EIGENVALUE_TOL:
         raise InvalidStateError(f"{label} has negative eigenvalue {w[0]:.3e}")
@@ -128,7 +131,8 @@ class State:
                 arr = _clean_density_block(arr, f"density block {k}")
             blocks.append(arr)
         if not self.trusted:
-            tr = float(sum(np.trace(b).real for b in blocks))
+            with np.errstate(over="ignore"):  # an overflowing trace is rejected just below
+                tr = float(sum(np.trace(b).real for b in blocks))
             if abs(tr - 1.0) > STATE_TRACE_TOL:
                 raise InvalidStateError(f"density trace is {tr!r}, expected 1")
             blocks = [b / tr for b in blocks]
@@ -142,7 +146,8 @@ class PureVector:
     """A unit vector on a single-block algebra, inducing the state <psi, A psi>.
 
     The vector is normalized on construction, so callers may pass rounded amplitudes; only
-    the zero vector and amplitudes whose norm overflows are rejected.  ``blocks`` holds the
+    the zero vector is rejected, which is any vector of norm below 1e-12 (an absolute cut,
+    so tiny amplitudes such as [1e-170, 1e-170] count as zero).  ``blocks`` holds the
     induced density ``(|psi><psi|,)``, so a PureVector is accepted wherever a State is.
     """
 
@@ -165,8 +170,9 @@ class PureVector:
             raise InvalidStateError("vector has non-finite amplitudes")
         with np.errstate(over="ignore"):
             nrm = float(np.linalg.norm(psi))
-        if not np.isfinite(nrm):
-            raise InvalidStateError("vector norm overflows")
+        if not np.isfinite(nrm):  # the squares overflow: scale the largest |re| or |im| to 1
+            psi = psi / max(np.abs(psi.real).max(), np.abs(psi.imag).max())
+            nrm = float(np.linalg.norm(psi))
         if nrm < 1e-12:
             raise InvalidStateError("cannot normalize the zero vector")
         psi = _frozen(psi / nrm)

@@ -76,9 +76,10 @@ def test_born_bad_psi(capsys, tmp_path):
         code, _, err = run(capsys, "born", "--psi", bad)
         assert code == 2
         assert "--psi" in err and "pair" in err
-    # amplitudes whose norm overflows used to print p[0] = 0 and p[1] = 0 and exit 0
+    # amplitudes whose squared norm overflows used to print p[0] = 0 and p[1] = 0, and
+    # then to fail with "vector norm overflows"; their norm is finite, so they normalize
     code, out, err = run(capsys, "born", "--psi", "[[1e308,0],[1e308,0]]")
-    assert (code, out, err) == (1, "", "error: vector norm overflows\n")
+    assert (code, out.splitlines(), err) == (0, ["p[0] = 0.5", "p[1] = 0.5"], "")
     # a vector file with a non-number amplitude used to print a ValueError traceback
     payload = pure_vector_to_dict(singlet())
     path = tmp_path / "psi.json"
@@ -294,19 +295,25 @@ def test_no_command(capsys):
     assert run(capsys)[0] == 2
 
 
-def test_domain_error_exit_code_reaches_the_process():
+def test_domain_error_exit_code_reaches_the_process(tmp_path):
     # every other test calls cli.run in-process; this one runs the module as a
     # program, so the code must survive sys.exit and no traceback may escape
     src = str(Path(raggio_kit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "raggio_kit.cli", "separability", "--werner", "2", "--seed", "0"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    # a density whose Hermitian part overflows used to print two RuntimeWarnings first
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"algebra": {"block_dims": [2]},
+                                "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}))
+    for argv in (["separability", "--werner", "2", "--seed", "0"],
+                 ["chsh", "--state", str(path), "--seed", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "raggio_kit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 def test_werner_out_of_range_is_domain_error(capsys):

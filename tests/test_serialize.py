@@ -1,4 +1,6 @@
 import json
+import urllib.request
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -33,6 +35,17 @@ from raggio_kit.states import random_mixed, singlet, trace_distance, werner
 M2 = make_full(2)
 SCHEMA_DIR = resources.files("raggio_kit") / "schemas"
 SCHEMA_NAMES = sorted(p.name.removesuffix(".schema.json") for p in SCHEMA_DIR.iterdir())
+
+
+@pytest.fixture(autouse=True)
+def _offline(monkeypatch):
+    """Fail, rather than download, when a validator cannot resolve a $ref from the schema
+    that load_schema returns (jsonschema fetches an unknown remote $ref by default)."""
+
+    def refuse(request, *args, **kwargs):
+        raise AssertionError(f"a validator tried to download {request.full_url}")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
 
 
 def _validate(payload, schema_name):
@@ -184,10 +197,90 @@ def test_verdict_payloads_validate(tiles_state):
     assert payload["realignment"] == pytest.approx(1.087412, abs=1e-6)
 
 
+def _raw_schema(name):
+    return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
+
+
+def _refs(node):
+    """Every ``$ref`` string in a schema."""
+    if isinstance(node, dict):
+        own = [node["$ref"]] if isinstance(node.get("$ref"), str) else []
+        return own + [ref for value in node.values() for ref in _refs(value)]
+    if isinstance(node, list):
+        return [ref for value in node for ref in _refs(value)]
+    return []
+
+
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
 def test_shipped_schemas_are_valid_under_their_metaschema(name):
-    schema = load_schema(name)
-    jsonschema.validators.validator_for(schema).check_schema(schema)
+    for schema in (_raw_schema(name), load_schema(name)):
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_each_document_type_is_defined_in_one_file():
+    files = {f"{name}.schema.json" for name in SCHEMA_NAMES}
+    documents = {frozenset(_raw_schema(name)["properties"]) for name in SCHEMA_NAMES}
+    for name in SCHEMA_NAMES:
+        raw = _raw_schema(name)
+        assert raw["$id"] == f"https://raggio-kit.invalid/schemas/{name}.schema.json"
+        for key, definition in raw.get("$defs", {}).items():
+            assert key not in SCHEMA_NAMES
+            assert frozenset(definition.get("properties", ())) not in documents
+        # a $ref is local ("#...") or names a shipped file, so none needs a download
+        for ref in _refs(raw):
+            assert ref.startswith("#") or ref.partition("#")[0] in files, (name, ref)
+        if name != "algebra":
+            assert '"block_dims"' not in (SCHEMA_DIR / f"{name}.schema.json").read_text()
+    # the [re, im] pair is written out once, in state.schema.json
+    pairs = [name for name in SCHEMA_NAMES if "complex" in _raw_schema(name).get("$defs", {})]
+    assert pairs == ["state"]
+
+
+def test_load_schema_embeds_the_files_it_refers_to_unchanged():
+    # bench/workloads.py reads the report schema, which refers to no other file
+    assert load_schema("report") == _raw_schema("report")
+    assert load_schema("algebra") == _raw_schema("algebra")
+    compound = load_schema("verdict")
+    embedded = set(compound["$defs"])
+    assert embedded == {"decomposition.schema.json", "state.schema.json", "algebra.schema.json"}
+    for key in embedded:
+        assert compound["$defs"][key] == _raw_schema(key.removesuffix(".schema.json"))
+
+
+def _valid_payload(name):
+    if name == "state":
+        return state_to_dict(random_mixed(tensor(M2, make_commutative(2)), 6))
+    if name == "chsh_result":
+        return chsh_result_to_dict(chsh_optimize(werner(0.9), restarts=2, seed=3))
+    verdict = verdict_to_dict(separability_test(werner(0.2), seed=1))
+    return verdict if name == "verdict" else verdict["decomposition"]
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("state", ("algebra",)),
+        ("chsh_result", ("observables", "a1", "blocks", 0)),
+        ("verdict", ("decomposition",)),
+        ("decomposition", ("a_parts", 0)),
+    ],
+    ids=["state-algebra", "chsh_result-element_block", "verdict-decomposition",
+         "decomposition-state"],
+)
+def test_nested_documents_obey_their_own_schema(name, path):
+    # the nested copies of algebra, element, state and decomposition used to lack their
+    # file's additionalProperties: false, so a nested document with an extra key passed
+    payload = _valid_payload(name)
+    drifted = json.loads(json.dumps(payload))
+    node = drifted
+    for step in path:
+        node = node[step]
+    node["extra"] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jsonschema.validate(payload, load_schema(name))
+        with pytest.raises(jsonschema.ValidationError, match="'extra' was unexpected"):
+            jsonschema.validate(drifted, load_schema(name))
 
 
 def test_chsh_result_payload_validates():

@@ -82,6 +82,12 @@ def test_state_validation():
         State(alg, (np.eye(2),))  # trace 2
     with pytest.raises(InvalidStateError):
         State(alg, (np.eye(2) / 2, np.eye(2) / 2))  # block count
+    # finite entries whose Hermitian part overflows used to warn and pass inf on to eigh
+    for rho in (np.diag([1e308, 1e308]), np.array([[0.5, 1e308], [1e308, 0.5]])):
+        with pytest.raises(InvalidStateError, match="Hermitian part that overflows"):
+            State(alg, (rho,))
+    with pytest.raises(InvalidStateError, match="trace is inf"):  # a trace that overflows
+        State(make_full(3), (np.diag([8e307, 8e307, 8e307]),))
     # bools and strings used to be read as numbers
     with pytest.raises(InvalidArgumentError, match="numbers"):
         State(alg, ([[True, False], [False, False]],))
@@ -113,10 +119,13 @@ def test_pure_vector_rejects_non_finite_amplitudes(amplitudes):
         PureVector(make_full(4), amplitudes)
 
 
-def test_pure_vector_rejects_an_overflowing_norm():
-    # the squared norm of these amplitudes overflows; they used to normalize to the zero vector
-    with pytest.raises(InvalidStateError, match="norm"):
-        PureVector(make_full(2), [1e200, 1e200])
+def test_pure_vector_normalizes_amplitudes_whose_squares_overflow():
+    # the squared norm of these amplitudes overflows, but the norm does not; they used to
+    # normalize to the zero vector, and then to raise "vector norm overflows"
+    for amplitudes, unit in (([1e200, 0], [1, 0]), ([1e200, 1e200], [0.5**0.5, 0.5**0.5]),
+                             ([1.5e308 + 1.5e308j, 0], [0.5**0.5 * (1 + 1j), 0])):
+        np.testing.assert_allclose(PureVector(make_full(2), amplitudes).vector, unit, atol=1e-15)
+    # a finite squared norm keeps the plain path, bit for bit
     amplitudes = np.array([1e150, 3e150j])
     big = PureVector(make_full(2), amplitudes)
     assert np.array_equal(big.vector, amplitudes / np.linalg.norm(amplitudes))
