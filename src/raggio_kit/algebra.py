@@ -42,14 +42,22 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _has_bool(values) -> bool:
+    """True when a nested list or tuple holds a bool, which numpy reads as 0 or 1."""
+    return any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat)
+
+
 def _as_numbers(values) -> np.ndarray:
-    """``values`` as a complex array; its entries must be numbers (dtype kind i, u, f or c)."""
+    """``values`` as a complex array; its entries must be numbers (dtype kind i, u, f or c),
+    and a list may hold no bool; an ndarray's dtype alone settles it."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # numpy's "inhomogeneous shape" for a ragged nested list
         raise InvalidArgumentError(f"entries must form a regular array: {exc}") from exc
     if arr.dtype.kind not in "iufc":
         raise InvalidArgumentError(f"entries must be numbers, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and _has_bool(values):
+        raise InvalidArgumentError("entries must be numbers, got a bool")
     return np.asarray(arr, dtype=complex)
 
 
@@ -337,8 +345,7 @@ def _stack_norm(x: np.ndarray) -> float:
     Singular values come from an eigen-solve of X*X, symmetrized first so the
     solver always sees an exactly Hermitian input.
     """
-    gram = x.conj().swapaxes(-1, -2) @ x
-    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    gram = herm(x.conj().swapaxes(-1, -2) @ x)
     top = np.max(np.linalg.eigvalsh(gram)[..., -1], initial=0.0)
     return float(np.sqrt(top))
 

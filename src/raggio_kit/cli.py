@@ -93,10 +93,8 @@ def _read_json(path: str):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
     if isinstance(value, float):
         return f"{value:.7g}"
     if isinstance(value, list):
@@ -199,48 +197,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="States, decomposability, and CHSH bounds on multi-matrix algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="text", help="output format")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "text"), default="text", help="output format")
+    def add(name: str, text: str, func) -> argparse.ArgumentParser:
+        """A subcommand that runs ``func`` and takes --format."""
+        p = sub.add_parser(name, parents=[fmt], help=text)
+        p.set_defaults(func=func)
+        return p
 
-    p_born = sub.add_parser("born", help="squared amplitudes of a unit vector")
+    p_born = add("born", "squared amplitudes of a unit vector", _cmd_born)
     _add_vector_source(p_born, "JSON [re, im] pairs, e.g. '[[0.7071,0],[0.7071,0]]'")
-    common(p_born)
-    p_born.set_defaults(func=_cmd_born)
 
-    p_schmidt = sub.add_parser("schmidt", help="Schmidt coefficients of a wavefunction")
+    p_schmidt = add("schmidt", "Schmidt coefficients of a wavefunction", _cmd_schmidt)
     _add_vector_source(p_schmidt, "JSON [re, im] pairs")
     p_schmidt.add_argument("--algebra", help="tensor algebra for --psi, e.g. 'M2 x M2'")
-    common(p_schmidt)
-    p_schmidt.set_defaults(func=_cmd_schmidt)
 
-    p_sep = sub.add_parser("separability", help="decomposability test with certificate")
+    p_sep = add("separability", "decomposability test with certificate", _cmd_separability)
     _add_state_source(p_sep)
     p_sep.add_argument("--seed", type=int, required=True, help="search seed")
     p_sep.add_argument(
         "--tol", type=float, default=DEFAULT_DECOMP_TOL, help="reconstruction tolerance"
     )
-    p_sep.add_argument("--budget", type=int, default=400, help="search iteration budget")
-    common(p_sep)
-    p_sep.set_defaults(func=_cmd_separability)
+    p_sep.add_argument("--budget", type=int, default=400, help="search budget, in oracle calls")
 
-    p_chsh = sub.add_parser("chsh", help="see-saw maximization of the CHSH value")
+    p_chsh = add("chsh", "see-saw maximization of the CHSH value", _cmd_chsh)
     _add_state_source(p_chsh)
     p_chsh.add_argument("--seed", type=int, required=True, help="restart seed")
     p_chsh.add_argument("--restarts", type=int, default=16, help="see-saw restarts")
-    common(p_chsh)
-    p_chsh.set_defaults(func=_cmd_chsh)
 
-    p_check = sub.add_parser(
-        "raggio-check", help="verify the decomposability equivalence on a pair"
+    p_check = add(
+        "raggio-check", "verify the decomposability equivalence on a pair", _cmd_raggio_check
     )
     p_check.add_argument("--a", required=True, help="left factor, e.g. 'M2'")
     p_check.add_argument("--b", required=True, help="right factor, e.g. 'D3'")
     p_check.add_argument("--seed", type=int, required=True, help="sampling seed")
     p_check.add_argument("--samples", type=int, default=100, help="states to sample")
     p_check.add_argument("--restarts", type=int, default=4, help="see-saw restarts")
-    common(p_check)
-    p_check.set_defaults(func=_cmd_raggio_check)
 
     return parser
 

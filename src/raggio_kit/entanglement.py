@@ -57,6 +57,7 @@ PURE_PURITY = 1.0 - 1e-12  # a density with Tr(rho^2) at least this is read as p
 DEFAULT_DECOMP_TOL = 1e-6
 _WEIGHT_SUM_TOL = 1e-6  # slack on sum(weights) = 1, in Decomposition and the search
 LMO_RANDOM_STARTS, LMO_ROUNDS = 6, 40  # per call of the product-state oracle
+LMO_DISTINCT_TOL = 1e-6  # oracle minimizers whose product overlap reaches 1 - this are one atom
 NNLS_SUM_GAIN = 4.0  # weight of the soft unit-sum row in the Frank-Wolfe re-fit
 
 # dims (n, m) beyond qubit-qubit for which a positive partial transpose
@@ -83,12 +84,9 @@ class Decomposition:
         w = check_weights(self.weights, len(self.a_parts), _WEIGHT_SUM_TOL)
         w = np.clip(w, 0.0, None) / float(w.sum())
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        alg_a = self.a_parts[0].algebra
-        alg_b = self.b_parts[0].algebra
-        if any(s.algebra != alg_a for s in self.a_parts) or any(
-            s.algebra != alg_b for s in self.b_parts
-        ):
-            raise AlgebraMismatchError("all parts of one side must share an algebra")
+        for parts in (self.a_parts, self.b_parts):
+            if any(s.algebra != parts[0].algebra for s in parts):
+                raise AlgebraMismatchError("all parts of one side must share an algebra")
 
     @property
     def num_terms(self) -> int:
@@ -230,11 +228,14 @@ def classical_decompose(state: State) -> Decomposition:
 
 
 def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
-    """Pure product state minimizing <., G .>, by alternating eigenvector updates.
+    """Product states a (x) b of low <., G .>, by alternating eigenvector updates.
 
     Deterministic starts come from the product split of every eigenvector of
     G; a few random starts guard against shared local minima.  All starts
     alternate as one stack, and each drops out once its value stops falling.
+    Returns (k, n) and (k, m) arrays of unit vectors, best value first: the
+    best start always, then every start of negative value whose product
+    overlap with each better start stays below 1 - LMO_DISTINCT_TOL.
     """
     G4 = G.reshape(n, m, n, m)
     u, _, vh = np.linalg.svd(np.linalg.eigh(G)[1].T.reshape(-1, n, m))
@@ -257,8 +258,13 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
         live = live[~stopped]
         if not len(live):
             break
-    best = int(np.argmin(val))
-    return a[best], b[best]
+    order = np.argsort(val, kind="stable")
+    a, b, val = a[order], b[order], val[order]
+    # |<a_s b_s, a_t b_t>| = |<a_s, a_t>| |<b_s, b_t>|, for every pair of starts
+    same = np.abs(a.conj() @ a.T) * np.abs(b.conj() @ b.T) >= 1.0 - LMO_DISTINCT_TOL
+    keep = (val < 0.0) & ~np.tril(same, -1).any(axis=1)
+    keep[0] = True
+    return a[keep], b[keep]
 
 
 def _nnls_weights(projs, rho: np.ndarray) -> np.ndarray:
@@ -286,23 +292,22 @@ def _terms_error(terms, rho: np.ndarray) -> float:
 def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rng):
     """Frank-Wolfe with full weight reoptimization at every round.
 
+    Each round makes one oracle call, so ``max_iters`` counts oracle calls,
+    and adds every atom that the call returns before the one NNLS re-fit.
     Returns (terms, error) of the first iterate within ``tol`` whose weights
     sum to 1 within _WEIGHT_SUM_TOL, else of the closest iterate, rescaled to
     sum to 1.  NNLS keeps independent columns, so at most (n m)^2 terms.
     """
-    terms, projs, best = [], [], ([], np.inf)
+    atoms, best = [], ([], np.inf)  # atoms: (a, b, projector onto a (x) b)
     x = np.zeros((n * m, n * m), dtype=complex)
     for _ in range(max_iters):
-        a, b = _linear_minimizer(herm(x - rho), n, m, rng)
-        v = np.kron(a, b)
-        terms.append((0.0, a, b))
-        projs.append(np.outer(v, v.conj()))
-        weights = _nnls_weights(projs, rho)
+        for a, b in zip(*_linear_minimizer(herm(x - rho), n, m, rng)):
+            atoms.append((a, b, np.outer(np.kron(a, b), np.kron(a, b).conj())))
+        weights = _nnls_weights([p for _, _, p in atoms], rho)
         keep = weights > 1e-14
-        terms = [(float(w), a, b) for w, (_, a, b), k in zip(weights, terms, keep) if k]
-        projs = [p for p, k in zip(projs, keep) if k]
-        weights = weights[keep]
-        x = sum(w * p for w, p in zip(weights, projs))
+        atoms, weights = [t for t, k in zip(atoms, keep) if k], weights[keep]
+        terms = [(float(w), a, b) for w, (a, b, _) in zip(weights, atoms)]
+        x = sum(w * p for w, (_, _, p) in zip(weights, atoms))
         err = _reconstruction_error(x, rho)
         # the soft unit-sum row lets a loose fit miss 1 however small its error
         if err <= tol and abs(weights.sum() - 1.0) <= _WEIGHT_SUM_TOL:
@@ -401,11 +406,13 @@ def separability_test(
     does a realigned joint block of trace norm above 1 + REALIGN_TOL (tag
     ``EntangledRealignment``, value in ``realignment``).  Otherwise each
     joint block is decomposed: qubit-qubit blocks by Wootters' closed form,
-    the rest by a Frank-Wolfe search.  On qubit-qubit and qubit-qutrit
-    blocks this always succeeds; larger blocks may exhaust the iteration
-    ``budget`` and end ``Undetermined``, which thus needs a positive
-    partial transpose, realignment at most 1 + REALIGN_TOL, and a stalled
-    search.  Neither test nor the closed form draws from ``seed``.
+    the rest by a Frank-Wolfe search.  ``budget`` counts the search's
+    oracle calls; one call can add several product atoms before the weights
+    are re-fit.  On qubit-qubit and qubit-qutrit blocks this always
+    succeeds; larger blocks may exhaust the budget and end ``Undetermined``,
+    which thus needs a positive partial transpose, realignment at most
+    1 + REALIGN_TOL, and a stalled search.  Neither test nor the closed
+    form draws from ``seed``.
     """
     count = check_count(budget, "search budget")
     tol = check_tol(tol)

@@ -165,25 +165,18 @@ def verdict_to_dict(v: SeparabilityVerdict) -> dict:
     return out
 
 
+_OBSERVABLES = ("a1", "a2", "b1", "b2")
+
+
 def observables_to_dict(obs: ChshObservables) -> dict:
-    return {
-        "a1": element_to_dict(obs.a1),
-        "a2": element_to_dict(obs.a2),
-        "b1": element_to_dict(obs.b1),
-        "b2": element_to_dict(obs.b2),
-    }
+    return {key: element_to_dict(getattr(obs, key)) for key in _OBSERVABLES}
 
 
 def observables_from_dict(data) -> ChshObservables:
     if not isinstance(data, dict):
         raise InvalidArgumentError("observables payload must be an object")
     try:
-        return ChshObservables(
-            element_from_dict(data["a1"]),
-            element_from_dict(data["a2"]),
-            element_from_dict(data["b1"]),
-            element_from_dict(data["b2"]),
-        )
+        return ChshObservables(*(element_from_dict(data[key]) for key in _OBSERVABLES))
     except KeyError as exc:
         raise InvalidArgumentError(f"observables payload misses {exc}") from exc
 

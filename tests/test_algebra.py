@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from raggio_kit import algebra
 from raggio_kit.algebra import (
     AlgebraElement,
     FdAlgebra,
@@ -286,6 +287,33 @@ def test_non_finite_blocks_rejected():
         element(make_full(2), [[[1, 2], [3]]])
     with pytest.raises(InvalidArgumentError, match="regular"):
         diagonal_element(make_full(2), [1, [2]])
+
+
+def test_bool_entries_in_nested_lists_rejected(monkeypatch):
+    # numpy reads a list mixing bools with numbers as an int or float array,
+    # so [[True, 0], [0, 1]] used to pass as the identity
+    for bad in (
+        [[True, 0], [0, 1]],
+        [[np.True_, 0.5], [0.5, 1.0]],
+        [np.array([False, True]), [0, 1]],
+        ([1, 0], (0, True)),
+    ):
+        with pytest.raises(InvalidArgumentError, match="bool"):
+            element(make_full(2), [bad])
+        with pytest.raises(InvalidArgumentError, match="bool"):
+            element_from_matrix(make_full(2), bad)
+    with pytest.raises(InvalidArgumentError, match="bool"):
+        diagonal_element(make_full(2), [1.0, False])
+    np.testing.assert_array_equal(element(make_full(2), [[[1, 0], [0, 1]]]).blocks[0], np.eye(2))
+
+    # an ndarray's dtype already settles it, so its entries are not walked
+    def walked(values):
+        raise AssertionError("an ndarray was searched for bools")
+
+    monkeypatch.setattr(algebra, "_has_bool", walked)
+    np.testing.assert_array_equal(element(make_full(2), (np.eye(2),)).blocks[0], np.eye(2))
+    with pytest.raises(InvalidArgumentError, match="numbers"):
+        element(make_full(2), (np.eye(2, dtype=bool),))
 
 
 def test_element_from_matrix():

@@ -6,9 +6,11 @@ import pytest
 
 from raggio_kit.algebra import direct_sum, herm, make_commutative, make_full, tensor
 from raggio_kit.entanglement import (
+    DEFAULT_DECOMP_TOL,
     ENTANGLED_PPT,
     ENTANGLED_PURE,
     ENTANGLED_REALIGNMENT,
+    LMO_DISTINCT_TOL,
     PPT_TOL,
     SEPARABLE,
     UNDETERMINED,
@@ -373,7 +375,8 @@ def test_linear_minimizer_matches_per_start_loop(n, m):
         G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
         rng_loop, rng_stack = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = _product_value(G, *_loop_linear_minimizer(G, n, m, rng_loop))
-        assert abs(_product_value(G, *_linear_minimizer(G, n, m, rng_stack)) - expected) <= 1e-12
+        a, b = _linear_minimizer(G, n, m, rng_stack)
+        assert abs(_product_value(G, a[0], b[0]) - expected) <= 1e-12
         # the random starts take the same draws, so later calls see the same stream
         assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
 
@@ -385,13 +388,49 @@ def test_seeded_product_mixture_search_is_pinned():
     st = random_product_mixture(make_full(2), make_full(3), 3, rng)
     v = separability_test(st, seed=17)
     assert v.tag == SEPARABLE
-    assert v.decomposition.num_terms == 30
-    assert v.error == 9.334933111560402e-07
+    assert v.decomposition.num_terms == 33
+    assert v.error == 3.6766756115684414e-07
     assert v.decomposition.weights[:3] == (
-        0.5295073228696915,
-        0.20094705225528423,
-        0.11463272885543248,
+        0.5302053780769459,
+        0.20065908891045497,
+        0.11440497651869047,
     )
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_linear_minimizer_returns_distinct_negative_atoms_best_first(n, m):
+    calls = atoms = 0
+    for seed in range(5):
+        g = np.random.default_rng([seed, n, m])
+        G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+        rho = random_mixed(tensor(make_full(n), make_full(m)), g).blocks[0]
+        # a random form, the first search step's -rho, and a positive form
+        for form in (G, -rho, rho):
+            a, b = _linear_minimizer(form, n, m, np.random.default_rng(seed))
+            assert a.shape == (len(a), n) and b.shape == (len(a), m) and len(a) >= 1
+            np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, atol=1e-12)
+            values = [_product_value(form, x, y) for x, y in zip(a, b)]
+            assert np.all(np.diff(values) >= -1e-12)
+            assert all(val < 0.0 for val in values[1:])
+            overlap = np.abs(a.conj() @ a.T) * np.abs(b.conj() @ b.T)
+            assert np.all(overlap[np.triu_indices(len(a), 1)] < 1.0 - LMO_DISTINCT_TOL)
+            calls, atoms = calls + 1, atoms + len(a)
+        # a positive form has no negative value: the best atom comes alone
+        assert len(a) == 1 and values[0] > 0.0
+    assert atoms > calls
+
+
+@pytest.mark.parametrize("k", [16, 26])
+def test_near_boundary_3x3_product_mixtures_settle_at_the_default_budget(k):
+    # two-term mixtures near the boundary (smallest density eigenvalue about
+    # 1e-3), which a search adding one atom per oracle call leaves Undetermined
+    rng = np.random.default_rng(5)
+    for j in range(k + 1):
+        st = random_product_mixture(make_full(3), make_full(3), 1 + j % 5, rng)
+    v = separability_test(st, seed=k)
+    assert v.tag == SEPARABLE
+    assert v.error <= DEFAULT_DECOMP_TOL
 
 
 def test_loose_tolerance_ends_in_a_verdict():

@@ -198,7 +198,8 @@ def test_linear_minimizer_returns_a_product_state_below_every_eigenvector_split(
         v = np.kron(a, b)
         return float(np.vdot(v, G @ v).real)
 
-    a, b = _linear_minimizer(G, n, m, rng)
+    atoms_a, atoms_b = _linear_minimizer(G, n, m, rng)
+    a, b = atoms_a[0], atoms_b[0]  # the best atom comes first
     assert abs(np.linalg.norm(a) - 1.0) <= 1e-12 and abs(np.linalg.norm(b) - 1.0) <= 1e-12
     eigvals, vecs = np.linalg.eigh(G)
     best_split = min(value(*_product_split(vecs[:, k], n, m)) for k in range(dim))
