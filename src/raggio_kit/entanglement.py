@@ -36,9 +36,7 @@ from .states import (
     check_count,
     check_tol,
     check_weights,
-    mixture,
     point_state,
-    product_state,
     purity,
     trace_distance,
 )
@@ -94,11 +92,18 @@ class Decomposition:
 
 
 def reconstruct(dec: Decomposition, product: FdAlgebra | None = None) -> State:
-    """Reassemble the state sum_k w_k alpha_k (x) beta_k."""
-    if product is None:
-        product = tensor(dec.a_parts[0].algebra, dec.b_parts[0].algebra)
-    terms = [product_state(a, b, product) for a, b in zip(dec.a_parts, dec.b_parts)]
-    return mixture(dec.weights, terms)
+    """Reassemble sum_k w_k alpha_k (x) beta_k, one einsum per joint block over the
+    parts' blocks stacked along k; ``product`` must factor through the parts."""
+    factors = (dec.a_parts[0].algebra, dec.b_parts[0].algebra)
+    product = tensor(*factors) if product is None else product
+    if product.factors != factors:
+        raise AlgebraMismatchError("product algebra does not match the factor states")
+    a, b = ([np.stack(x) for x in zip(*(s.blocks for s in p))] for p in (dec.a_parts, dec.b_parts))
+    blocks = tuple(
+        np.einsum("k,kac,kbd->abcd", dec.weights, a[i], b[j]).reshape(n * m, n * m)
+        for _, i, j, n, m in joint_blocks(product)
+    )
+    return State(product, blocks, trusted=True)
 
 
 @dataclass(frozen=True)
@@ -360,13 +365,6 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
         one = np.ones(1, dtype=complex)
         pairs = [(one, c) if n == 1 else (c, one) for c in v.T]
         return [(float(x), *ab) for x, ab in zip(w, pairs) if x > CLASSICAL_WEIGHT_TOL], 0.0
-
-    if np.trace(rho @ rho).real >= PURE_PURITY:
-        terms = [(1.0, *_product_split(np.linalg.eigh(rho)[1][:, -1], n, m))]
-        err = _terms_error(terms, rho)
-        if err <= tol:
-            return terms, err
-        # not a product vector after all; fall through
 
     if (n, m) == (2, 2):
         terms, err = _wootters_terms(rho)

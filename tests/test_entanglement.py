@@ -26,6 +26,7 @@ from raggio_kit.entanglement import (
     separability_test,
 )
 from raggio_kit.errors import (
+    AlgebraMismatchError,
     InvalidArgumentError,
     MissingFactorizationError,
     UnsupportedShapeError,
@@ -204,6 +205,13 @@ def test_separability_pure_inputs():
     assert v2.tag == SEPARABLE
     assert v2.error <= 1e-9
     assert v2.decomposition.num_terms == 1
+    # a pure product density past qubit-qubit is settled by the search
+    for n, m in ((2, 3), (3, 3)):
+        a, b = (random_pure(make_full(d), rng).state() for d in (n, m))
+        st = product_state(a, b)
+        v3 = separability_test(st, seed=0)
+        assert v3.tag == SEPARABLE, (n, m)
+        assert v3.error <= 1e-12
 
 
 def test_separability_werner_sweep():
@@ -277,6 +285,26 @@ def test_separability_multiblock_factors():
     assert trace_distance(reconstruct(v.decomposition, prod), st) <= 1e-6
 
 
+def test_separability_skips_joint_blocks_of_zero_weight():
+    # (M2 + D1) (x) M3 with every term on M2 (x) M3: block (1, 0) holds no weight
+    rng = np.random.default_rng(4)
+    alg_a = direct_sum(make_full(2), make_commutative(1))
+
+    def part():
+        a = State(alg_a, (random_mixed(make_full(2), rng).blocks[0], np.zeros((1, 1))))
+        return product_state(a, random_mixed(make_full(3), rng))
+
+    parts = [part() for _ in range(3)]
+    w = rng.random(3) + 0.05
+    st = mixture(w / w.sum(), parts)
+    assert np.trace(st.blocks[1]).real == 0.0
+    v = separability_test(st, seed=1)
+    assert v.tag == SEPARABLE
+    assert v.error <= DEFAULT_DECOMP_TOL
+    assert all(np.trace(a.blocks[0]).real == pytest.approx(1.0) for a in v.decomposition.a_parts)
+    assert trace_distance(reconstruct(v.decomposition, st.algebra), st) == v.error
+
+
 def test_separability_requires_factors():
     with pytest.raises(MissingFactorizationError):
         separability_test(random_mixed(make_full(4), 0), seed=0)
@@ -308,6 +336,8 @@ def test_decomposition_validation():
         Decomposition((1.0,), (st,), (st, st))
     with pytest.raises(InvalidArgumentError):
         Decomposition((), (), ())
+    with pytest.raises(AlgebraMismatchError):
+        Decomposition((0.5, 0.5), (st, random_mixed(make_full(3), 0)), (st, st))
     for weights in ((True,), ("0.5", "0.5")):  # both used to be accepted
         with pytest.raises(InvalidArgumentError):
             Decomposition(weights, (st,) * len(weights), (st,) * len(weights))
@@ -389,7 +419,7 @@ def test_seeded_product_mixture_search_is_pinned():
     v = separability_test(st, seed=17)
     assert v.tag == SEPARABLE
     assert v.decomposition.num_terms == 33
-    assert v.error == 3.6766756115684414e-07
+    assert v.error == 3.6766756114576214e-07
     assert v.decomposition.weights[:3] == (
         0.5302053780769459,
         0.20065908891045497,

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from raggio_kit import bell
+from raggio_kit import bell, harness
 from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor, tensor_element
 from raggio_kit.bell import (
     CHSH_QUANTUM_BOUND,
@@ -10,7 +12,7 @@ from raggio_kit.bell import (
     random_observables,
     random_settings_chsh,
 )
-from raggio_kit.entanglement import separability_test
+from raggio_kit.entanglement import UNDETERMINED, SeparabilityVerdict, separability_test
 from raggio_kit.errors import (
     InvalidArgumentError,
     ResourceLimitError,
@@ -258,3 +260,31 @@ def test_report_witness_labels():
     assert rep.max_chsh_witness
     assert rep.entangled_witness is not None
     assert rep.verdict == VERDICT_CONSISTENT
+
+
+def test_verify_notes_undetermined_states_and_values_above_tsirelson(monkeypatch):
+    # neither outcome occurs on real inputs, so both are stubbed: every sample
+    # after the two injected witnesses ends Undetermined, and the first CHSH
+    # value lies above 2 sqrt 2; each is noted, and neither changes the verdict
+    real = verify_equivalence(M2, M2, samples=3, seed=5)
+    calls = []
+
+    def fake_separability(state, *args, **kwargs):
+        calls.append(state)
+        if len(calls) <= 2:
+            return separability_test(state, *args, **kwargs)
+        return SeparabilityVerdict(UNDETERMINED, error=1e-3)
+
+    def fake_chsh(state, *args, **kwargs):
+        r = chsh_optimize(state, *args, **kwargs)
+        return dataclasses.replace(r, value=3.0) if len(calls) == 1 else r
+
+    monkeypatch.setattr(harness, "separability_test", fake_separability)
+    monkeypatch.setattr(harness, "chsh_optimize", fake_chsh)
+    rep = verify_equivalence(M2, M2, samples=3, seed=5)
+    assert rep.undetermined_count == 3
+    assert "3 of 5 examined states left undetermined (does not affect the verdict)" in rep.notes
+    assert rep.max_chsh == 3.0
+    assert "optimized value 3.0 exceeds 2*sqrt(2): numerical fault" in rep.notes
+    assert rep.verdict == real.verdict == VERDICT_CONSISTENT
+    assert real.undetermined_count == 0

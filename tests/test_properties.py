@@ -1,9 +1,11 @@
 """Property tests of the joint-block layout over random factor shapes: each
 factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
-Two properties cover the separability certificates on qubit and qutrit
-blocks, one the terms the Frank-Wolfe search returns, one the embedded
-two-qubit witnesses, and a last one feeds malformed counts, tolerances,
-weights, see-saw starts and entries that are no numbers to the public API."""
+One property checks the one-einsum reassembly of a decomposition against
+the mixture of its product states, two cover the separability certificates
+on qubit and qutrit blocks, one the terms the Frank-Wolfe search returns,
+one the embedded two-qubit witnesses, and a last one feeds malformed counts,
+tolerances, weights, see-saw starts and entries that are no numbers to the
+public API."""
 
 from functools import partial
 
@@ -47,7 +49,12 @@ from raggio_kit.entanglement import (
     reconstruct,
     separability_test,
 )
-from raggio_kit.errors import InvalidDimensionError, RaggioKitError, UnsupportedShapeError
+from raggio_kit.errors import (
+    AlgebraMismatchError,
+    InvalidDimensionError,
+    RaggioKitError,
+    UnsupportedShapeError,
+)
 from raggio_kit.harness import (
     bell_one_side_classical,
     embedded_singlet,
@@ -132,6 +139,32 @@ def test_classical_decompose_reconstructs_with_either_side_commutative(dims, see
         for state in (random_mixed(product, rng), random_vector_state(product, rng)):
             dec = classical_decompose(state)
             assert trace_distance(reconstruct(dec, product), state) <= 1e-9
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, st.integers(1, 6), SEEDS)
+def test_reconstruct_matches_the_mixture_of_product_states(dims, terms, seed):
+    rng = np.random.default_rng(seed)
+    a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
+    draw = (random_vector_state, random_mixed)
+    w = rng.random(terms) + 0.05
+    dec = Decomposition(
+        tuple(w / w.sum()),
+        tuple(draw[rng.integers(2)](a, rng) for _ in range(terms)),
+        tuple(draw[rng.integers(2)](b, rng) for _ in range(terms)),
+    )
+    product = tensor(a, b)
+    parts = [product_state(x, y, product) for x, y in zip(dec.a_parts, dec.b_parts)]
+    want = mixture(dec.weights, parts)
+    for got in (reconstruct(dec, product), reconstruct(dec)):
+        assert got.algebra == product
+        assert max(np.max(np.abs(g - h)) for g, h in zip(got.blocks, want.blocks)) <= 1e-14
+    # the swapped product, a larger second factor, and no recorded factors
+    wider = direct_sum(b, make_commutative(1))
+    for other in (tensor(b, a), tensor(a, wider), FdAlgebra(product.block_dims)):
+        if other.factors != product.factors:
+            with pytest.raises(AlgebraMismatchError):
+                reconstruct(dec, other)
 
 
 def _product_mixture(alg_a, alg_b, terms: int, rng):

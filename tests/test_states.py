@@ -205,6 +205,21 @@ def test_expectation_algebra_mismatch():
         expectation(st, unit(make_full(3)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: trace_distance(a, b),
+        lambda a, b: mixture([0.5, 0.5], [a, b]),
+        lambda a, b: product_state(a, a, tensor(a.algebra, b.algebra)),
+    ],
+    ids=["trace_distance", "mixture", "product_state"],
+)
+def test_states_on_different_algebras_raise_mismatch(call):
+    a, b = maximally_mixed(make_full(2)), maximally_mixed(make_full(3))
+    with pytest.raises(AlgebraMismatchError):
+        call(a, b)
+
+
 def test_purity_bounds():
     rng = np.random.default_rng(3)
     alg = direct_sum(make_full(2), make_full(2))
