@@ -97,15 +97,12 @@ class ChshResult:
 
 def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
     """(P, Q) CHSH values of P states on ``product`` under Q settings, given per
-    factor block a (P, Q, 2, d, d) stack of (X1, X2) in ``a`` and ``b``.  Reading a
-    joint block as rho[a, b, c, d], Tr(rho (X (x) Y)) = sum rho[a, b, c, d] X[c, a] Y[d, b]."""
-    total = 0.0
-    for idx, i, j, n, m in joint_blocks(product):
-        ai, bj = a[i], b[j]
-        c = np.stack((bj[:, :, 0] + bj[:, :, 1], bj[:, :, 0] - bj[:, :, 1]), axis=2)
-        rho = np.array([st.blocks[idx] for st in states]).reshape(len(states), n, m, n, m)
-        total = total + np.einsum("pabcd,pqkca,pqkdb->pq", rho, ai, c)
-    return np.real(total)
+    factor block a (P, Q, 2, d, d) stack of (X1, X2) in ``a`` and ``b``: the sum
+    of Tr(H_t A_t) over t and the blocks of A, for the _effective operators H of
+    the states, stacked as (P, 1, n m, n m), against ``b``."""
+    rhos = [np.array(blk)[:, None] for blk in zip(*(st.blocks for st in states))]
+    h = _effective(product, rhos, b, 0)
+    return np.real(sum(np.einsum("...tac,...tca->...", ht, at) for ht, at in zip(h, a)))
 
 
 def chsh_value(state: State, obs: ChshObservables) -> float:
@@ -155,20 +152,21 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     return element(h.algebra, [_sign(blk)[0] for blk in h.blocks])
 
 
-def _effective(state: State, x, side: int) -> list[np.ndarray]:
-    """Per block of factor ``side`` (0: A, 1: B), the (2, d, d) stack of the
-    self-adjoint H_t with Tr(H_t Y) equal to Re omega(Y (x) C_t), respectively
-    Re omega(C_t (x) Y), for self-adjoint Y, where C = (X1 + X2, X1 - X2) and
-    ``x`` holds the (2, d, d) stack of (X1, X2) per block of the other factor.
-    Reading a joint block as rho[a, b, c, d], H_t[a, c] = sum rho[a, b, c, d] C_t[d, b];
-    side 1 is side 0 with the factor axes of rho swapped."""
-    c = [np.stack((s[0] + s[1], s[0] - s[1])) for s in x]
-    out = [np.zeros((2, d, d), dtype=complex) for d in state.algebra.factors[side].block_dims]
-    for idx, i, j, n, m in joint_blocks(state.algebra):
-        rho = state.blocks[idx].reshape(n, m, n, m)
+def _effective(product: FdAlgebra, rhos, x, side: int) -> list[np.ndarray]:
+    """Per block of factor ``side`` (0: A, 1: B), the (..., 2, d, d) stack of the
+    H_t with Tr(H_t Y) = omega(Y (x) C_t), respectively omega(C_t (x) Y), where
+    C = (X1 + X2, X1 - X2), ``rhos`` holds the state's (..., n m, n m) joint
+    blocks and ``x`` the (..., 2, d, d) stack of (X1, X2) per block of the other
+    factor; leading axes broadcast.  Reading a joint block as rho[a, b, c, d],
+    H_t[a, c] = sum rho[a, b, c, d] C_t[d, b]; side 1 swaps the factor axes of
+    rho.  H_t is Hermitian up to rounding; _sign projects it."""
+    c = [s[..., :1, :, :] + np.array([1.0, -1.0])[:, None, None] * s[..., 1:, :, :] for s in x]
+    out = [0.0] * product.factors[side].num_blocks
+    for idx, i, j, n, m in joint_blocks(product):
+        rho = rhos[idx].reshape(*rhos[idx].shape[:-2], n, m, n, m)
         if side == 1:
-            rho, i, j = rho.transpose(1, 0, 3, 2), j, i
-        out[i] = out[i] + herm(np.einsum("abcd,tdb->tac", rho, c[j]))
+            rho, i, j = rho.swapaxes(-4, -3).swapaxes(-2, -1), j, i
+        out[i] = out[i] + np.einsum("...abcd,...tdb->...tac", rho, c[j])
     return out
 
 
@@ -176,7 +174,7 @@ def _half_step(state: State, x, side: int) -> tuple[list[np.ndarray], float]:
     """Exact maximization on factor ``side`` against the (X1, X2) stacks ``x`` of
     the other factor: the signs of the effective operators, as (2, d, d) stacks
     per block, and the value reached, the sum of their trace norms."""
-    signs, eigs = zip(*(_sign(s) for s in _effective(state, x, side)))
+    signs, eigs = zip(*map(_sign, _effective(state.algebra, state.blocks, x, side)))
     return list(signs), float(sum(np.abs(w).sum(axis=-1) for w in eigs).sum())
 
 

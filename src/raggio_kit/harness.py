@@ -166,7 +166,10 @@ def verify_equivalence(
     noncommutative, an embedded singlet and Werner(0.5) join the sample
     set, and the verdict demands a witnessed entangled state together with
     a CHSH value above the bound.  Undetermined search outcomes are counted
-    but never flip the verdict.  Sampling, search, and optimization are all
+    but never flip the verdict.  ``max_chsh`` is the largest optimized
+    value, and ``max_chsh_witness`` names the first state examined whose
+    value lies within CHSH_SLACK of it, so values that differ by rounding
+    name the same state.  Sampling, search, and optimization are all
     driven by generators spawned from ``seed``.
     """
     samples = check_count(samples, "samples")
@@ -195,8 +198,8 @@ def verify_equivalence(
     entangled_witness = next((label for label, v, _ in results if v.decomposable is False), None)
     entangled_found = entangled_witness is not None
     undetermined = sum(1 for _, v, _ in results if v.decomposable is None)
-    best = max(results, key=lambda item: item[2])
-    max_chsh, max_chsh_witness = float(best[2]), best[0]
+    max_chsh = float(max(value for _, _, value in results))
+    max_chsh_witness = next(label for label, _, value in results if value >= max_chsh - CHSH_SLACK)
 
     notes = [
         f"ensemble: alternating random vector states and Hilbert-Schmidt "

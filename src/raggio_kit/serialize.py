@@ -44,6 +44,20 @@ def _unpairs(entries, count: int, what: str) -> np.ndarray:
     return out
 
 
+def _fields(data, what: str, required, optional=()) -> dict:
+    """``data`` itself, once it is an object with every key of ``required`` and no
+    key outside ``required`` and ``optional``, as its schema demands; otherwise
+    InvalidArgumentError names the first missing or unexpected key."""
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(f"{what} payload must be an object")
+    missing = [key for key in required if key not in data]
+    extra = [key for key in data if key not in (*required, *optional)]
+    if missing or extra:
+        how, key = ("misses", missing[0]) if missing else ("has unexpected key", extra[0])
+        raise InvalidArgumentError(f"{what} payload {how} {key!r}")
+    return data
+
+
 def algebra_to_dict(alg: FdAlgebra) -> dict:
     out: dict = {"block_dims": list(alg.block_dims)}
     if alg.factors is not None:
@@ -52,8 +66,7 @@ def algebra_to_dict(alg: FdAlgebra) -> dict:
 
 
 def algebra_from_dict(data) -> FdAlgebra:
-    if not isinstance(data, dict) or "block_dims" not in data:
-        raise InvalidArgumentError("algebra payload needs a block_dims list")
+    _fields(data, "algebra", ("block_dims",), ("factors",))
     factors = None
     if "factors" in data:
         pair = data["factors"]
@@ -77,17 +90,17 @@ def element_to_dict(x: AlgebraElement) -> dict:
 
 
 def element_from_dict(data) -> AlgebraElement:
-    if not isinstance(data, dict) or "algebra" not in data or "blocks" not in data:
-        raise InvalidArgumentError("element payload needs algebra and blocks")
+    _fields(data, "element", ("algebra", "blocks"))
     alg = algebra_from_dict(data["algebra"])
     blocks = data["blocks"]
     if not isinstance(blocks, list) or len(blocks) != alg.num_blocks:
         raise InvalidArgumentError(f"expected {alg.num_blocks} blocks")
     mats = []
     for k, (item, dim) in enumerate(zip(blocks, alg.block_dims)):
-        if not isinstance(item, dict) or not _is_count(item.get("dim")) or item["dim"] != dim:
+        _fields(item, f"block {k}", ("dim", "entries"))
+        if not _is_count(item["dim"]) or item["dim"] != dim:
             raise InvalidArgumentError(f"block {k} must declare dim {dim}")
-        flat = _unpairs(item.get("entries"), dim * dim, f"block {k}")
+        flat = _unpairs(item["entries"], dim * dim, f"block {k}")
         mats.append(flat.reshape(dim, dim))
     return element(alg, mats)
 
@@ -100,8 +113,7 @@ def state_to_dict(state: State) -> dict:
 
 
 def state_from_dict(data) -> State:
-    if not isinstance(data, dict) or "algebra" not in data or "entries" not in data:
-        raise InvalidArgumentError("state payload needs algebra and entries")
+    _fields(data, "state", ("algebra", "entries"))
     alg = algebra_from_dict(data["algebra"])
     n = alg.total_dim
     dense = _unpairs(data["entries"], n * n, "state entries").reshape(n, n)
@@ -120,8 +132,7 @@ def pure_vector_to_dict(psi: PureVector) -> dict:
 
 
 def pure_vector_from_dict(data) -> PureVector:
-    if not isinstance(data, dict) or "algebra" not in data or "psi" not in data:
-        raise InvalidArgumentError("vector payload needs algebra and psi")
+    _fields(data, "vector", ("algebra", "psi"))
     alg = algebra_from_dict(data["algebra"])
     vec = _unpairs(data["psi"], alg.total_dim, "psi")
     return PureVector(alg, vec)
@@ -136,12 +147,8 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
 
 
 def decomposition_from_dict(data) -> Decomposition:
-    if not isinstance(data, dict):
-        raise InvalidArgumentError("decomposition payload must be an object")
-    try:
-        lists = [data[key] for key in ("weights", "a_parts", "b_parts")]
-    except KeyError as exc:
-        raise InvalidArgumentError(f"decomposition payload misses {exc}") from exc
+    keys = ("weights", "a_parts", "b_parts")
+    lists = [_fields(data, "decomposition", keys)[key] for key in keys]
     if not all(isinstance(x, list) for x in lists):
         raise InvalidArgumentError("decomposition needs a list of weights and two lists of states")
     a_parts, b_parts = (tuple(state_from_dict(s) for s in parts) for parts in lists[1:])
@@ -173,12 +180,8 @@ def observables_to_dict(obs: ChshObservables) -> dict:
 
 
 def observables_from_dict(data) -> ChshObservables:
-    if not isinstance(data, dict):
-        raise InvalidArgumentError("observables payload must be an object")
-    try:
-        return ChshObservables(*(element_from_dict(data[key]) for key in _OBSERVABLES))
-    except KeyError as exc:
-        raise InvalidArgumentError(f"observables payload misses {exc}") from exc
+    _fields(data, "observables", _OBSERVABLES)
+    return ChshObservables(*(element_from_dict(data[key]) for key in _OBSERVABLES))
 
 
 def chsh_result_to_dict(res: ChshResult) -> dict:

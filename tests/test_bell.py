@@ -98,7 +98,7 @@ def test_effective_operators_reproduce_expectations():
         st = random_mixed(prod, rng)
         for side, (own, other) in enumerate(((alg_a, alg_b), (alg_b, alg_a))):
             y, c = stacks(other)
-            h = _effective(st, y, side)
+            h = _effective(prod, st.blocks, y, side)
             assert [s.shape for s in h] == [(2, d, d) for d in own.block_dims]
             for t in (0, 1):
                 x = random_dichotomic(own, rng)
@@ -129,7 +129,7 @@ def test_one_eigh_gives_the_signs_and_the_value(alg_a, alg_b):
         assert history[-1] == pytest.approx(abs(chsh_value(st, obs)), abs=1e-12)
         x = [np.stack(pair) for pair in zip(b1.blocks, b2.blocks)]
         for side in (0, 1, 0, 1, 0, 1):
-            h = _effective(st, x, side)
+            h = _effective(prod, st.blocks, x, side)
             x, value = _half_step(st, x, side)
             norms = trace_norm(s[0] for s in h) + trace_norm(s[1] for s in h)
             assert value == pytest.approx(norms, abs=1e-12)
@@ -291,7 +291,7 @@ def test_seeded_seesaw_history_is_pinned():
         1.4429928315466651,
         1.4513926789745857,
     ]
-    assert history[-1] == 1.4564781015265709
+    assert history[-1] == 1.4564781015265706
 
 
 def test_seeded_optimize_iterations_are_pinned():
@@ -321,10 +321,10 @@ def test_seeded_multiblock_seesaw_history_is_pinned():
         1.9952535216775575,
         2.0194402175463955,
     ]
-    assert history[-1] == 2.169833119646341
+    assert history[-1] == 2.1698331196463405
     res = chsh_optimize(st, restarts=4, seed=5)
     assert res.iterations == 25
-    assert res.value == 2.169833119642624
+    assert res.value == 2.1698331196426235
     assert res.converged
 
 

@@ -200,6 +200,16 @@ def test_chsh_from_state_file(capsys, tmp_path):
     assert set(payload) == {"value", "observables", "restarts", "converged"}
 
 
+def test_vector_file_that_also_carries_entries_exits_1(capsys, tmp_path):
+    # such a file used to load as a PureVector, and its entries were dropped without a word
+    payload = {**pure_vector_to_dict(singlet()), "entries": state_to_dict(werner(0.5))["entries"]}
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "chsh", "--state", str(path), "--seed", "7")
+    assert (code, out) == (1, "")
+    assert err == "error: vector payload has unexpected key 'entries'\n"
+
+
 def test_chsh_requires_seed(capsys):
     code, _, _ = run(capsys, "chsh", "--singlet")
     assert code == 2

@@ -288,3 +288,26 @@ def test_verify_notes_undetermined_states_and_values_above_tsirelson(monkeypatch
     assert "optimized value 3.0 exceeds 2*sqrt(2): numerical fault" in rep.notes
     assert rep.verdict == real.verdict == VERDICT_CONSISTENT
     assert real.undetermined_count == 0
+
+
+@pytest.mark.parametrize(
+    "values, witness",
+    [
+        ((2.0, 2.0 + 4.4e-16, 2.0 - 2.2e-16, 2.0 + 8.9e-16), "sample 0 (vector)"),
+        ((2.0, 2.0, 2.0 + 2e-6, 2.0), "sample 2 (vector)"),
+    ],
+    ids=["ulps-apart", "above-the-slack"],
+)
+def test_max_chsh_witness_is_the_first_state_within_the_slack(monkeypatch, values, witness):
+    # on M3 (x) D4 at seed 4 every value lies within 1e-15 of 2, and rounding used
+    # to decide which sample was named; values within CHSH_SLACK of the maximum now
+    # tie, and the first state examined wins, while max_chsh stays the maximum
+    stubbed = iter(values)
+
+    def fake_chsh(state, *args, **kwargs):
+        return dataclasses.replace(chsh_optimize(state, *args, **kwargs), value=next(stubbed))
+
+    monkeypatch.setattr(harness, "chsh_optimize", fake_chsh)
+    rep = verify_equivalence(M2, D2, samples=len(values), seed=5)
+    assert rep.max_chsh == max(values)
+    assert rep.max_chsh_witness == witness

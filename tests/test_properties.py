@@ -3,7 +3,8 @@ factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
 One property checks the one-einsum reassembly of a decomposition against
 the mixture of its product states, two cover the separability certificates
 on qubit and qutrit blocks, one the terms the Frank-Wolfe search returns,
-one the embedded two-qubit witnesses, and a last one feeds malformed counts,
+one the embedded two-qubit witnesses, two the one CHSH contraction that the
+value, the scan and the see-saw share, and a last one feeds malformed counts,
 tolerances, weights, see-saw starts and entries that are no numbers to the
 public API."""
 
@@ -25,13 +26,16 @@ from raggio_kit.algebra import (
     make_full,
     split_dense,
     tensor,
+    tensor_element,
     unit,
 )
 from raggio_kit.bell import (
     CHSH_QUANTUM_BOUND,
+    _effective,
     canonical_qubit_observables,
     chsh_optimize,
     chsh_value,
+    random_observables,
     seesaw,
 )
 from raggio_kit.entanglement import (
@@ -64,6 +68,7 @@ from raggio_kit.harness import (
 from raggio_kit.states import (
     PureVector,
     State,
+    expectation,
     mixture,
     point_state,
     product_state,
@@ -274,6 +279,48 @@ def test_embedded_witnesses_keep_their_two_qubit_values(dims_a, dims_b, points, 
         for pair in ((d, b), (a, d)):
             with pytest.raises(UnsupportedShapeError):
                 build(*pair)
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, SEEDS)
+def test_chsh_value_is_the_expectation_of_the_bell_operator(dims, seed):
+    rng = np.random.default_rng(seed)
+    a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
+    product = tensor(a, b)
+    obs = random_observables(a, b, rng)
+    bell = tensor_element(obs.a1, obs.b1 + obs.b2, product) + tensor_element(
+        obs.a2, obs.b1 - obs.b2, product
+    )
+    # the see-saw's B half-step contracts the same functional against (A1, A2)
+    x = [np.stack(pair) for pair in zip(obs.a1.blocks, obs.a2.blocks)]
+    y = [np.stack(pair) for pair in zip(obs.b1.blocks, obs.b2.blocks)]
+    for state in (random_mixed(product, rng), random_vector_state(product, rng)):
+        want = expectation(state, bell).real
+        assert abs(chsh_value(state, obs) - want) <= 1e-12
+        h = _effective(product, state.blocks, x, 1)
+        assert abs(sum(np.einsum("tac,tca->", ht, yt) for ht, yt in zip(h, y)).real - want) <= 1e-12
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, SEEDS)
+def test_effective_operators_of_a_stack_are_those_of_its_members(dims, seed):
+    # P states, stacked as (P, 1, n m, n m), against (P, Q, 2, d, d) settings on the
+    # other factor give what P * Q calls on one state and one setting give
+    rng = np.random.default_rng(seed)
+    product = tensor(FdAlgebra(dims[0]), FdAlgebra(dims[1]))
+    states = [random_mixed(product, rng), random_vector_state(product, rng)]
+    rhos = [np.array(blk)[:, None] for blk in zip(*(s.blocks for s in states))]
+    for side in (0, 1):
+        shapes = [(2, 3, 2, d, d) for d in product.factors[1 - side].block_dims]
+        x = [herm(rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in shapes]
+        stacked = _effective(product, rhos, x, side)
+        assert [h.shape for h in stacked] == [
+            (2, 3, 2, d, d) for d in product.factors[side].block_dims
+        ]
+        for p, state in enumerate(states):
+            for q in range(3):
+                one = _effective(product, state.blocks, [s[p, q] for s in x], side)
+                assert max(np.max(np.abs(h[p, q] - g)) for h, g in zip(stacked, one)) <= 1e-14
 
 
 M2, D2 = make_full(2), make_commutative(2)

@@ -283,6 +283,53 @@ def test_nested_documents_obey_their_own_schema(name, path):
             jsonschema.validate(drifted, load_schema(name))
 
 
+def _loader_cases():
+    """(id, loader, schema, payload, path): ``loader`` reads ``payload``, which
+    ``schema`` validates, and ``path`` leads to the object that gets a stray key."""
+    factored = tensor(M2, make_commutative(2))
+    state = state_to_dict(random_mixed(factored, 6))
+    dec = decomposition_to_dict(classical_decompose(random_mixed(factored, 4)))
+    unit = element_to_dict(element(M2, [np.eye(2)]))
+    chsh = chsh_result_to_dict(chsh_optimize(werner(0.9), restarts=2, seed=3))
+
+    def observables(data):
+        return observables_from_dict(data["observables"])
+
+    return [
+        ("algebra", algebra_from_dict, "algebra", algebra_to_dict(factored), ()),
+        ("algebra-factor", algebra_from_dict, "algebra", algebra_to_dict(factored), ("factors", 1)),
+        ("element", element_from_dict, "element", unit, ()),
+        ("element-block", element_from_dict, "element", unit, ("blocks", 0)),
+        ("state", state_from_dict, "state", state, ()),
+        ("state-algebra", state_from_dict, "state", state, ("algebra",)),
+        ("pure_vector", pure_vector_from_dict, "pure_vector", pure_vector_to_dict(singlet()), ()),
+        ("decomposition", decomposition_from_dict, "decomposition", dec, ()),
+        ("decomposition-state", decomposition_from_dict, "decomposition", dec, ("b_parts", 0)),
+        ("observables", observables, "chsh_result", chsh, ("observables",)),
+        ("observables-element", observables, "chsh_result", chsh, ("observables", "a2")),
+    ]
+
+
+@pytest.mark.parametrize("case", _loader_cases(), ids=lambda case: case[0])
+def test_loaders_reject_the_keys_that_their_schemas_reject(case):
+    # state_from_dict used to load a document with an extra key that load_schema("state")
+    # rejects; every loader now names the stray key, and the first missing one
+    _, loader, schema, payload, path = case
+    node = drifted = json.loads(json.dumps(payload))
+    for step in path:
+        node = node[step]
+    loader(payload)
+    node["stray"] = 1
+    with pytest.raises(jsonschema.ValidationError, match="'stray' was unexpected"):
+        jsonschema.validate(drifted, load_schema(schema))
+    with pytest.raises(InvalidArgumentError, match="unexpected key 'stray'"):
+        loader(drifted)
+    first = next(iter(node))
+    del node[first], node["stray"]
+    with pytest.raises(InvalidArgumentError, match=f"misses '{first}'"):
+        loader(drifted)
+
+
 def test_chsh_result_payload_validates():
     res = chsh_optimize(werner(0.9), restarts=4, seed=3)
     payload = chsh_result_to_dict(res)
