@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     AlgebraMismatchError,
@@ -195,7 +194,8 @@ def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
     n = alg.total_dim
     if arr.shape != (n, n):
         raise InvalidDimensionError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
-    inside = block_diag(*(np.ones((d, d), dtype=bool) for d in alg.block_dims))
+    owner = np.repeat(np.arange(alg.num_blocks), alg.block_dims)
+    inside = owner[:, None] == owner
     stray = np.max(np.abs(arr[~inside]), initial=0.0)
     if not stray <= tol:  # NaN off the blocks is rejected too
         raise InvalidDimensionError(
@@ -264,7 +264,10 @@ class AlgebraElement:
     @property
     def matrix(self) -> np.ndarray:
         """Dense block-diagonal matrix on the full representation space."""
-        return block_diag(*self.blocks)
+        out = np.zeros((self.algebra.total_dim,) * 2, dtype=np.result_type(*self.blocks))
+        for s, blk in zip(self.algebra.block_slices(), self.blocks):
+            out[s, s] = blk
+        return out
 
     def is_self_adjoint(self, tol: float = HERMITICITY_TOL) -> bool:
         return all(_hermiticity_defect(blk) <= tol for blk in self.blocks)

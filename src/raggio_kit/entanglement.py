@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .algebra import FdAlgebra, _require_factors, embed, herm, joint_blocks, tensor, trace_norm
 from .errors import AlgebraMismatchError, InvalidArgumentError, UnsupportedShapeError
@@ -278,6 +277,8 @@ def _nnls_weights(projs, rho: np.ndarray) -> np.ndarray:
     The unit-sum constraint enters as a soft extra row (NNLS_SUM_GAIN); hard
     normalization after the fit would fight the least-squares solution.
     """
+    # imported here: scipy.optimize triples the package's import time, and few runs search
+    from scipy.optimize import nnls
     cols = np.array(projs).reshape(len(projs), -1).T
     target = np.concatenate([rho.reshape(-1).real, rho.reshape(-1).imag, [NNLS_SUM_GAIN]])
     w, _ = nnls(np.vstack([cols.real, cols.imag, np.full(len(projs), NNLS_SUM_GAIN)]), target)

@@ -70,7 +70,8 @@ def check_weights(weights, count: int, slack: float) -> np.ndarray:
     bools), none below -1e-12, that sum to 1 within ``slack``."""
     sequence = isinstance(weights, (list, tuple)) or np.ndim(weights) == 1
     if not (sequence and count >= 1 and len(weights) == count and all(map(_is_real, weights))):
-        raise InvalidArgumentError(f"weights must be {count} >= 1 real numbers, got {weights!r}")
+        need = f"{count} real number(s), one per term" if count else "at least one; no term given"
+        raise InvalidArgumentError(f"weights must be {need}, got {weights!r}")
     w = np.array(weights, dtype=float)
     if not np.all(np.isfinite(w)) or np.any(w < -1e-12) or abs(w.sum() - 1.0) > slack:
         raise InvalidArgumentError(f"weights must be finite, nonnegative and sum to 1, got {w}")

@@ -334,8 +334,10 @@ def test_decomposition_validation():
         Decomposition((0.5, 0.2), (st, st), (st, st))  # weights sum to 0.7
     with pytest.raises(InvalidArgumentError):
         Decomposition((1.0,), (st,), (st, st))
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="no term given"):
         Decomposition((), (), ())
+    with pytest.raises(InvalidArgumentError, match=r"must be 2 real number\(s\), one per term"):
+        Decomposition((1.0,), (st, st), (st, st))
     with pytest.raises(AlgebraMismatchError):
         Decomposition((0.5, 0.5), (st, random_mixed(make_full(3), 0)), (st, st))
     for weights in ((True,), ("0.5", "0.5")):  # both used to be accepted

@@ -1,6 +1,7 @@
 """Property tests of the joint-block layout over random factor shapes: each
 factor has 1-3 blocks of size 1-3, and the product dimension is at most 12.
-One property checks the one-einsum reassembly of a decomposition against
+One property checks the numpy-built dense matrix against scipy's block_diag,
+one checks the one-einsum reassembly of a decomposition against
 the mixture of its product states, two cover the separability certificates
 on qubit and qutrit blocks, one the terms the Frank-Wolfe search returns,
 one the embedded two-qubit witnesses, two the one CHSH contraction that the
@@ -120,6 +121,40 @@ def test_split_dense_round_trips_and_rejects_off_block_mass(dims, seed, data):
         with pytest.raises(InvalidDimensionError):
             split_dense(product, dense, tol=1e-9)
         assert all(np.array_equal(x, y) for x, y in zip(split_dense(product, dense, 1e-5), blocks))
+
+
+def _numbers(shape, kind, rng):
+    """Random entries of an int, float or complex dtype."""
+    x = rng.integers(-3, 4, shape)
+    if kind == "int":
+        return x
+    x = x + rng.standard_normal(shape)
+    return x if kind == "float" else x + 1j * rng.standard_normal(shape)
+
+
+KINDS = st.sampled_from(["int", "float", "complex"])
+
+
+@PROPERTY
+@given(st.one_of(FACTOR_PAIRS, st.integers(1, 4)), SEEDS, KINDS)
+def test_dense_matrix_is_the_scipy_block_diagonal(dims, seed, kind):
+    # .matrix fills the diagonal slices of a numpy array; scipy is the independent reference
+    rng = np.random.default_rng(seed)
+    pair = isinstance(dims, tuple)
+    alg = tensor(FdAlgebra(dims[0]), FdAlgebra(dims[1])) if pair else make_full(dims)
+    gs = [_numbers((d, d), kind, rng) for d in alg.block_dims]
+    grams = [g @ g.conj().T + np.eye(len(g), dtype=int) for g in gs]
+    total = sum(np.trace(g) for g in grams)
+    objects = [
+        element(alg, [_numbers((d, d), kind, rng) for d in alg.block_dims]),
+        State(alg, [g / total for g in grams]),
+    ]
+    if not pair:  # a nonzero first amplitude keeps the vector normalizable
+        objects.append(PureVector(alg, np.concatenate([[4], _numbers(dims - 1, kind, rng)])))
+    for obj in objects:
+        ref = block_diag(*obj.blocks)
+        assert obj.matrix.dtype == ref.dtype
+        assert np.array_equal(obj.matrix, ref)
 
 
 @PROPERTY

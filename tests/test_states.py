@@ -312,6 +312,17 @@ def test_mixture():
         mixture([float("nan")], parts[:1])
 
 
+def test_weight_count_errors_say_how_many_weights_are_needed():
+    parts = [random_mixed(make_full(2), 8)] * 2
+    empty = r"^weights must be at least one; no term given, got \[\]$"
+    with pytest.raises(InvalidArgumentError, match=empty):
+        mixture([], [])
+    with pytest.raises(InvalidArgumentError, match=r"no term given"):
+        mixture([1.0], [])
+    with pytest.raises(InvalidArgumentError, match=r"^weights must be 2 real number\(s\), one per"):
+        mixture([1.0], parts)
+
+
 def test_point_state():
     alg = make_commutative(3)
     st = point_state(alg, 1)
