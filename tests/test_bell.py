@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from raggio_kit import bell
 from raggio_kit.algebra import (
     direct_sum,
     element,
@@ -21,6 +22,7 @@ from raggio_kit.bell import (
     _check_observable,
     _effective,
     _half_step,
+    _random_signs,
     canonical_qubit_observables,
     chsh_optimize,
     chsh_value,
@@ -80,6 +82,14 @@ def test_sign_operator():
         for blk in s.blocks:
             np.testing.assert_allclose(blk @ blk, np.eye(blk.shape[0]), atol=1e-12)
         assert operator_norm(s) == pytest.approx(1.0, abs=1e-12)
+    # the scan's settings, drawn as (P, Q, 2) stacks per block, are never
+    # re-checked at run time: each must be dichotomic as well
+    for dims in ((3, 1), (2, 2, 1), (1, 4), (3, 2)):
+        z = rng.standard_normal((3, 4, 2, sum(2 * d * d for d in dims)))
+        for d, x in zip(dims, _random_signs(z, dims)):
+            assert x.shape == (3, 4, 2, d, d)
+            np.testing.assert_allclose(x, x.conj().swapaxes(-1, -2), atol=1e-12)
+            np.testing.assert_allclose(x @ x, np.broadcast_to(np.eye(d), x.shape), atol=1e-12)
 
 
 def test_effective_operators_reproduce_expectations():
@@ -299,7 +309,7 @@ def test_seeded_optimize_iterations_are_pinned():
     st = random_mixed(tensor(alg_a, make_full(3)), 31)
     res = chsh_optimize(st, restarts=5, seed=8)
     assert res.iterations == 36
-    assert res.value == 2.000000000000001
+    assert res.value == 2.0000000000000013
     res = chsh_optimize(werner(0.9), restarts=6, seed=99)
     assert res.iterations == 12
     assert res.value == 2.5455844122715723
@@ -364,3 +374,22 @@ def test_optimize_takes_a_pure_vector_as_its_state():
     for bad in (singlet().vector, None):
         with pytest.raises(InvalidArgumentError, match="State or PureVector"):
             chsh_optimize(bad, restarts=2, seed=0)
+
+
+def test_optimize_spawns_each_restart_generator_as_the_restart_begins(monkeypatch):
+    # spawning all of them before the first see-saw overflowed at 2**63 restarts
+    class ThirdSeesaw(Exception):
+        pass
+
+    calls = []
+    seesaw_once = bell.seesaw
+
+    def seesaw_until_the_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ThirdSeesaw
+        return seesaw_once(*args)
+
+    monkeypatch.setattr(bell, "seesaw", seesaw_until_the_third)
+    with pytest.raises(ThirdSeesaw):
+        chsh_optimize(singlet(), restarts=2**63, seed=1)

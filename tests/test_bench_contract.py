@@ -28,16 +28,27 @@ def test_every_traced_target_resolves():
 
 
 def test_chsh_optimize_calls_seesaw_once_per_restart(monkeypatch):
-    rounds = []
-    seesaw = bell.seesaw
+    rounds, finals, evaluations = [], [], []
+    seesaw, chsh_value = bell.seesaw, bell.chsh_value
 
     def counting_seesaw(*args, **kwargs):
         result = seesaw(*args, **kwargs)
         rounds.append(len(result[1]) // 2)
+        finals.append(result[1][-1])
         return result
 
+    def counting_chsh_value(*args, **kwargs):
+        evaluations.append(args)
+        return chsh_value(*args, **kwargs)
+
     monkeypatch.setattr(bell, "seesaw", counting_seesaw)
+    monkeypatch.setattr(bell, "chsh_value", counting_chsh_value)
     state = random_mixed(qubit_pair(), np.random.default_rng(4))
     result = chsh_optimize(state, restarts=4, seed=9)
     assert len(rounds) == 4
     assert sum(rounds) == result.iterations
+    # the value reported is the winning restart's last see-saw value, with no
+    # re-evaluation of any restart's observables
+    assert result.value == max(finals)
+    assert not evaluations
+    assert abs(result.value - chsh_value(state, result.observables)) <= 1e-12
