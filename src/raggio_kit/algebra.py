@@ -32,13 +32,14 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-9
-COMMUTATOR_TOL = 1e-12
 OFF_BLOCK_TOL = 1e-12  # largest entry element_from_matrix lets lie off the blocks
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _is_real(value) -> bool:
-    """True for an int, float or real numpy scalar, but not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """True for an int, float or real numpy scalar, not a bool nor an int too large for a float."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return real and (not isinstance(value, int) or abs(value) <= _FLOAT_MAX)
 
 
 def _has_bool(values) -> bool:
@@ -358,14 +359,17 @@ def operator_norm(x: AlgebraElement) -> float:
     return max(_stack_norm(blk) for blk in x.blocks)
 
 
+def _product_of(a: FdAlgebra, b: FdAlgebra, product: FdAlgebra | None) -> FdAlgebra:
+    """``product``, which must record ``(a, b)`` as its factors, or ``tensor(a, b)`` if None."""
+    if product is not None and product.factors != (a, b):
+        raise AlgebraMismatchError("product algebra does not factor into the operands' algebras")
+    return tensor(a, b) if product is None else product
+
+
 def tensor_element(x: AlgebraElement, y: AlgebraElement, product: FdAlgebra | None = None) -> AlgebraElement:
     """Embed x (x) y into the tensor algebra via blockwise Kronecker products."""
-    if product is None:
-        product = tensor(x.algebra, y.algebra)
-    elif product.factors != (x.algebra, y.algebra):
-        raise AlgebraMismatchError("product algebra does not factor through the given elements")
-    blocks = tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks)
-    return AlgebraElement(product, blocks)
+    product = _product_of(x.algebra, y.algebra, product)
+    return AlgebraElement(product, tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks))
 
 
 def matrix_units(algebra: FdAlgebra):
@@ -380,14 +384,3 @@ def matrix_units(algebra: FdAlgebra):
                 e = np.zeros((d, d), dtype=complex)
                 e[r, s] = 1.0
                 yield AlgebraElement(algebra, embed(algebra, k, e))
-
-
-def commutes_exactly(algebra: FdAlgebra) -> bool:
-    """Brute force: no commutator of two matrix units has norm above COMMUTATOR_TOL."""
-    units = list(matrix_units(algebra))
-    for i, x in enumerate(units):
-        for y in units[i + 1 :]:
-            comm = multiply(x, y) - multiply(y, x)
-            if operator_norm(comm) > COMMUTATOR_TOL:
-                return False
-    return True

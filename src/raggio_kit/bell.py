@@ -28,6 +28,7 @@ from .algebra import (
     FdAlgebra,
     _first_matrix_block,
     _hermiticity_defect,
+    _product_of,
     _stack_norm,
     element,
     embed,
@@ -78,12 +79,12 @@ class ChshObservables:
     b2: AlgebraElement
 
     def __post_init__(self):
-        if self.a1.algebra != self.a2.algebra:
-            raise PreconditionError("a1 and a2 must live on the same algebra")
-        if self.b1.algebra != self.b2.algebra:
-            raise PreconditionError("b1 and b2 must live on the same algebra")
-        for label, x in (("a1", self.a1), ("a2", self.a2), ("b1", self.b1), ("b2", self.b2)):
-            _check_observable(x.blocks, label)
+        sides = (("a", self.a1, self.a2), ("b", self.b1, self.b2))
+        for side, x1, x2 in sides:
+            if x1.algebra != x2.algebra:
+                raise PreconditionError(f"{side}1 and {side}2 must live on the same algebra")
+        for side, x1, x2 in sides:
+            _check_observable([*map(np.stack, zip(x1.blocks, x2.blocks))], f"({side}1, {side}2)")
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
 
 def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
-    if state.algebra.factors != (obs.a1.algebra, obs.b1.algebra):
-        raise AlgebraMismatchError("product algebra does not factor through the given elements")
+    _product_of(obs.a1.algebra, obs.b1.algebra, state.algebra)
     a = [np.stack(pair)[None, None] for pair in zip(obs.a1.blocks, obs.a2.blocks)]
     b = [np.stack(pair)[None, None] for pair in zip(obs.b1.blocks, obs.b2.blocks)]
     return float(_chsh_values(state.algebra, [state], a, b)[0, 0])
@@ -285,4 +285,4 @@ def horodecki_two_qubit(state: State) -> float:
     t = np.array([[np.trace(rho @ np.kron(su, sv)).real for sv in paulis] for su in paulis])
     eigs = np.linalg.eigvalsh(t.T @ t)
     m = float(eigs[-1] + eigs[-2])
-    return max(CHSH_CLASSICAL_BOUND, 2.0 * np.sqrt(m))
+    return max(CHSH_CLASSICAL_BOUND, 2.0 * float(np.sqrt(m)))

@@ -6,13 +6,16 @@ Algebras are written in a tiny grammar: ``M<n>`` is a full matrix algebra,
 
 Exit codes: 0 on success, 1 on domain errors (bad inputs, impossible
 requests), 2 on usage errors, 3 when an equivalence check comes back
-inconsistent.
+inconsistent, and 141 (128 + SIGPIPE, as a shell reports a program that
+SIGPIPE stops) when the reader closes standard output before it is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 
@@ -22,7 +25,7 @@ from .entanglement import DEFAULT_DECOMP_TOL, is_entangled_pure, separability_te
 from .errors import InvalidArgumentError, RaggioKitError
 from .harness import verify_equivalence
 from .serialize import (
-    _is_pair,
+    _unpairs,
     chsh_result_to_dict,
     pure_vector_from_dict,
     report_to_dict,
@@ -76,19 +79,19 @@ def _parse_amplitudes(text: str):
         raise UsageError(f"--psi is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise UsageError("--psi must be a nonempty JSON array of [re, im] pairs")
-    for item in data:
-        if not _is_pair(item):
-            raise UsageError(f"--psi entry {item!r} is not a [re, im] pair")
-    return [complex(re, im) for re, im in data]
+    try:
+        return _unpairs(data, len(data), "--psi")
+    except InvalidArgumentError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _read_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting beyond the parser
         raise InvalidArgumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -256,7 +259,15 @@ def run(argv=None) -> int:
     except (UsageError, RaggioKitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
-    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's own flush at exit to the null device
+        with contextlib.suppress(OSError):  # a stdout with no descriptor has nothing to flush
+            out = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out)
+        return 141
     return code
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FdAlgebra, _require_factors, embed, herm, joint_blocks, tensor, trace_norm
-from .errors import AlgebraMismatchError, InvalidArgumentError, UnsupportedShapeError
+from .algebra import FdAlgebra, _product_of, _require_factors, embed, herm, joint_blocks, trace_norm
+from .errors import AlgebraMismatchError, InvalidArgumentError
 from .states import (
     PureVector,
     State,
@@ -93,10 +93,7 @@ class Decomposition:
 def reconstruct(dec: Decomposition, product: FdAlgebra | None = None) -> State:
     """Reassemble sum_k w_k alpha_k (x) beta_k, one einsum per joint block over the
     parts' blocks stacked along k; ``product`` must factor through the parts."""
-    factors = (dec.a_parts[0].algebra, dec.b_parts[0].algebra)
-    product = tensor(*factors) if product is None else product
-    if product.factors != factors:
-        raise AlgebraMismatchError("product algebra does not match the factor states")
+    product = _product_of(dec.a_parts[0].algebra, dec.b_parts[0].algebra, product)
     a, b = ([np.stack(x) for x in zip(*(s.blocks for s in p))] for p in (dec.a_parts, dec.b_parts))
     blocks = tuple(
         np.einsum("k,kac,kbd->abcd", dec.weights, a[i], b[j]).reshape(n * m, n * m)
@@ -129,12 +126,8 @@ class SeparabilityVerdict:
 
 def schmidt(psi: PureVector) -> np.ndarray:
     """Schmidt coefficients of a wavefunction on M_n (x) M_m, descending."""
-    alg_a, alg_b = _require_factors(psi.algebra)
-    if alg_a.num_blocks != 1 or alg_b.num_blocks != 1:
-        raise UnsupportedShapeError("Schmidt coefficients need full matrix factors")
-    n, m = alg_a.total_dim, alg_b.total_dim
-    coeff = psi.vector.reshape(n, m)
-    return np.linalg.svd(coeff, compute_uv=False)
+    n, m = (f.total_dim for f in _require_factors(psi.algebra))
+    return np.linalg.svd(psi.vector.reshape(n, m), compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -289,10 +282,15 @@ def _reconstruction_error(x: np.ndarray, rho: np.ndarray) -> float:
     return 0.5 * trace_norm([x / float(np.trace(x).real) - rho])
 
 
+def _product_projector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Projector onto a (x) b, whose entries are formed once, as the products kron forms."""
+    v = (a[:, None] * b).reshape(-1)
+    return np.outer(v, v.conj())
+
+
 def _terms_error(terms, rho: np.ndarray) -> float:
     """Reconstruction error of (weight, a, b) terms against rho."""
-    x = sum(w * np.outer(np.kron(a, b), np.kron(a, b).conj()) for w, a, b in terms)
-    return _reconstruction_error(x, rho)
+    return _reconstruction_error(sum(w * _product_projector(a, b) for w, a, b in terms), rho)
 
 
 def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rng):
@@ -308,7 +306,7 @@ def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rn
     x = np.zeros((n * m, n * m), dtype=complex)
     for _ in range(max_iters):
         for a, b in zip(*_linear_minimizer(herm(x - rho), n, m, rng)):
-            atoms.append((a, b, np.outer(np.kron(a, b), np.kron(a, b).conj())))
+            atoms.append((a, b, _product_projector(a, b)))
         weights = _nnls_weights([p for _, _, p in atoms], rho)
         keep = weights > 1e-14
         atoms, weights = [t for t, k in zip(atoms, keep) if k], weights[keep]

@@ -22,6 +22,7 @@ from .algebra import (
     _hermiticity_defect,
     _is_count,
     _is_real,
+    _product_of,
     embed,
     herm,
     joint_blocks,
@@ -229,12 +230,8 @@ def mixture(weights, parts) -> State:
 
 def product_state(sa: State, sb: State, product: FdAlgebra | None = None) -> State:
     """The product state (omega_a x omega_b) on the tensor algebra."""
-    if product is None:
-        product = tensor(sa.algebra, sb.algebra)
-    elif product.factors != (sa.algebra, sb.algebra):
-        raise AlgebraMismatchError("product algebra does not match the factor states")
     blocks = tuple(np.kron(ra, rb) for ra in sa.blocks for rb in sb.blocks)
-    return State(product, blocks, trusted=True)
+    return State(_product_of(sa.algebra, sb.algebra, product), blocks, trusted=True)
 
 
 def restrict_to_factor(state: State, keep: str) -> State:

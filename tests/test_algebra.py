@@ -6,7 +6,6 @@ from raggio_kit.algebra import (
     AlgebraElement,
     FdAlgebra,
     adjoint,
-    commutes_exactly,
     diagonal_element,
     direct_sum,
     element,
@@ -21,10 +20,23 @@ from raggio_kit.algebra import (
     unit,
     zero,
 )
-from raggio_kit.bell import chsh_optimize
-from raggio_kit.entanglement import ppt_check, separability_test
+from raggio_kit.bell import canonical_qubit_observables, chsh_optimize, chsh_value
+from raggio_kit.entanglement import Decomposition, ppt_check, reconstruct, separability_test
 from raggio_kit.errors import AlgebraMismatchError, InvalidArgumentError, InvalidDimensionError
-from raggio_kit.states import maximally_mixed, restrict_to_factor
+from raggio_kit.states import maximally_mixed, product_state, restrict_to_factor
+
+
+COMMUTATOR_TOL = 1e-12
+
+
+def commutes_exactly(alg):
+    """Brute force: no commutator of two matrix units has norm above COMMUTATOR_TOL."""
+    units = list(matrix_units(alg))
+    for i, x in enumerate(units):
+        for y in units[i + 1 :]:
+            if operator_norm(multiply(x, y) - multiply(y, x)) > COMMUTATOR_TOL:
+                return False
+    return True
 
 
 def random_element(alg, rng):
@@ -172,6 +184,36 @@ def test_tensor_element_mismatched_product():
         tensor_element(x, y, tensor(make_full(3), make_full(2)))
 
 
+def test_tensor_element_defaults_to_the_tensor_algebra():
+    rng = np.random.default_rng(7)
+    a = direct_sum(make_full(2), make_commutative(1))
+    b = direct_sum(make_commutative(1), make_full(3))
+    x, y = random_element(a, rng), random_element(b, rng)
+    z = tensor_element(x, y)
+    assert z.algebra == tensor(a, b) and z.algebra.factors == (a, b)
+    for blk, (bx, by) in zip(z.blocks, [(bx, by) for bx in x.blocks for by in y.blocks]):
+        np.testing.assert_array_equal(blk, np.kron(bx, by))
+
+
+def test_every_operand_check_is_one_rule():
+    # tensor_element, product_state, reconstruct and chsh_value share one check
+    a, b = make_full(2), direct_sum(make_full(2), make_commutative(1))
+    sa, sb = maximally_mixed(a), maximally_mixed(b)
+    assert product_state(sa, sb).algebra == tensor(a, b)
+    assert reconstruct(Decomposition((1.0,), (sa,), (sb,))).algebra == tensor(a, b)
+    swapped = tensor(b, a)
+    calls = (
+        lambda: tensor_element(unit(a), unit(b), swapped),
+        lambda: product_state(sa, sb, swapped),
+        lambda: reconstruct(Decomposition((1.0,), (sa,), (sb,)), swapped),
+        lambda: chsh_value(maximally_mixed(swapped), canonical_qubit_observables(a, b)),
+        lambda: chsh_value(maximally_mixed(make_full(6)), canonical_qubit_observables(a, b)),
+    )
+    for call in calls:
+        with pytest.raises(AlgebraMismatchError, match="^product algebra does not factor into"):
+            call()
+
+
 def test_unit_and_zero():
     alg = direct_sum(make_full(2), make_commutative(2))
     rng = np.random.default_rng(7)
@@ -242,6 +284,23 @@ def test_arithmetic():
         with pytest.raises(InvalidArgumentError, match="numbers"):
             x * bad
     np.testing.assert_allclose((-x).blocks[0], -x.blocks[0])
+
+
+def test_real_numbers_stay_inside_the_float_range():
+    # an int beyond the largest float used to pass the rule and then overflow in
+    # complex() or float(), ending in a raw OverflowError
+    huge = 10**400
+    for bad in (huge, -huge, 2**1024):
+        assert not algebra._is_real(bad)
+        assert not algebra._is_count(bad)
+        with pytest.raises(InvalidArgumentError, match="numbers"):
+            unit(make_full(2)) * bad
+    with pytest.raises(InvalidDimensionError):
+        FdAlgebra((huge,))
+    largest = int(np.finfo(float).max)
+    assert algebra._is_real(largest) and algebra._is_real(-largest)
+    assert not algebra._is_real(largest + 1)
+    np.testing.assert_array_equal((unit(make_full(2)) * 2**1023).blocks[0], 2.0**1023 * np.eye(2))
 
 
 def test_algebra_mismatch_rejected():
@@ -329,6 +388,8 @@ def test_element_from_matrix():
     bad[0, 2] = np.nan
     with pytest.raises(InvalidDimensionError):
         element_from_matrix(alg, bad)
+    with pytest.raises(InvalidDimensionError, match="expected a 3x3 matrix"):
+        element_from_matrix(alg, np.eye(2))
 
 
 def test_diagonal_element():

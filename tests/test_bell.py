@@ -50,6 +50,22 @@ M2 = make_full(2)
 QUBIT_PAIR = tensor(M2, M2)
 
 
+def test_observables_are_checked_one_side_at_a_time():
+    # each side is checked as one (X1, X2) stack per block, and the error names the side
+    good = element(M2, [SIGMA_X])
+    with pytest.raises(PreconditionError, match=r"^\(a1, a2\) must be self-adjoint$"):
+        ChshObservables(good, element(M2, [np.array([[0.0, 1.0], [0.0, 0.0]])]), good, good)
+    with pytest.raises(PreconditionError, match=r"^\(b1, b2\) must be a contraction, norm is 2"):
+        ChshObservables(good, good, element(M2, [2.0 * SIGMA_Z]), good)
+    # an algebra mismatch on either side is reported before any matrix is checked
+    with pytest.raises(PreconditionError, match="^b1 and b2 must live on the same algebra$"):
+        ChshObservables(good, 2.0 * good, good, element(make_full(3), [np.eye(3)]))
+    alg = direct_sum(M2, make_commutative(1))
+    x = element(alg, [SIGMA_Z, [[1.0]]])
+    obs = ChshObservables(x, -x, x, x)
+    assert obs.a2.blocks[1][0, 0] == -1.0
+
+
 def test_pauli_matrices():
     for s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
         np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-15)
@@ -246,6 +262,11 @@ def test_optimize_is_deterministic_given_seed():
     assert r1.iterations == r2.iterations
 
 
+def test_optimize_needs_a_tensor_product_algebra():
+    with pytest.raises(UnsupportedShapeError, match="tensor product"):
+        chsh_optimize(random_mixed(make_full(4), 0), restarts=2, seed=0)
+
+
 def test_seesaw_requires_factors_and_budget():
     from raggio_kit.states import maximally_mixed
 
@@ -256,6 +277,14 @@ def test_seesaw_requires_factors_and_budget():
     for restarts in (0, 2.5, True):
         with pytest.raises(InvalidArgumentError, match="restarts"):
             chsh_optimize(singlet().state(), restarts=restarts, seed=0)
+
+
+def test_horodecki_returns_a_python_float_on_both_sides_of_2():
+    # above 2 the value used to be a numpy.float64
+    for p in (0.1, 0.9):
+        value = horodecki_two_qubit(werner(p))
+        assert type(value) is float
+    assert horodecki_two_qubit(werner(0.1)) == 2.0 < horodecki_two_qubit(werner(0.9))
 
 
 def test_horodecki_requires_two_qubits():

@@ -1,4 +1,6 @@
+import errno
 import inspect
+import io
 import json
 import os
 import re
@@ -93,6 +95,27 @@ def test_born_bad_psi(capsys, tmp_path):
             assert err.startswith("error: psi: entry 0") and err.count("\n") == 1
 
 
+def test_empty_psi_is_usage_error(capsys):
+    code, out, err = run(capsys, "born", "--psi", "[]")
+    assert (code, out) == (2, "")
+    assert "--psi" in err and "nonempty" in err
+
+
+def test_integers_beyond_the_float_range_are_refused(capsys, tmp_path):
+    # a 400-digit integer used to pass as a number and end in an OverflowError traceback
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, "born", "--psi", f"[[{huge},0],[1,0]]")
+    assert (code, out) == (2, "")
+    assert "--psi" in err and "pair" in err
+    payload = state_to_dict(werner(0.2))
+    payload["entries"][0] = [int(huge), 0]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "separability", "--state", str(path), "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: state entries: entry 0 is not a [re, im] pair of numbers\n"
+
+
 def test_schmidt_singlet(capsys):
     code, out, _ = run(
         capsys,
@@ -150,6 +173,57 @@ def test_separability_missing_file(capsys):
     code, _, err = run(capsys, "separability", "--state", "/no/such/file.json", "--seed", "1")
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "content, says",
+    [
+        (b"not json", "is not valid JSON: Expecting value"),
+        # these two used to end in a UnicodeDecodeError and a RecursionError traceback
+        (b'\xff\xfe{"algebra": 1}', "is not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100000, "is not valid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["not-json", "not-utf8", "nested"],
+)
+def test_state_file_that_does_not_parse_is_domain_error(capsys, tmp_path, content, says):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "separability", "--state", str(path), "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} {says}") and err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch):
+    # the final print used to raise BrokenPipeError out of run
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.run(["born", "--psi", "[[1,0]]"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exit_code_reaches_the_process(unbuffered):
+    # the read end is closed before the program writes, so its write fails with
+    # EPIPE; with a buffered stdout, the interpreter's own flush at exit used to
+    # fail a second time and turn the exit code into 120
+    src = str(Path(raggio_kit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "raggio_kit.cli", "born", "--psi", "[[1,0]]"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_separability_zero_budget(capsys):

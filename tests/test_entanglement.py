@@ -16,6 +16,7 @@ from raggio_kit.entanglement import (
     UNDETERMINED,
     Decomposition,
     _linear_minimizer,
+    _product_projector,
     _product_split,
     classical_decompose,
     is_entangled_pure,
@@ -324,6 +325,9 @@ def test_separability_rejects_non_finite_tolerance():
     for tol in (float("nan"), float("inf")):
         with pytest.raises(InvalidArgumentError, match="finite"):
             separability_test(werner(0.1), seed=0, tol=tol)
+    # an int beyond the float range used to pass as finite and overflow in float()
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        separability_test(werner(0.2), seed=0, tol=10**400)
 
 
 def test_decomposition_validation():
@@ -411,6 +415,15 @@ def test_linear_minimizer_matches_per_start_loop(n, m):
         assert abs(_product_value(G, a[0], b[0]) - expected) <= 1e-12
         # the random starts take the same draws, so later calls see the same stream
         assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_product_projector_forms_the_products_kron_forms():
+    rng = np.random.default_rng(2)
+    for n, m in ((2, 2), (2, 3), (3, 4)):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        v = np.kron(a, b)
+        np.testing.assert_array_equal(_product_projector(a, b), np.outer(v, v.conj()))
 
 
 def test_seeded_product_mixture_search_is_pinned():

@@ -84,6 +84,8 @@ def test_algebra_from_dict_rejects_garbage():
         algebra_from_dict(
             {"block_dims": [5], "factors": [{"block_dims": [2]}, {"block_dims": [2]}]}
         )
+    with pytest.raises(InvalidArgumentError, match="pair of algebras"):
+        algebra_from_dict({"block_dims": [2], "factors": [{"block_dims": [2]}]})
 
 
 def test_element_roundtrip():
@@ -102,6 +104,10 @@ def test_element_roundtrip():
 
 
 def test_element_from_dict_rejects_bad_blocks():
+    payload = element_to_dict(element(M2, [np.eye(2)]))
+    payload["blocks"].append(payload["blocks"][0])
+    with pytest.raises(InvalidArgumentError, match="expected 1 blocks"):
+        element_from_dict(payload)
     payload = element_to_dict(element(M2, [np.eye(2)]))
     payload["blocks"][0]["dim"] = 3
     with pytest.raises(InvalidArgumentError):

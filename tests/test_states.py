@@ -82,6 +82,8 @@ def test_state_validation():
         State(alg, (np.eye(2),))  # trace 2
     with pytest.raises(InvalidStateError):
         State(alg, (np.eye(2) / 2, np.eye(2) / 2))  # block count
+    with pytest.raises(InvalidStateError, match=r"shape \(3, 3\), expected \(2, 2\)"):
+        State(alg, (np.eye(3) / 3,))
     # finite entries whose Hermitian part overflows used to warn and pass inf on to eigh
     for rho in (np.diag([1e308, 1e308]), np.array([[0.5, 1e308], [1e308, 0.5]])):
         with pytest.raises(InvalidStateError, match="Hermitian part that overflows"):
@@ -310,6 +312,9 @@ def test_mixture():
             mixture(weights, parts[: len(weights)])
     with pytest.raises(InvalidArgumentError, match="finite"):
         mixture([float("nan")], parts[:1])
+    # ints beyond the float range used to end in a raw OverflowError
+    with pytest.raises(InvalidArgumentError, match="real number"):
+        mixture([10**400, 1 - 10**400], parts[:2])
 
 
 def test_weight_count_errors_say_how_many_weights_are_needed():
