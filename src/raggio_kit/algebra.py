@@ -172,7 +172,7 @@ def tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
 def _require_factors(alg: FdAlgebra) -> tuple[FdAlgebra, FdAlgebra]:
     if alg.factors is None:
         raise MissingFactorizationError(
-            "algebra has no recorded tensor factorization; build it with tensor(a, b)"
+            "algebra has no recorded tensor product factorization; build it with tensor(a, b)"
         )
     return alg.factors
 
@@ -230,15 +230,16 @@ def trace_norm(blocks) -> float:
     return sum(float(np.sum(np.abs(np.linalg.eigvalsh(herm(blk))))) for blk in blocks)
 
 
-def _as_block(mat, dim: int) -> np.ndarray:
-    arr = _as_numbers(mat)
-    if arr.shape != (dim, dim):
-        raise InvalidDimensionError(
-            f"block of shape {arr.shape} does not match declared dimension {dim}"
-        )
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError("element blocks must have finite entries")
-    return _frozen(arr)
+def _block_arrays(alg: FdAlgebra, blocks, error: type, what: str) -> list[np.ndarray]:
+    """``blocks`` as complex arrays, one per block of ``alg``; a wrong block
+    count or shape raises ``error``, whose message calls a block ``what``."""
+    if len(blocks) != alg.num_blocks:
+        raise error(f"expected {alg.num_blocks} {what}s, got {len(blocks)}")
+    arrays = [_as_numbers(blk) for blk in blocks]
+    for k, (arr, dim) in enumerate(zip(arrays, alg.block_dims)):
+        if arr.shape != (dim, dim):
+            raise error(f"{what} {k} has shape {arr.shape}, expected {(dim, dim)}")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -253,14 +254,10 @@ class AlgebraElement:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.blocks) != self.algebra.num_blocks:
-            raise InvalidDimensionError(
-                f"expected {self.algebra.num_blocks} blocks, got {len(self.blocks)}"
-            )
-        cleaned = tuple(
-            _as_block(blk, dim) for blk, dim in zip(self.blocks, self.algebra.block_dims)
-        )
-        object.__setattr__(self, "blocks", cleaned)
+        arrays = _block_arrays(self.algebra, self.blocks, InvalidDimensionError, "block")
+        if not all(np.isfinite(arr).all() for arr in arrays):
+            raise InvalidArgumentError("element blocks must have finite entries")
+        object.__setattr__(self, "blocks", tuple(map(_frozen, arrays)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -293,12 +290,15 @@ class AlgebraElement:
     __rmul__ = __mul__
 
 
-def _require_same_algebra(x: AlgebraElement, y: AlgebraElement) -> None:
-    if x.algebra != y.algebra:
-        raise AlgebraMismatchError(
-            f"elements live on different algebras: "
-            f"{x.algebra.describe()} vs {y.algebra.describe()}"
-        )
+def _require_same_algebra(first, *rest) -> FdAlgebra:
+    """The algebra that ``first`` and every value in ``rest`` live on, as ``.algebra``."""
+    for x in rest:
+        if x.algebra != first.algebra:
+            raise AlgebraMismatchError(
+                f"values live on different algebras: "
+                f"{first.algebra.describe()} vs {x.algebra.describe()}"
+            )
+    return first.algebra
 
 
 def element(algebra: FdAlgebra, blocks) -> AlgebraElement:

@@ -18,7 +18,7 @@ to rounding) handle the nonconvexity in the pair of sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .algebra import (
     _first_matrix_block,
     _hermiticity_defect,
     _product_of,
+    _require_factors,
     _stack_norm,
     element,
     embed,
@@ -56,6 +57,7 @@ SIGN_EIGENVALUE_TOL = 1e-12
 SEESAW_GAIN_TOL, SEESAW_MAX_ROUNDS = 1e-10, 500  # per see-saw run: convergence gain, round cap
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * np.sqrt(2.0)
+DEFAULT_RESTARTS = 16  # chsh_optimize's see-saw restarts
 # random settings drawn and evaluated at once by random_settings_chsh
 SCAN_CHUNK_SETTINGS = 1000
 
@@ -69,14 +71,26 @@ def _check_observable(blocks, label: str) -> None:
         raise PreconditionError(f"{label} must be a contraction, norm is {nrm!r}")
 
 
+def _observable_side(x1: AlgebraElement, x2: AlgebraElement, label: str) -> tuple[np.ndarray, ...]:
+    """Per block, the read-only (2, d, d) stack of (x1, x2), checked by _check_observable."""
+    stacks = tuple(map(np.stack, zip(x1.blocks, x2.blocks)))
+    for x in stacks:
+        x.setflags(write=False)
+    _check_observable(stacks, label)
+    return stacks
+
+
 @dataclass(frozen=True)
 class ChshObservables:
-    """Two self-adjoint contractions per side of a tensor product."""
+    """Two self-adjoint contractions per side of a tensor product; ``a`` and ``b`` keep
+    each side as checked, per block the read-only (2, d, d) stack of (X1, X2)."""
 
     a1: AlgebraElement
     a2: AlgebraElement
     b1: AlgebraElement
     b2: AlgebraElement
+    a: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    b: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sides = (("a", self.a1, self.a2), ("b", self.b1, self.b2))
@@ -84,7 +98,7 @@ class ChshObservables:
             if x1.algebra != x2.algebra:
                 raise PreconditionError(f"{side}1 and {side}2 must live on the same algebra")
         for side, x1, x2 in sides:
-            _check_observable([*map(np.stack, zip(x1.blocks, x2.blocks))], f"({side}1, {side}2)")
+            object.__setattr__(self, side, _observable_side(x1, x2, f"({side}1, {side}2)"))
 
 
 @dataclass(frozen=True)
@@ -98,9 +112,9 @@ class ChshResult:
 
 def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
     """(P, Q) CHSH values of P states on ``product`` under Q settings, given per
-    factor block a (P, Q, 2, d, d) stack of (X1, X2) in ``a`` and ``b``: the sum
-    of Tr(H_t A_t) over t and the blocks of A, for the _effective operators H of
-    the states, stacked as (P, 1, n m, n m), against ``b``."""
+    factor block a (P, Q, 2, d, d) stack of (X1, X2), or one that broadcasts to
+    it, in ``a`` and ``b``: the sum of Tr(H_t A_t) over t and the blocks of A,
+    for the _effective operators H of the states, (P, 1, n m, n m), against ``b``."""
     rhos = [np.array(blk)[:, None] for blk in zip(*(st.blocks for st in states))]
     h = _effective(product, rhos, b, 0)
     return np.real(sum(np.einsum("...tac,...tca->...", ht, at) for ht, at in zip(h, a)))
@@ -109,27 +123,28 @@ def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
 def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
     _product_of(obs.a1.algebra, obs.b1.algebra, state.algebra)
-    a = [np.stack(pair)[None, None] for pair in zip(obs.a1.blocks, obs.a2.blocks)]
-    b = [np.stack(pair)[None, None] for pair in zip(obs.b1.blocks, obs.b2.blocks)]
-    return float(_chsh_values(state.algebra, [state], a, b)[0, 0])
+    return float(_chsh_values(state.algebra, [state], obs.a, obs.b)[0, 0])
 
 
 def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.ndarray:
     """(P, Q) CHSH values of ``settings`` random dichotomic settings per state,
     drawn from ``rng`` in the order of a random_observables call per setting.
-    Chunks of consecutive states with at most SCAN_CHUNK_SETTINGS settings (and
-    at least one state) bound the memory; they draw the same stream.  Settings
-    are not re-checked: _sign builds each as v diag(+-1) v*, from finite draws."""
+    Chunks of at most SCAN_CHUNK_SETTINGS settings bound the memory: runs of
+    consecutive states, or runs of one state's settings when it has more; they
+    draw the same stream.  Settings are not re-checked: _sign builds each as
+    v diag(+-1) v*, from finite draws."""
     alg_a, alg_b = product.factors
     wa, wb = (sum(2 * d * d for d in alg.block_dims) for alg in (alg_a, alg_b))
     step = max(1, SCAN_CHUNK_SETTINGS // max(settings, 1))
     values = np.empty((len(states), settings))
     for lo in range(0, len(states), step):
         part = states[lo : lo + step]
-        z = rng.standard_normal((len(part), settings, 2 * (wa + wb)))
-        a = _random_signs(z[..., : 2 * wa].reshape(len(part), settings, 2, wa), alg_a.block_dims)
-        b = _random_signs(z[..., 2 * wa :].reshape(len(part), settings, 2, wb), alg_b.block_dims)
-        values[lo : lo + step] = _chsh_values(product, part, a, b)
+        for q in range(0, settings, SCAN_CHUNK_SETTINGS):
+            run = min(settings - q, SCAN_CHUNK_SETTINGS)
+            z = rng.standard_normal((len(part), run, 2 * (wa + wb)))
+            a = _random_signs(z[..., : 2 * wa].reshape(len(part), run, 2, wa), alg_a.block_dims)
+            b = _random_signs(z[..., 2 * wa :].reshape(len(part), run, 2, wb), alg_b.block_dims)
+            values[lo : lo + step, q : q + run] = _chsh_values(product, part, a, b)
     return values
 
 
@@ -188,16 +203,13 @@ def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
     history is nondecreasing up to rounding.  The run converges at the first
     round gaining less than SEESAW_GAIN_TOL, or stops at SEESAW_MAX_ROUNDS.
     """
-    if state.algebra.factors is None:
-        raise UnsupportedShapeError("see-saw needs a state on a tensor product algebra")
-    alg_a, alg_b = state.algebra.factors
+    alg_a, alg_b = _require_factors(state.algebra)
     if not b1.algebra == b2.algebra == alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
     prev = -np.inf
     history: list[float] = []
     converged = False
-    b = [np.stack(pair) for pair in zip(b1.blocks, b2.blocks)]
-    _check_observable(b, "see-saw start (b1, b2)")
+    b = _observable_side(b1, b2, "see-saw start (b1, b2)")
     for _ in range(SEESAW_MAX_ROUNDS):
         a, value = _half_step(state, b, 0)
         history.append(value)
@@ -233,7 +245,7 @@ def random_observables(alg_a: FdAlgebra, alg_b: FdAlgebra, rng=None) -> ChshObse
     return ChshObservables(*(random_dichotomic(x, rng) for x in (alg_a, alg_a, alg_b, alg_b)))
 
 
-def chsh_optimize(state, restarts: int = 16, seed=None) -> ChshResult:
+def chsh_optimize(state, restarts: int = DEFAULT_RESTARTS, seed=None) -> ChshResult:
     """Best see-saw value over restarts, for a State or a PureVector.
 
     Restart 0 seeds both B observables with the unit; its fixed point has
@@ -244,9 +256,7 @@ def chsh_optimize(state, restarts: int = 16, seed=None) -> ChshResult:
     """
     restarts = check_count(restarts, "restarts")
     state = _as_state(state)
-    if state.algebra.factors is None:
-        raise UnsupportedShapeError("CHSH optimization needs a tensor product algebra")
-    alg_b = state.algebra.factors[1]
+    alg_b = _require_factors(state.algebra)[1]
     rng, best, iterations = _as_rng(seed), None, 0
     for r in range(restarts):
         if r:

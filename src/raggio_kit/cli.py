@@ -20,10 +20,10 @@ import re
 import sys
 
 from .algebra import FdAlgebra, direct_sum, make_commutative, make_full, tensor
-from .bell import chsh_optimize
-from .entanglement import DEFAULT_DECOMP_TOL, is_entangled_pure, separability_test
+from .bell import DEFAULT_RESTARTS, chsh_optimize
+from .entanglement import DEFAULT_BUDGET, DEFAULT_DECOMP_TOL, is_entangled_pure, separability_test
 from .errors import InvalidArgumentError, RaggioKitError
-from .harness import verify_equivalence
+from .harness import DEFAULT_CHECK_RESTARTS, DEFAULT_SAMPLES, verify_equivalence
 from .serialize import (
     _unpairs,
     chsh_result_to_dict,
@@ -222,12 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument(
         "--tol", type=float, default=DEFAULT_DECOMP_TOL, help="reconstruction tolerance"
     )
-    p_sep.add_argument("--budget", type=int, default=400, help="search budget, in oracle calls")
+    p_sep.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="search budget, in oracle calls"
+    )
 
     p_chsh = add("chsh", "see-saw maximization of the CHSH value", _cmd_chsh)
     _add_state_source(p_chsh)
     p_chsh.add_argument("--seed", type=int, required=True, help="restart seed")
-    p_chsh.add_argument("--restarts", type=int, default=16, help="see-saw restarts")
+    p_chsh.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="see-saw restarts")
 
     p_check = add(
         "raggio-check", "verify the decomposability equivalence on a pair", _cmd_raggio_check
@@ -235,8 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--a", required=True, help="left factor, e.g. 'M2'")
     p_check.add_argument("--b", required=True, help="right factor, e.g. 'D3'")
     p_check.add_argument("--seed", type=int, required=True, help="sampling seed")
-    p_check.add_argument("--samples", type=int, default=100, help="states to sample")
-    p_check.add_argument("--restarts", type=int, default=4, help="see-saw restarts")
+    p_check.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="states to sample")
+    p_check.add_argument(
+        "--restarts", type=int, default=DEFAULT_CHECK_RESTARTS, help="see-saw restarts"
+    )
 
     return parser
 

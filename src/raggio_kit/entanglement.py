@@ -25,8 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FdAlgebra, _product_of, _require_factors, embed, herm, joint_blocks, trace_norm
-from .errors import AlgebraMismatchError, InvalidArgumentError
+from .algebra import (
+    FdAlgebra,
+    _product_of,
+    _require_factors,
+    _require_same_algebra,
+    embed,
+    herm,
+    joint_blocks,
+    trace_norm,
+)
+from .errors import InvalidArgumentError
 from .states import (
     PureVector,
     State,
@@ -52,6 +61,7 @@ REALIGN_TOL = 1e-9
 CLASSICAL_WEIGHT_TOL = 1e-12
 PURE_PURITY = 1.0 - 1e-12  # a density with Tr(rho^2) at least this is read as pure
 DEFAULT_DECOMP_TOL = 1e-6
+DEFAULT_BUDGET = 400  # separability_test's budget, in oracle calls
 _WEIGHT_SUM_TOL = 1e-6  # slack on sum(weights) = 1, in Decomposition and the search
 LMO_RANDOM_STARTS, LMO_ROUNDS = 6, 40  # per call of the product-state oracle
 LMO_DISTINCT_TOL = 1e-6  # oracle minimizers whose product overlap reaches 1 - this are one atom
@@ -82,8 +92,7 @@ class Decomposition:
         w = np.clip(w, 0.0, None) / float(w.sum())
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         for parts in (self.a_parts, self.b_parts):
-            if any(s.algebra != parts[0].algebra for s in parts):
-                raise AlgebraMismatchError("all parts of one side must share an algebra")
+            _require_same_algebra(*map(_as_state, parts))
 
     @property
     def num_terms(self) -> int:
@@ -126,6 +135,7 @@ class SeparabilityVerdict:
 
 def schmidt(psi: PureVector) -> np.ndarray:
     """Schmidt coefficients of a wavefunction on M_n (x) M_m, descending."""
+    psi = _as_state(psi, (PureVector,))
     n, m = (f.total_dim for f in _require_factors(psi.algebra))
     return np.linalg.svd(psi.vector.reshape(n, m), compute_uv=False)
 
@@ -157,10 +167,10 @@ def is_entangled_pure(psi: PureVector) -> PureVerdict:
     return PureVerdict(entangled, float(np.sum(coeffs**4)), tuple(float(c) for c in coeffs))
 
 
-def _product_split(vec: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best product approximation a (x) b of a vector, via the top singular pair."""
-    u, s, vh = np.linalg.svd(vec.reshape(n, m))
-    return u[:, 0], vh[0]
+def _product_split(vecs: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best product approximation a (x) b of each (..., n m) vector, via its top singular pair."""
+    u, _, vh = np.linalg.svd(vecs.reshape(*vecs.shape[:-1], n, m))
+    return u[..., 0], vh[..., 0, :]
 
 
 def ppt_check(state: State) -> float:
@@ -235,13 +245,13 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
     overlap with each better start stays below 1 - LMO_DISTINCT_TOL.
     """
     G4 = G.reshape(n, m, n, m)
-    u, _, vh = np.linalg.svd(np.linalg.eigh(G)[1].T.reshape(-1, n, m))
+    a0, b0 = _product_split(np.linalg.eigh(G)[1].T, n, m)
     # per random start: n reals, n imaginaries, m reals, m imaginaries; each
     # is normalized on its own, since a row-wise norm rounds differently
     r = rng.standard_normal((LMO_RANDOM_STARTS, 2 * (n + m)))
     ra, rb = r[:, :n] + 1j * r[:, n : 2 * n], r[:, 2 * n : 2 * n + m] + 1j * r[:, 2 * n + m :]
-    a = np.concatenate([u[:, :, 0], [v / np.linalg.norm(v) for v in ra]])
-    b = np.concatenate([vh[:, 0], [v / np.linalg.norm(v) for v in rb]])
+    a = np.concatenate([a0, [v / np.linalg.norm(v) for v in ra]])
+    b = np.concatenate([b0, [v / np.linalg.norm(v) for v in rb]])
     val = np.full(len(a), np.inf)
     live = np.arange(len(a))
     for _ in range(LMO_ROUNDS):
@@ -391,7 +401,7 @@ def _separable(state: State, dec, **fields) -> SeparabilityVerdict:
 
 def separability_test(
     state,
-    budget: int = 400,
+    budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_DECOMP_TOL,
     seed=None,
 ) -> SeparabilityVerdict:

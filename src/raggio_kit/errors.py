@@ -21,7 +21,7 @@ class UnsupportedShapeError(RaggioKitError):
     """The operation is defined only for a different block structure."""
 
 
-class MissingFactorizationError(RaggioKitError):
+class MissingFactorizationError(UnsupportedShapeError):
     """The algebra does not record the tensor factorization the operation needs."""
 
 

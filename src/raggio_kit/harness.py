@@ -39,6 +39,7 @@ PRODUCT_DIM_CAP = 64
 CHSH_SLACK = 1e-6
 SCAN_SLACK = 1e-9  # bell_one_side_classical's slack on the classical bound 2
 SEARCH_BUDGET = 150  # separability_test budget per state examined by verify_equivalence
+DEFAULT_SAMPLES, DEFAULT_CHECK_RESTARTS = 100, 4  # verify_equivalence's samples and restarts
 RECONSTRUCTION_TOL = 1e-9
 VERDICT_CONSISTENT = "ConsistentWithTheorem"
 VERDICT_INCONSISTENT = "InconsistentWithTheorem"
@@ -153,7 +154,11 @@ class RaggioReport:
 
 
 def verify_equivalence(
-    a: FdAlgebra, b: FdAlgebra, samples: int = 100, seed=None, restarts: int = 4
+    a: FdAlgebra,
+    b: FdAlgebra,
+    samples: int = DEFAULT_SAMPLES,
+    seed=None,
+    restarts: int = DEFAULT_CHECK_RESTARTS,
 ) -> RaggioReport:
     """Check both directions of the equivalence on one pair of factors.
 

@@ -18,11 +18,13 @@ from .algebra import (
     AlgebraElement,
     FdAlgebra,
     _as_numbers,
+    _block_arrays,
     _frozen,
     _hermiticity_defect,
     _is_count,
     _is_real,
     _product_of,
+    _require_same_algebra,
     embed,
     herm,
     joint_blocks,
@@ -30,12 +32,7 @@ from .algebra import (
     tensor,
     trace_norm,
 )
-from .errors import (
-    AlgebraMismatchError,
-    InvalidArgumentError,
-    InvalidStateError,
-    UnsupportedShapeError,
-)
+from .errors import InvalidArgumentError, InvalidStateError, UnsupportedShapeError
 
 STATE_EIGENVALUE_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
@@ -118,21 +115,9 @@ class State:
     trusted: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.blocks) != self.algebra.num_blocks:
-            raise InvalidStateError(
-                f"expected {self.algebra.num_blocks} density blocks, got {len(self.blocks)}"
-            )
-        blocks = []
-        for k, (blk, dim) in enumerate(zip(self.blocks, self.algebra.block_dims)):
-            arr = _as_numbers(blk)
-            if arr.shape != (dim, dim):
-                raise InvalidStateError(
-                    f"density block {k} has shape {arr.shape}, expected {(dim, dim)}"
-                )
-            if not self.trusted:
-                arr = _clean_density_block(arr, f"density block {k}")
-            blocks.append(arr)
+        blocks = _block_arrays(self.algebra, self.blocks, InvalidStateError, "density block")
         if not self.trusted:
+            blocks = [_clean_density_block(b, f"density block {k}") for k, b in enumerate(blocks)]
             with np.errstate(over="ignore"):  # an overflowing trace is rejected just below
                 tr = float(sum(np.trace(b).real for b in blocks))
             if abs(tr - 1.0) > STATE_TRACE_TOL:
@@ -188,17 +173,17 @@ class PureVector:
         return State(self.algebra, self.blocks, trusted=True)
 
 
-def _as_state(state):
-    """``state`` itself if it is a State or a PureVector; other types raise InvalidArgumentError."""
-    if not isinstance(state, (State, PureVector)):
-        raise InvalidArgumentError(f"expected a State or PureVector, got {type(state)!r}")
+def _as_state(state, kinds: tuple[type, ...] = (State, PureVector)):
+    """``state`` itself if it is one of ``kinds``; other types raise InvalidArgumentError."""
+    if not isinstance(state, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidArgumentError(f"expected a {names}, got {type(state)!r}")
     return state
 
 
 def expectation(state: State, x: AlgebraElement) -> complex:
     """omega(A) = sum of blockwise Tr(rho_k A_k)."""
-    if state.algebra != x.algebra:
-        raise AlgebraMismatchError("state and element live on different algebras")
+    _require_same_algebra(state, x)
     return complex(sum(np.trace(r @ a) for r, a in zip(state.blocks, x.blocks)))
 
 
@@ -209,8 +194,7 @@ def purity(state: State) -> float:
 
 def trace_distance(a: State, b: State) -> float:
     """(1/2) ||rho_a - rho_b||_1 via blockwise eigenvalues."""
-    if a.algebra != b.algebra:
-        raise AlgebraMismatchError("states live on different algebras")
+    _require_same_algebra(a, b)
     return 0.5 * trace_norm(x - y for x, y in zip(a.blocks, b.blocks))
 
 
@@ -218,11 +202,9 @@ def mixture(weights, parts) -> State:
     """Convex combination sum_i w_i rho_i of states on a shared algebra."""
     parts = list(parts)
     w = check_weights(weights, len(parts), 1e-12)
-    alg = parts[0].algebra
+    alg = _require_same_algebra(*parts)
     blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
     for wi, s in zip(w, parts):
-        if s.algebra != alg:
-            raise AlgebraMismatchError("all mixture components must share an algebra")
         for k, blk in enumerate(s.blocks):
             blocks[k] = blocks[k] + wi * blk
     return State(alg, tuple(blocks))
@@ -260,9 +242,7 @@ def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
     forgets everything except the squared amplitudes, which are exactly
     the diagonal of the density matrix |psi><psi|.
     """
-    if not isinstance(psi, PureVector):
-        raise InvalidArgumentError("restrict_to_diagonal expects a PureVector")
-    return np.abs(psi.vector) ** 2
+    return np.abs(_as_state(psi, (PureVector,)).vector) ** 2
 
 
 def maximally_mixed(algebra: FdAlgebra) -> State:
@@ -289,8 +269,6 @@ def random_pure(algebra: FdAlgebra, rng=None) -> PureVector:
     """Haar-random unit vector on a single-block algebra."""
     rng = _as_rng(rng)
     n = algebra.total_dim
-    if algebra.num_blocks != 1:
-        raise UnsupportedShapeError("random_pure needs a single-block algebra")
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureVector(algebra, psi)
 

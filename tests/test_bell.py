@@ -35,6 +35,7 @@ from raggio_kit.bell import (
 from raggio_kit.errors import (
     AlgebraMismatchError,
     InvalidArgumentError,
+    MissingFactorizationError,
     PreconditionError,
     UnsupportedShapeError,
 )
@@ -64,6 +65,16 @@ def test_observables_are_checked_one_side_at_a_time():
     x = element(alg, [SIGMA_Z, [[1.0]]])
     obs = ChshObservables(x, -x, x, x)
     assert obs.a2.blocks[1][0, 0] == -1.0
+
+
+def test_observables_keep_each_side_as_read_only_stacks():
+    alg = direct_sum(M2, make_commutative(1))
+    obs = random_observables(alg, M2, 3)
+    for kept, x1, x2 in ((obs.a, obs.a1, obs.a2), (obs.b, obs.b1, obs.b2)):
+        assert len(kept) == len(x1.blocks)
+        for stack, blk1, blk2 in zip(kept, x1.blocks, x2.blocks):
+            np.testing.assert_array_equal(stack, np.stack([blk1, blk2]))
+            assert not stack.flags.writeable
 
 
 def test_pauli_matrices():
@@ -277,6 +288,16 @@ def test_seesaw_requires_factors_and_budget():
     for restarts in (0, 2.5, True):
         with pytest.raises(InvalidArgumentError, match="restarts"):
             chsh_optimize(singlet().state(), restarts=restarts, seed=0)
+
+
+def test_missing_factorization_is_an_unsupported_shape():
+    # the see-saw and the optimizer share the one factorization check
+    assert issubclass(MissingFactorizationError, UnsupportedShapeError)
+    flat = random_mixed(make_full(4), 0)
+    with pytest.raises(MissingFactorizationError, match="tensor product"):
+        seesaw(flat, unit(M2), unit(M2))
+    with pytest.raises(MissingFactorizationError, match="tensor product"):
+        chsh_optimize(flat, restarts=2, seed=0)
 
 
 def test_horodecki_returns_a_python_float_on_both_sides_of_2():

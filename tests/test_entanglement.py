@@ -40,6 +40,7 @@ from raggio_kit.states import (
     product_state,
     random_mixed,
     random_pure,
+    restrict_to_diagonal,
     singlet,
     trace_distance,
     werner,
@@ -91,6 +92,13 @@ def test_schmidt_product_vectors():
 def test_schmidt_needs_factorization():
     with pytest.raises(MissingFactorizationError):
         schmidt(PureVector(make_full(4), [1, 0, 0, 0]))
+
+
+def test_vector_functions_refuse_a_density():
+    # schmidt and is_entangled_pure used to end in AttributeError on a State
+    for func in (schmidt, is_entangled_pure, restrict_to_diagonal):
+        with pytest.raises(InvalidArgumentError, match="^expected a PureVector, got"):
+            func(singlet().state())
 
 
 def test_pure_dichotomy_schmidt_vs_transpose():
@@ -328,6 +336,14 @@ def test_separability_rejects_non_finite_tolerance():
     # an int beyond the float range used to pass as finite and overflow in float()
     with pytest.raises(InvalidArgumentError, match="finite"):
         separability_test(werner(0.2), seed=0, tol=10**400)
+
+
+def test_decomposition_parts_must_be_states():
+    # a part that is not a state used to end in AttributeError
+    st = random_mixed(make_full(2), 0)
+    for weights, a_parts, b_parts in (((1.0,), ("x",), ("y",)), ((0.5, 0.5), (st, st), (st, None))):
+        with pytest.raises(InvalidArgumentError, match="^expected a State or PureVector, got"):
+            Decomposition(weights, a_parts, b_parts)
 
 
 def test_decomposition_validation():

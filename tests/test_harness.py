@@ -164,6 +164,31 @@ def test_bell_scan_chunks_match_loop_reference(monkeypatch):
     assert abs(scan.max_abs_value - np.abs(reference).max()) <= 1e-12
 
 
+class _RecordingRng:
+    """Passes standard_normal draws through to a generator and records their sizes."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+def test_bell_scan_splits_one_states_settings_into_chunks(monkeypatch):
+    # more settings than a chunk holds: each state's settings are drawn in
+    # runs of at most SCAN_CHUNK_SETTINGS, in the same stream as the loop
+    monkeypatch.setattr(bell, "SCAN_CHUNK_SETTINGS", 4)
+    reference = _loop_scan_values(M2, M2, 3, 8, 10)
+    rng = np.random.default_rng(8)
+    product = tensor(M2, M2)
+    states = _sample_states(product, 3, rng)
+    recorder = _RecordingRng(rng)
+    values = random_settings_chsh(product, states, 10, recorder)
+    assert [size[:2] for size in recorder.sizes] == [(1, 4), (1, 4), (1, 2)] * 3
+    np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
+
+
 def test_bell_scan_small_sizes_are_one_chunk(monkeypatch):
     calls = _count_chunks(monkeypatch)
     bell_one_side_classical(M3, make_commutative(4), samples=10, seed=0, settings=10)

@@ -329,6 +329,10 @@ def test_chsh_value_is_the_expectation_of_the_bell_operator(dims, seed):
     # the see-saw's B half-step contracts the same functional against (A1, A2)
     x = [np.stack(pair) for pair in zip(obs.a1.blocks, obs.a2.blocks)]
     y = [np.stack(pair) for pair in zip(obs.b1.blocks, obs.b2.blocks)]
+    # the observables keep the same stacks, checked, for chsh_value
+    for mine, kept in ((x, obs.a), (y, obs.b)):
+        assert len(mine) == len(kept)
+        assert all(np.array_equal(s, k) for s, k in zip(mine, kept))
     for state in (random_mixed(product, rng), random_vector_state(product, rng)):
         want = expectation(state, bell).real
         assert abs(chsh_value(state, obs) - want) <= 1e-12

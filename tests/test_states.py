@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from raggio_kit.algebra import (
+    AlgebraElement,
     FdAlgebra,
     direct_sum,
     element,
@@ -18,10 +19,11 @@ from raggio_kit.bell import (
     random_observables,
     seesaw,
 )
-from raggio_kit.entanglement import ppt_check, realignment_check
+from raggio_kit.entanglement import Decomposition, ppt_check, realignment_check
 from raggio_kit.errors import (
     AlgebraMismatchError,
     InvalidArgumentError,
+    InvalidDimensionError,
     InvalidStateError,
     MissingFactorizationError,
     UnsupportedShapeError,
@@ -97,6 +99,19 @@ def test_state_validation():
         PureVector(alg, ["1", "0"])
     with pytest.raises(InvalidArgumentError, match="regular"):
         PureVector(alg, [[1], [0, 1]])
+
+
+def test_elements_and_states_check_their_blocks_alike():
+    # one block check, each wrapper with its own exception type
+    alg = direct_sum(make_full(2), make_full(1))
+    for make, error, what in (
+        (AlgebraElement, InvalidDimensionError, "block"),
+        (State, InvalidStateError, "density block"),
+    ):
+        with pytest.raises(error, match=f"^expected 2 {what}s, got 1$"):
+            make(alg, (np.eye(2) / 2,))
+        with pytest.raises(error, match=rf"^{what} 1 has shape \(2, 2\), expected \(1, 1\)$"):
+            make(alg, (np.eye(2) / 4, np.eye(2) / 4))
 
 
 def test_states_keep_read_only_copies_of_the_callers_arrays():
@@ -219,6 +234,23 @@ def test_expectation_algebra_mismatch():
 def test_states_on_different_algebras_raise_mismatch(call):
     a, b = maximally_mixed(make_full(2)), maximally_mixed(make_full(3))
     with pytest.raises(AlgebraMismatchError):
+        call(a, b)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: unit(a.algebra) + unit(b.algebra),
+        lambda a, b: expectation(a, unit(b.algebra)),
+        lambda a, b: trace_distance(a, b),
+        lambda a, b: mixture([0.5, 0.5], [a, b]),
+        lambda a, b: Decomposition((0.5, 0.5), (a, a), (a, b)),
+    ],
+    ids=["element_sum", "expectation", "trace_distance", "mixture", "Decomposition"],
+)
+def test_values_on_two_algebras_raise_one_mismatch_message(call):
+    a, b = maximally_mixed(make_full(2)), maximally_mixed(make_full(3))
+    with pytest.raises(AlgebraMismatchError, match="^values live on different algebras: M2 vs M3$"):
         call(a, b)
 
 
