@@ -100,6 +100,19 @@ class ChshObservables:
         for side, x1, x2 in sides:
             object.__setattr__(self, side, _observable_side(x1, x2, f"({side}1, {side}2)"))
 
+    @classmethod
+    def _of_signs(cls, alg_a: FdAlgebra, a, alg_b: FdAlgebra, b) -> ChshObservables:
+        """Observables kept as given, with no check: per block of ``alg_a`` and
+        ``alg_b``, fresh (2, d, d) stacks of signs that _sign built as v diag(+-1) v*."""
+        obs = object.__new__(cls)
+        for side, alg, x in (("a", alg_a, a), ("b", alg_b, b)):
+            for s in x:
+                s.setflags(write=False)
+            object.__setattr__(obs, side, tuple(x))
+            for t in (0, 1):
+                object.__setattr__(obs, f"{side}{t + 1}", element(alg, [s[t] for s in x]))
+        return obs
+
 
 @dataclass(frozen=True)
 class ChshResult:
@@ -219,8 +232,7 @@ def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
             converged = True
             break
         prev = value
-    obs = [element(alg, [s[t] for s in x]) for alg, x in ((alg_a, a), (alg_b, b)) for t in (0, 1)]
-    return ChshObservables(*obs), history, converged
+    return ChshObservables._of_signs(alg_a, a, alg_b, b), history, converged
 
 
 def _random_signs(z: np.ndarray, dims) -> list[np.ndarray]:

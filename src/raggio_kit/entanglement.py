@@ -376,9 +376,7 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
         return [(float(x), *ab) for x, ab in zip(w, pairs) if x > CLASSICAL_WEIGHT_TOL], 0.0
 
     if (n, m) == (2, 2):
-        terms, err = _wootters_terms(rho)
-        if err <= tol:
-            return terms, err
+        return _wootters_terms(rho)
     if (n, m) in _EXACT_PPT_SHAPES:
         max_iters = max(max_iters, 2000)
     return _fcfw_search(rho, n, m, tol, max_iters, rng)
@@ -415,11 +413,12 @@ def separability_test(
     joint block is decomposed: qubit-qubit blocks by Wootters' closed form,
     the rest by a Frank-Wolfe search.  ``budget`` counts the search's
     oracle calls; one call can add several product atoms before the weights
-    are re-fit.  On qubit-qubit and qubit-qutrit blocks this always
-    succeeds; larger blocks may exhaust the budget and end ``Undetermined``,
-    which thus needs a positive partial transpose, realignment at most
-    1 + REALIGN_TOL, and a stalled search.  Neither test nor the closed
-    form draws from ``seed``.
+    are re-fit.  On qubit-qubit and qubit-qutrit blocks this succeeds
+    unless the block is entangled within PPT_TOL; larger blocks may also
+    exhaust the budget and end ``Undetermined``, which thus needs a positive
+    partial transpose, realignment at most 1 + REALIGN_TOL, and a
+    decomposition that misses ``tol``.  Neither test nor the closed form
+    draws from ``seed``.
     """
     count = check_count(budget, "search budget")
     tol = check_tol(tol)
@@ -460,8 +459,8 @@ def separability_test(
                 error=err,
                 realignment=ccnr,
                 details=(
-                    f"transpose and realignment tests passed but the search stalled at "
-                    f"reconstruction error {err:.3e} on block {(i, j)}"
+                    f"transpose and realignment tests passed, but no decomposition came "
+                    f"within tol: reconstruction error {err:.3e} on block {(i, j)}"
                 ),
             )
         terms += [(w_blk * w, i, a, j, b) for w, a, b in block_terms]

@@ -9,10 +9,6 @@ class RaggioKitError(Exception):
     """Base class for all raggio-kit domain errors."""
 
 
-class InvalidDimensionError(RaggioKitError):
-    """A block or algebra dimension is zero, negative, or inconsistent."""
-
-
 class AlgebraMismatchError(RaggioKitError):
     """Two values that must share an owner algebra do not."""
 
@@ -31,6 +27,10 @@ class InvalidStateError(RaggioKitError):
 
 class InvalidArgumentError(RaggioKitError):
     """A numeric argument (budget, restarts, weights, ...) is out of range."""
+
+
+class InvalidDimensionError(InvalidArgumentError):
+    """A block or algebra dimension is zero, negative, or inconsistent."""
 
 
 class PreconditionError(RaggioKitError):

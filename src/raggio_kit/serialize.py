@@ -16,11 +16,12 @@ import numpy as np
 from .algebra import AlgebraElement, FdAlgebra, _is_count, _is_real, element, split_dense
 from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
-from .errors import InvalidArgumentError, InvalidDimensionError
+from .errors import InvalidArgumentError
 from .harness import RaggioReport
 from .states import PureVector, State
 
 REPORT_SCHEMA_VERSION = 1
+STATE_OFF_BLOCK_TOL = 1e-9  # largest entry state_from_dict lets lie off the blocks
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:
@@ -28,17 +29,12 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _is_pair(value) -> bool:
-    """True for a [re, im] pair of real numbers."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
-
-
 def _unpairs(entries, count: int, what: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != count:
         raise InvalidArgumentError(f"{what}: expected {count} [re, im] pairs")
     out = np.empty(count, dtype=complex)
     for k, pair in enumerate(entries):
-        if not _is_pair(pair):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair))):
             raise InvalidArgumentError(f"{what}: entry {k} is not a [re, im] pair of numbers")
         out[k] = complex(pair[0], pair[1])
     return out
@@ -69,14 +65,10 @@ def algebra_from_dict(data) -> FdAlgebra:
     _fields(data, "algebra", ("block_dims",), ("factors",))
     factors = None
     if "factors" in data:
-        pair = data["factors"]
-        if not isinstance(pair, list) or len(pair) != 2:
+        if not isinstance(data["factors"], list):
             raise InvalidArgumentError("factors must be a pair of algebras")
-        factors = (algebra_from_dict(pair[0]), algebra_from_dict(pair[1]))
-    try:
-        return FdAlgebra(data["block_dims"], factors=factors)
-    except InvalidDimensionError as exc:
-        raise InvalidArgumentError(f"algebra: {exc}") from exc
+        factors = tuple(map(algebra_from_dict, data["factors"]))
+    return FdAlgebra(data["block_dims"], factors=factors)
 
 
 def element_to_dict(x: AlgebraElement) -> dict:
@@ -92,16 +84,14 @@ def element_to_dict(x: AlgebraElement) -> dict:
 def element_from_dict(data) -> AlgebraElement:
     _fields(data, "element", ("algebra", "blocks"))
     alg = algebra_from_dict(data["algebra"])
-    blocks = data["blocks"]
-    if not isinstance(blocks, list) or len(blocks) != alg.num_blocks:
-        raise InvalidArgumentError(f"expected {alg.num_blocks} blocks")
+    if not isinstance(data["blocks"], list):
+        raise InvalidArgumentError("element blocks must be a list")
     mats = []
-    for k, (item, dim) in enumerate(zip(blocks, alg.block_dims)):
-        _fields(item, f"block {k}", ("dim", "entries"))
-        if not _is_count(item["dim"]) or item["dim"] != dim:
-            raise InvalidArgumentError(f"block {k} must declare dim {dim}")
-        flat = _unpairs(item["entries"], dim * dim, f"block {k}")
-        mats.append(flat.reshape(dim, dim))
+    for k, item in enumerate(data["blocks"]):
+        dim = _fields(item, f"block {k}", ("dim", "entries"))["dim"]
+        if not _is_count(dim):
+            raise InvalidArgumentError(f"block {k} must declare dim as a positive integer")
+        mats.append(_unpairs(item["entries"], dim * dim, f"block {k}").reshape(dim, dim))
     return element(alg, mats)
 
 
@@ -117,11 +107,7 @@ def state_from_dict(data) -> State:
     alg = algebra_from_dict(data["algebra"])
     n = alg.total_dim
     dense = _unpairs(data["entries"], n * n, "state entries").reshape(n, n)
-    try:
-        blocks = split_dense(alg, dense, tol=1e-9)
-    except InvalidDimensionError as exc:
-        raise InvalidArgumentError(f"state: {exc}") from exc
-    return State(alg, blocks)
+    return State(alg, split_dense(alg, dense, STATE_OFF_BLOCK_TOL))
 
 
 def pure_vector_to_dict(psi: PureVector) -> dict:

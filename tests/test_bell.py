@@ -77,6 +77,29 @@ def test_observables_keep_each_side_as_read_only_stacks():
             assert not stack.flags.writeable
 
 
+def test_seesaw_checks_its_start_only_and_returns_its_signs_as_built(monkeypatch):
+    calls = []
+
+    def counted(blocks, label):
+        calls.append(label)
+        return _check_observable(blocks, label)
+
+    monkeypatch.setattr(bell, "_check_observable", counted)
+    state = random_mixed(tensor(make_full(3), make_commutative(4)), 5)
+    alg_b = state.algebra.factors[1]
+    obs, _, _ = seesaw(state, random_dichotomic(alg_b, 1), random_dichotomic(alg_b, 2))
+    assert calls == ["see-saw start (b1, b2)"]
+    rebuilt = ChshObservables(obs.a1, obs.a2, obs.b1, obs.b2)
+    for name in ("a1", "a2", "b1", "b2"):
+        for mine, theirs in zip(getattr(obs, name).blocks, getattr(rebuilt, name).blocks):
+            np.testing.assert_array_equal(mine, theirs)
+    for kept, stacks in ((obs.a, rebuilt.a), (obs.b, rebuilt.b)):
+        assert len(kept) == len(stacks)
+        for mine, theirs in zip(kept, stacks):
+            np.testing.assert_array_equal(mine, theirs)
+            assert not mine.flags.writeable
+
+
 def test_pauli_matrices():
     for s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
         np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-15)

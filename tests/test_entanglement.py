@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from raggio_kit import entanglement
 from raggio_kit.algebra import direct_sum, herm, make_commutative, make_full, tensor
 from raggio_kit.entanglement import (
     DEFAULT_DECOMP_TOL,
@@ -553,3 +554,23 @@ def test_two_qubit_blocks_take_the_closed_form():
     assert v.tag == SEPARABLE and v.error <= 1e-12
     # the 1x2 block splits by its eigenvectors into at most 2 terms
     assert v.decomposition.num_terms <= 4 + 2
+
+
+def test_two_qubit_blocks_never_reach_the_search(monkeypatch):
+    # the closed form is the only route on a 2x2 block: a block it misses is
+    # entangled within PPT_TOL, where no search can succeed either
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2x2 block reached the Frank-Wolfe search")
+
+    monkeypatch.setattr(entanglement, "_fcfw_search", refuse)
+    monkeypatch.setattr(entanglement, "_linear_minimizer", refuse)
+    for p in (0.0, 0.2, 1.0 / 3.0):
+        v = separability_test(werner(p), seed=0)
+        assert v.tag == SEPARABLE and v.error <= 1e-12
+    v = separability_test(werner(1.0 / 3.0 + 1e-10), tol=1e-12, seed=0)
+    assert v.tag == UNDETERMINED
+    assert v.error == pytest.approx(7.5e-11, abs=1e-12)
+    assert v.details == (
+        "transpose and realignment tests passed, but no decomposition came within tol: "
+        f"reconstruction error {v.error:.3e} on block (0, 0)"
+    )

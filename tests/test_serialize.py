@@ -1,3 +1,4 @@
+import copy
 import json
 import urllib.request
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from raggio_kit.algebra import direct_sum, element, make_commutative, make_full, tensor
 from raggio_kit.bell import chsh_optimize, random_observables
 from raggio_kit.entanglement import classical_decompose, separability_test
-from raggio_kit.errors import InvalidArgumentError
+from raggio_kit.errors import InvalidArgumentError, InvalidDimensionError, RaggioKitError
 from raggio_kit.harness import verify_equivalence
 from raggio_kit.serialize import (
     algebra_from_dict,
@@ -30,7 +31,7 @@ from raggio_kit.serialize import (
     state_to_dict,
     verdict_to_dict,
 )
-from raggio_kit.states import random_mixed, singlet, trace_distance, werner
+from raggio_kit.states import random_mixed, random_pure, singlet, trace_distance, werner
 
 M2 = make_full(2)
 SCHEMA_DIR = resources.files("raggio_kit") / "schemas"
@@ -360,3 +361,67 @@ def test_report_payload_validates():
         assert payload["verdict"] == "ConsistentWithTheorem"
         assert payload["samples"] == 4
         assert payload["seed"] == 5
+
+
+def test_dimension_errors_are_argument_errors():
+    # the loaders let the constructors' dimension errors through as they are
+    assert issubclass(InvalidDimensionError, InvalidArgumentError)
+    payload = element_to_dict(element(M2, [np.eye(2)]))
+    with pytest.raises(InvalidDimensionError, match="expected 1 blocks, got 2"):
+        element_from_dict({**payload, "blocks": payload["blocks"] * 2})
+
+
+# values that a mutated payload may hold in place of a valid one
+_JUNK = (None, True, False, 0, -1, 2.5, 2**63, 10**400, "", "x", {}, [], [1], [[0.0, 0.0]] * 40)
+
+
+def _mutated(payload, rng):
+    """A copy of ``payload`` with one node, reached by a random walk down from the
+    root, replaced by junk, deleted, or, in a list, duplicated."""
+    doc = copy.deepcopy(payload)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.7):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = keys[rng.integers(len(keys))]
+        parent, node = node, node[key]
+    junk = copy.deepcopy(_JUNK[rng.integers(len(_JUNK))])
+    if parent is None:
+        return junk
+    how = rng.integers(3)
+    if how == 0:
+        parent[key] = junk
+    elif how == 1:
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = [parent[key]] * 2
+    return doc
+
+
+def _fuzz_cases():
+    factored = tensor(direct_sum(M2, make_commutative(1)), M2)
+    classical = tensor(M2, make_commutative(2))
+    obs = random_observables(M2, make_commutative(2), np.random.default_rng(8))
+    dec = classical_decompose(random_mixed(classical, 4))
+    return [
+        ("algebra", algebra_from_dict, algebra_to_dict(factored)),
+        ("element", element_from_dict, element_to_dict(obs.a1)),
+        ("state", state_from_dict, state_to_dict(random_mixed(factored, 2))),
+        ("pure_vector", pure_vector_from_dict, pure_vector_to_dict(random_pure(tensor(M2, M2), 3))),
+        ("decomposition", decomposition_from_dict, decomposition_to_dict(dec)),
+        ("observables", observables_from_dict, observables_to_dict(obs)),
+    ]
+
+
+@pytest.mark.parametrize("case", _fuzz_cases(), ids=lambda case: case[0])
+def test_loaders_end_mutated_payloads_in_a_domain_error(case):
+    _, loader, payload = case
+    loader(payload)
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        doc = _mutated(payload, rng)
+        try:
+            loader(doc)
+        except RaggioKitError:
+            pass
