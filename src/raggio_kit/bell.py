@@ -18,7 +18,7 @@ to rounding) handle the nonconvexity in the pair of sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,37 +80,36 @@ def _observable_side(x1: AlgebraElement, x2: AlgebraElement, label: str) -> tupl
     return stacks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ChshObservables:
-    """Two self-adjoint contractions per side of a tensor product; ``a`` and ``b`` keep
-    each side as checked, per block the read-only (2, d, d) stack of (X1, X2)."""
+    """Two self-adjoint contractions per side of a tensor product, kept once: per block of
+    ``alg_a`` (``alg_b``), the read-only (2, d, d) stack ``a`` (``b``) of (X1, X2), from
+    which ``a1, a2, b1, b2`` build the elements when read."""
 
-    a1: AlgebraElement
-    a2: AlgebraElement
-    b1: AlgebraElement
-    b2: AlgebraElement
-    a: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    b: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    alg_a: FdAlgebra
+    a: tuple[np.ndarray, ...]
+    alg_b: FdAlgebra
+    b: tuple[np.ndarray, ...]
+    a1 = property(lambda self: element(self.alg_a, [x[0] for x in self.a]))
+    a2 = property(lambda self: element(self.alg_a, [x[1] for x in self.a]))
+    b1 = property(lambda self: element(self.alg_b, [x[0] for x in self.b]))
+    b2 = property(lambda self: element(self.alg_b, [x[1] for x in self.b]))
 
-    def __post_init__(self):
-        sides = (("a", self.a1, self.a2), ("b", self.b1, self.b2))
+    def __init__(self, a1: AlgebraElement, a2: AlgebraElement, b1: AlgebraElement, b2: AlgebraElement):
+        sides = (("a", a1, a2), ("b", b1, b2))
         for side, x1, x2 in sides:
             if x1.algebra != x2.algebra:
                 raise PreconditionError(f"{side}1 and {side}2 must live on the same algebra")
-        for side, x1, x2 in sides:
-            object.__setattr__(self, side, _observable_side(x1, x2, f"({side}1, {side}2)"))
+        a, b = (_observable_side(x1, x2, f"({side}1, {side}2)") for side, x1, x2 in sides)
+        vars(self).update(alg_a=a1.algebra, a=a, alg_b=b1.algebra, b=b)
 
     @classmethod
     def _of_signs(cls, alg_a: FdAlgebra, a, alg_b: FdAlgebra, b) -> ChshObservables:
-        """Observables kept as given, with no check: per block of ``alg_a`` and
-        ``alg_b``, fresh (2, d, d) stacks of signs that _sign built as v diag(+-1) v*."""
+        """Fresh sign stacks, which _sign built as v diag(+-1) v*, kept with no check."""
+        for s in (*a, *b):
+            s.setflags(write=False)
         obs = object.__new__(cls)
-        for side, alg, x in (("a", alg_a, a), ("b", alg_b, b)):
-            for s in x:
-                s.setflags(write=False)
-            object.__setattr__(obs, side, tuple(x))
-            for t in (0, 1):
-                object.__setattr__(obs, f"{side}{t + 1}", element(alg, [s[t] for s in x]))
+        vars(obs).update(alg_a=alg_a, a=tuple(a), alg_b=alg_b, b=tuple(b))
         return obs
 
 
@@ -135,8 +134,8 @@ def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
 
 def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
-    _product_of(obs.a1.algebra, obs.b1.algebra, state.algebra)
-    return float(_chsh_values(state.algebra, [state], obs.a, obs.b)[0, 0])
+    product = _product_of(obs.alg_a, obs.alg_b, _as_state(state).algebra)
+    return float(_chsh_values(product, [state], obs.a, obs.b)[0, 0])
 
 
 def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.ndarray:
@@ -216,7 +215,7 @@ def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
     history is nondecreasing up to rounding.  The run converges at the first
     round gaining less than SEESAW_GAIN_TOL, or stops at SEESAW_MAX_ROUNDS.
     """
-    alg_a, alg_b = _require_factors(state.algebra)
+    alg_a, alg_b = _require_factors(_as_state(state).algebra)
     if not b1.algebra == b2.algebra == alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
     prev = -np.inf

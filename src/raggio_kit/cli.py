@@ -22,8 +22,8 @@ import sys
 from .algebra import FdAlgebra, direct_sum, make_commutative, make_full, tensor
 from .bell import DEFAULT_RESTARTS, chsh_optimize
 from .entanglement import DEFAULT_BUDGET, DEFAULT_DECOMP_TOL, is_entangled_pure, separability_test
-from .errors import InvalidArgumentError, RaggioKitError
-from .harness import DEFAULT_CHECK_RESTARTS, DEFAULT_SAMPLES, verify_equivalence
+from .errors import InvalidArgumentError, RaggioKitError, ResourceLimitError
+from .harness import DEFAULT_CHECK_RESTARTS, DEFAULT_SAMPLES, PRODUCT_DIM_CAP, verify_equivalence
 from .serialize import (
     _unpairs,
     chsh_result_to_dict,
@@ -42,7 +42,18 @@ class UsageError(Exception):
 
 
 def parse_algebra(text: str) -> FdAlgebra:
-    """Parse the M/D/+/x grammar; tensor products record their factors."""
+    """Parse the M/D/+/x grammar; tensor products record their factors.
+
+    A ``D<n>`` atom or a tensor product with more than PRODUCT_DIM_CAP blocks
+    raises ResourceLimitError before it is built: no subcommand can use one.
+    """
+
+    def capped(blocks: int) -> None:
+        if blocks > PRODUCT_DIM_CAP:
+            raise ResourceLimitError(
+                f"algebra {text!r} would have {blocks} blocks, "
+                f"which exceeds the cap {PRODUCT_DIM_CAP}"
+            )
 
     def atom(tok: str) -> FdAlgebra:
         m = _ATOM.match(tok)
@@ -51,6 +62,8 @@ def parse_algebra(text: str) -> FdAlgebra:
         kind, n = m.group(1), int(m.group(2))
         if n < 1:
             raise UsageError(f"algebra atom {tok!r} needs a positive dimension")
+        if kind == "D":
+            capped(n)
         return make_full(n) if kind == "M" else make_commutative(n)
 
     def summand(part: str) -> FdAlgebra:
@@ -67,7 +80,9 @@ def parse_algebra(text: str) -> FdAlgebra:
         raise UsageError(f"empty tensor factor in algebra {text!r}")
     result = summand(parts[0])
     for part in parts[1:]:
-        result = tensor(result, summand(part))
+        factor = summand(part)
+        capped(result.num_blocks * factor.num_blocks)
+        result = tensor(result, factor)
     return result
 
 

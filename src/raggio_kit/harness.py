@@ -19,6 +19,7 @@ failure modes differ pointwise, though the theorem ties them together globally).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -70,19 +71,18 @@ def embedded_werner(p: float, alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
 
 
 def _capped_product(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
-    product = tensor(a, b)
-    if product.total_dim > PRODUCT_DIM_CAP:
+    if a.total_dim * b.total_dim > PRODUCT_DIM_CAP:
         raise ResourceLimitError(
-            f"product dimension {product.total_dim} exceeds the cap {PRODUCT_DIM_CAP}"
+            f"product dimension {a.total_dim * b.total_dim} exceeds the cap {PRODUCT_DIM_CAP}"
         )
-    return product
+    return tensor(a, b)
 
 
-def _sample_states(product: FdAlgebra, count: int, rng) -> list[State]:
-    # alternate vector states and full-rank mixtures; both matter, since
-    # decomposability failures show up differently for pure and mixed inputs
-    draw = (random_vector_state, random_mixed)
-    return [draw[k % 2](product, rng) for k in range(count)]
+def _sample_states(product: FdAlgebra, count: int, rng) -> list[tuple[str, State]]:
+    # alternate vector states and full-rank mixtures, each with its kind; both matter,
+    # since decomposability failures show up differently for pure and mixed inputs
+    draws = (("vector", random_vector_state), ("mixed", random_mixed))
+    return [(kind, draw(product, rng)) for kind, draw in islice(cycle(draws), count)]
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ def bell_one_side_classical(
     settings = check_count(settings, "settings", minimum=0)
     product = _capped_product(a, b)
     rng = _as_rng(seed)
-    values = random_settings_chsh(product, _sample_states(product, samples, rng), settings, rng)
+    states = [st for _, st in _sample_states(product, samples, rng)]
+    values = random_settings_chsh(product, states, settings, rng)
     worst = float(np.max(np.abs(values), initial=0.0))
     if not (a.is_commutative or b.is_commutative):
         witness = chsh_value(embedded_singlet(a, b), canonical_qubit_observables(a, b))
@@ -189,8 +190,7 @@ def verify_equivalence(
     if not expected_all:
         labeled.append(("injected singlet", embedded_singlet(a, b)))
         labeled.append(("injected Werner(0.5)", embedded_werner(0.5, a, b)))
-    for k, st in enumerate(_sample_states(product, samples, master)):
-        kind = "vector" if k % 2 == 0 else "mixed"
+    for k, (kind, st) in enumerate(_sample_states(product, samples, master)):
         labeled.append((f"sample {k} ({kind})", st))
     job_seeds = master.integers(0, 2**63 - 1, size=(len(labeled), 2))
 

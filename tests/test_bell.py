@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from raggio_kit import bell
 from raggio_kit.algebra import (
+    AlgebraElement,
     direct_sum,
     element,
     make_commutative,
@@ -98,6 +101,49 @@ def test_seesaw_checks_its_start_only_and_returns_its_signs_as_built(monkeypatch
         for mine, theirs in zip(kept, stacks):
             np.testing.assert_array_equal(mine, theirs)
             assert not mine.flags.writeable
+
+
+def test_observables_keep_the_stacks_only_and_build_elements_when_read(monkeypatch):
+    built = []
+    check = AlgebraElement.__post_init__
+
+    def counted(self):
+        built.append(self.algebra)
+        check(self)
+
+    state = random_mixed(tensor(make_full(3), make_commutative(4)), 5)
+    alg_a, alg_b = state.algebra.factors
+    b1, b2 = random_dichotomic(alg_b, 1), random_dichotomic(alg_b, 2)
+    monkeypatch.setattr(AlgebraElement, "__post_init__", counted)
+    obs, _, _ = seesaw(state, b1, b2)
+    assert built == []
+    assert [f.name for f in dataclasses.fields(obs)] == ["alg_a", "a", "alg_b", "b"]
+    assert (obs.alg_a, obs.alg_b) == (alg_a, alg_b)
+    b2_read = obs.b2
+    assert built == [alg_b]
+    assert len(b2_read.blocks) == len(obs.b)
+    for blk, stack in zip(b2_read.blocks, obs.b):
+        np.testing.assert_array_equal(blk, stack[1])
+    with pytest.raises(AttributeError):
+        obs.b2 = b1
+
+
+def test_observables_compare_by_identity_and_hash():
+    # the generated __eq__ compared the elements' arrays, which raised
+    obs = random_observables(M2, M2, 0)
+    rebuilt = ChshObservables(obs.a1, obs.a2, obs.b1, obs.b2)
+    assert obs == obs
+    assert obs != rebuilt
+    assert hash(obs) == hash(obs)
+    assert len({obs, rebuilt, obs}) == 2
+
+
+def test_chsh_value_and_seesaw_check_the_state_type():
+    obs = canonical_qubit_observables(M2, M2)
+    with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
+        chsh_value("s", obs)
+    with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
+        seesaw("s", obs.b1, obs.b2)
 
 
 def test_pauli_matrices():

@@ -14,6 +14,7 @@ import pytest
 import raggio_kit
 from raggio_kit import cli
 from raggio_kit.cli import parse_algebra
+from raggio_kit.errors import ResourceLimitError
 from raggio_kit.harness import RaggioReport
 from raggio_kit.serialize import pure_vector_to_dict, state_to_dict
 from raggio_kit.states import singlet, werner
@@ -41,6 +42,35 @@ def test_parse_algebra_rejects_garbage():
     for bad in ("Q2", "M", "M0", "M2++M3", "x M2", "M2 +", ""):
         with pytest.raises(cli.UsageError):
             parse_algebra(bad)
+
+
+def test_parse_algebra_refuses_over_cap_algebras_before_building_them(monkeypatch):
+    built = []
+
+    def recorded(build):
+        def wrapper(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        return wrapper
+
+    for name in ("make_commutative", "tensor"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    for text in ("D65", "D4000000", "D9 x D8", "M2 x D40 x D2", "D8 x D8 x D2"):
+        with pytest.raises(ResourceLimitError, match=r"blocks, which exceeds the cap 64$"):
+            parse_algebra(text)
+    assert built and max(alg.num_blocks for alg in built) <= 64
+    # at the cap, and M<n> atoms whatever their size, still parse
+    assert parse_algebra("D64").num_blocks == 64
+    assert parse_algebra("D8 x D8").num_blocks == 64
+    assert parse_algebra("M10 x M10").block_dims == (100,)
+
+
+def test_over_cap_raggio_check_exits_1_at_once(capsys):
+    for a, b in (("D4000000", "M2"), ("D5000", "D5000")):
+        code, out, err = run(capsys, "raggio-check", "--a", a, "--b", b, "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err == f"error: algebra '{a}' would have {a[1:]} blocks, which exceeds the cap 64\n"
 
 
 def test_born_text(capsys):

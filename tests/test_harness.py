@@ -103,7 +103,7 @@ def _loop_scan_values(a, b, samples, seed, settings):
     product = tensor(a, b)
     rng = np.random.default_rng(seed)
     values = []
-    for state in _sample_states(product, samples, rng):
+    for _, state in _sample_states(product, samples, rng):
         for _ in range(settings):
             obs = random_observables(a, b, rng)
             op = tensor_element(obs.a1, obs.b1 + obs.b2, product) + tensor_element(
@@ -129,7 +129,8 @@ def test_bell_scan_matches_loop_reference(a, b):
     for seed in (0, 17):
         reference = _loop_scan_values(a, b, 6, seed, 7)
         rng = np.random.default_rng(seed)
-        values = random_settings_chsh(product, _sample_states(product, 6, rng), 7, rng)
+        states = [st for _, st in _sample_states(product, 6, rng)]
+        values = random_settings_chsh(product, states, 7, rng)
         np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
         expected = np.abs(reference).max()
         if not (a.is_commutative or b.is_commutative):
@@ -157,7 +158,8 @@ def test_bell_scan_chunks_match_loop_reference(monkeypatch):
     calls = _count_chunks(monkeypatch)
     rng = np.random.default_rng(5)
     product = tensor(M2, D2)
-    values = random_settings_chsh(product, _sample_states(product, 3, rng), settings, rng)
+    states = [st for _, st in _sample_states(product, 3, rng)]
+    values = random_settings_chsh(product, states, settings, rng)
     assert calls == [1, 1, 1]
     np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
     scan = bell_one_side_classical(M2, D2, samples=3, seed=5, settings=settings)
@@ -182,7 +184,7 @@ def test_bell_scan_splits_one_states_settings_into_chunks(monkeypatch):
     reference = _loop_scan_values(M2, M2, 3, 8, 10)
     rng = np.random.default_rng(8)
     product = tensor(M2, M2)
-    states = _sample_states(product, 3, rng)
+    states = [st for _, st in _sample_states(product, 3, rng)]
     recorder = _RecordingRng(rng)
     values = random_settings_chsh(product, states, 10, recorder)
     assert [size[:2] for size in recorder.sizes] == [(1, 4), (1, 4), (1, 2)] * 3
@@ -261,6 +263,25 @@ def test_verify_dimension_cap():
     # 8 x 8 = 64 sits exactly at the cap and is admitted
     rep = verify_equivalence(make_full(8), make_commutative(8), samples=2, seed=0)
     assert rep.verdict == VERDICT_CONSISTENT
+
+
+def test_verify_refuses_an_over_cap_product_before_building_it(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("tensor called")
+
+    monkeypatch.setattr(harness, "tensor", refuse)
+    big = make_commutative(20000)
+    with pytest.raises(ResourceLimitError, match="^product dimension 400000000 exceeds the cap 64$"):
+        verify_equivalence(big, big, samples=1, seed=0)
+    with pytest.raises(ResourceLimitError):
+        bell_one_side_classical(big, big, samples=1, seed=0, settings=1)
+
+
+def test_sample_states_label_each_draw_with_its_kind():
+    draws = _sample_states(tensor(M2, M2), 5, np.random.default_rng(3))
+    assert [kind for kind, _ in draws] == ["vector", "mixed", "vector", "mixed", "vector"]
+    # a vector state is pure, a full-rank mixture is not
+    assert [purity(st) > 1.0 - 1e-12 for _, st in draws] == [True, False, True, False, True]
 
 
 def test_verify_argument_checks_and_seed_fallback():
