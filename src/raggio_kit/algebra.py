@@ -366,10 +366,10 @@ def _product_of(a: FdAlgebra, b: FdAlgebra, product: FdAlgebra | None) -> FdAlge
     return tensor(a, b) if product is None else product
 
 
-def tensor_element(x: AlgebraElement, y: AlgebraElement, product: FdAlgebra | None = None) -> AlgebraElement:
-    """Embed x (x) y into the tensor algebra via blockwise Kronecker products."""
-    product = _product_of(x.algebra, y.algebra, product)
-    return AlgebraElement(product, tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks))
+def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Embed x (x) y into tensor(x.algebra, y.algebra) via blockwise Kronecker products."""
+    blocks = tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks)
+    return AlgebraElement(tensor(x.algebra, y.algebra), blocks)
 
 
 def matrix_units(algebra: FdAlgebra):

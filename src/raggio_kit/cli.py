@@ -59,7 +59,11 @@ def parse_algebra(text: str) -> FdAlgebra:
         m = _ATOM.match(tok)
         if not m:
             raise UsageError(f"cannot parse algebra atom {tok!r} (expected M<n> or D<n>)")
-        kind, n = m.group(1), int(m.group(2))
+        try:
+            kind, n = m.group(1), int(m.group(2))
+        except ValueError:  # more digits than sys.get_int_max_str_digits() lets int() read
+            why = f"algebra atom {tok[0]}<n> has {len(tok) - 1} digits, too many to read"
+            raise ResourceLimitError(why) from None
         if n < 1:
             raise UsageError(f"algebra atom {tok!r} needs a positive dimension")
         if kind == "D":
@@ -288,9 +292,6 @@ def run(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), out)
         return 141
     return code
-
-
-main = run
 
 
 if __name__ == "__main__":

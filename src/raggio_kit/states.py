@@ -302,18 +302,15 @@ def qubit_pair() -> FdAlgebra:
     return tensor(make_full(2), make_full(2))
 
 
-def singlet(product: FdAlgebra | None = None) -> PureVector:
-    """The two-qubit singlet (e1 (x) e2 - e2 (x) e1) / sqrt(2)."""
-    pair = qubit_pair()
-    if product not in (None, pair):
-        raise UnsupportedShapeError("singlet lives on M2 (x) M2")
-    return PureVector(pair, np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
+def singlet() -> PureVector:
+    """The two-qubit singlet (e1 (x) e2 - e2 (x) e1) / sqrt(2) on qubit_pair()."""
+    return PureVector(qubit_pair(), np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
 
 
-def werner(p: float, product: FdAlgebra | None = None) -> State:
-    """Werner mixture p |singlet><singlet| + (1 - p) 1/4 on M2 (x) M2."""
+def werner(p: float) -> State:
+    """Werner mixture p |singlet><singlet| + (1 - p) 1/4 on qubit_pair()."""
     if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p!r}")
-    pure = singlet(product)
+    pure = singlet()
     rho = p * pure.blocks[0] + (1.0 - p) * np.eye(4) / 4.0
     return State(pure.algebra, (rho,), trusted=True)

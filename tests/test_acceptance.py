@@ -298,7 +298,7 @@ def test_criterion_8_structural_property_battery():
         st = random_mixed(prod, rng)
         x = random_dichotomic(alg_a, rng)
         lhs = expectation(restrict_to_factor(st, "a"), x)
-        rhs = expectation(st, tensor_element(x, unit(alg_b), prod))
+        rhs = expectation(st, tensor_element(x, unit(alg_b)))
         checks.append(abs(lhs - rhs) <= 1e-12)
 
     # the involution and the state positivity: omega(x* x) >= 0

@@ -210,7 +210,7 @@ def test_effective_operators_reproduce_expectations():
                 x = random_dichotomic(own, rng)
                 lhs = sum(np.trace(hb[t] @ xb).real for hb, xb in zip(h, x.blocks))
                 pair = (x, c[t]) if side == 0 else (c[t], x)
-                rhs = expectation(st, tensor_element(*pair, prod)).real
+                rhs = expectation(st, tensor_element(*pair)).real
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

@@ -73,6 +73,32 @@ def test_over_cap_raggio_check_exits_1_at_once(capsys):
         assert err == f"error: algebra '{a}' would have {a[1:]} blocks, which exceeds the cap 64\n"
 
 
+BIG = "9" * 5000  # more digits than int() reads at its default limit, 4300
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("D", ["raggio-check", "--a", f"D{BIG}", "--b", "M2", "--seed", "0", "--samples", "1"]),
+        ("M", ["raggio-check", "--a", f"M{BIG}", "--b", "M2", "--seed", "0", "--samples", "1"]),
+        ("M", ["schmidt", "--psi", "[[1,0],[0,0],[0,0],[0,0]]", "--algebra", f"M{BIG} x M2"]),
+    ],
+    ids=["raggio-check-D", "raggio-check-M", "schmidt-M"],
+)
+def test_atoms_with_more_digits_than_int_reads_exit_1(capsys, kind, argv):
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit in (default, 640, 0):  # 0 lifts the limit: int() reads any digit string
+            sys.set_int_max_str_digits(limit)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            if limit:
+                assert err == f"error: algebra atom {kind}<n> has 5000 digits, too many to read\n"
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 def test_born_text(capsys):
     code, out, _ = run(capsys, "born", "--psi", "[[0.7071,0],[0.7071,0]]")
     assert code == 0

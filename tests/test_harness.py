@@ -106,9 +106,7 @@ def _loop_scan_values(a, b, samples, seed, settings):
     for _, state in _sample_states(product, samples, rng):
         for _ in range(settings):
             obs = random_observables(a, b, rng)
-            op = tensor_element(obs.a1, obs.b1 + obs.b2, product) + tensor_element(
-                obs.a2, obs.b1 - obs.b2, product
-            )
+            op = tensor_element(obs.a1, obs.b1 + obs.b2) + tensor_element(obs.a2, obs.b1 - obs.b2)
             values.append(expectation(state, op).real)
     return np.reshape(values, (samples, settings))
 

@@ -323,9 +323,7 @@ def test_chsh_value_is_the_expectation_of_the_bell_operator(dims, seed):
     a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
     product = tensor(a, b)
     obs = random_observables(a, b, rng)
-    bell = tensor_element(obs.a1, obs.b1 + obs.b2, product) + tensor_element(
-        obs.a2, obs.b1 - obs.b2, product
-    )
+    bell = tensor_element(obs.a1, obs.b1 + obs.b2) + tensor_element(obs.a2, obs.b1 - obs.b2)
     # the see-saw's B half-step contracts the same functional against (A1, A2)
     x = [np.stack(pair) for pair in zip(obs.a1.blocks, obs.a2.blocks)]
     y = [np.stack(pair) for pair in zip(obs.b1.blocks, obs.b2.blocks)]

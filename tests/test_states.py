@@ -3,7 +3,6 @@ import pytest
 
 from raggio_kit.algebra import (
     AlgebraElement,
-    FdAlgebra,
     direct_sum,
     element,
     make_commutative,
@@ -37,6 +36,7 @@ from raggio_kit.states import (
     point_state,
     product_state,
     purity,
+    qubit_pair,
     random_mixed,
     random_pure,
     random_vector_state,
@@ -309,10 +309,10 @@ def test_restriction_agrees_with_tensor_unit_expectation():
         x = random_selfadjoint(alg_a, rng)
         y = random_selfadjoint(alg_b, rng)
         lhs_a = expectation(ra, x)
-        rhs_a = expectation(st, tensor_element(x, unit(alg_b), prod))
+        rhs_a = expectation(st, tensor_element(x, unit(alg_b)))
         assert lhs_a == pytest.approx(rhs_a, abs=1e-12)
         lhs_b = expectation(rb, y)
-        rhs_b = expectation(st, tensor_element(unit(alg_a), y, prod))
+        rhs_b = expectation(st, tensor_element(unit(alg_a), y))
         assert lhs_b == pytest.approx(rhs_b, abs=1e-12)
 
 
@@ -398,15 +398,14 @@ def test_werner_family():
 
 
 def test_singlet_and_werner_need_two_qubit_factors():
-    # M4 (x) M1 has one 4-dimensional joint block, where (e2 - e3) / sqrt(2)
-    # is a product vector, not a singlet
-    for product in (tensor(make_full(4), make_full(1)), tensor(make_full(1), make_full(4))):
-        with pytest.raises(UnsupportedShapeError):
+    # both build on qubit_pair() and take no product, so none can name
+    # M4 (x) M1, whose 4-dimensional joint block holds no singlet
+    assert singlet().algebra == werner(0.5).algebra == qubit_pair()
+    for product in (qubit_pair(), tensor(make_full(4), make_full(1))):
+        with pytest.raises(TypeError):
             singlet(product)
-        with pytest.raises(UnsupportedShapeError):
+        with pytest.raises(TypeError):
             werner(1.0, product)
-    declared = FdAlgebra((4,), factors=(make_full(2), make_full(2)))
-    np.testing.assert_array_equal(werner(0.5, declared).blocks[0], werner(0.5).blocks[0])
 
 
 def test_random_states_are_states():
