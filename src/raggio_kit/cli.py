@@ -35,6 +35,7 @@ from .serialize import (
 from .states import PureVector, restrict_to_diagonal, singlet, werner
 
 _ATOM = re.compile(r"^([MD])([0-9]+)$")
+_ATOM_DIGITS = 18  # no subcommand can use 10^18; int() reads at least 640 digits
 
 
 class UsageError(Exception):
@@ -59,11 +60,10 @@ def parse_algebra(text: str) -> FdAlgebra:
         m = _ATOM.match(tok)
         if not m:
             raise UsageError(f"cannot parse algebra atom {tok!r} (expected M<n> or D<n>)")
-        try:
-            kind, n = m.group(1), int(m.group(2))
-        except ValueError:  # more digits than sys.get_int_max_str_digits() lets int() read
+        if len(m.group(2)) > _ATOM_DIGITS:
             why = f"algebra atom {tok[0]}<n> has {len(tok) - 1} digits, too many to read"
-            raise ResourceLimitError(why) from None
+            raise ResourceLimitError(why)
+        kind, n = m.group(1), int(m.group(2))
         if n < 1:
             raise UsageError(f"algebra atom {tok!r} needs a positive dimension")
         if kind == "D":

@@ -108,7 +108,7 @@ def reconstruct(dec: Decomposition, product: FdAlgebra | None = None) -> State:
         np.einsum("k,kac,kbd->abcd", dec.weights, a[i], b[j]).reshape(n * m, n * m)
         for _, i, j, n, m in joint_blocks(product)
     )
-    return State(product, blocks, trusted=True)
+    return State._of_density(product, blocks)
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def classical_decompose(state: State) -> Decomposition:
             continue
         weights.append(w)
         parts[side].append(point_state(points, point))
-        parts[1 - side].append(State(other, tuple(b / w for b in blocks), trusted=True))
+        parts[1 - side].append(State._of_density(other, tuple(b / w for b in blocks)))
     return Decomposition(tuple(weights), tuple(parts[0]), tuple(parts[1]))
 
 
@@ -388,7 +388,7 @@ def _separable(state: State, dec, **fields) -> SeparabilityVerdict:
     if not isinstance(dec, Decomposition):
         def pure(side, k, v):
             alg = state.algebra.factors[side]
-            return State(alg, embed(alg, k, np.outer(v, v.conj())), trusted=True)
+            return State._of_density(alg, embed(alg, k, np.outer(v, v.conj())))
 
         a_parts = tuple(pure(0, i, a) for _, i, a, _, _ in dec)
         b_parts = tuple(pure(1, j, b) for _, _, _, j, b in dec)

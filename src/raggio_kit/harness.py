@@ -57,7 +57,7 @@ def _embed_two_qubit_density(alg_a: FdAlgebra, alg_b: FdAlgebra, rho4: np.ndarra
     idx, n, m = next((idx, n, m) for idx, i, j, n, m in joint_blocks(product) if (i, j) == (ia, jb))
     blk = np.zeros((n, m, n, m), dtype=complex)
     blk[:2, :2, :2, :2] = rho4.reshape(2, 2, 2, 2)
-    return State(product, embed(product, idx, blk.reshape(n * m, n * m)), trusted=True)
+    return State._of_density(product, embed(product, idx, blk.reshape(n * m, n * m)))
 
 
 def embedded_singlet(alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:

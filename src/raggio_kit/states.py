@@ -105,25 +105,30 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
 class State:
     """A state given by its block-diagonal density matrix.
 
-    Construction validates positivity and renormalizes the trace; callers producing blocks
-    that are exact by construction can pass ``trusted=True`` to skip the eigen-solves.
-    Either way the blocks are stored as read-only copies; the caller's arrays stay its own.
+    Construction validates positivity and renormalizes the trace.  The blocks are stored
+    as read-only copies; the caller's arrays stay its own.
     """
 
     algebra: FdAlgebra
     blocks: tuple[np.ndarray, ...]
-    trusted: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = _block_arrays(self.algebra, self.blocks, InvalidStateError, "density block")
-        if not self.trusted:
-            blocks = [_clean_density_block(b, f"density block {k}") for k, b in enumerate(blocks)]
-            with np.errstate(over="ignore"):  # an overflowing trace is rejected just below
-                tr = float(sum(np.trace(b).real for b in blocks))
-            if abs(tr - 1.0) > STATE_TRACE_TOL:
-                raise InvalidStateError(f"density trace is {tr!r}, expected 1")
-            blocks = [b / tr for b in blocks]
-        object.__setattr__(self, "blocks", tuple(map(_frozen, blocks)))
+        blocks = [_clean_density_block(b, f"density block {k}") for k, b in enumerate(blocks)]
+        with np.errstate(over="ignore"):  # an overflowing trace is rejected just below
+            tr = float(sum(np.trace(b).real for b in blocks))
+        if abs(tr - 1.0) > STATE_TRACE_TOL:
+            raise InvalidStateError(f"density trace is {tr!r}, expected 1")
+        object.__setattr__(self, "blocks", tuple(_frozen(b / tr) for b in blocks))
+
+    @classmethod
+    def _of_density(cls, algebra: FdAlgebra, blocks) -> State:
+        """Blocks that are a density by construction, kept as read-only copies with no
+        eigen-solve and no rescaling; only their count and shapes are checked."""
+        arrays = _block_arrays(algebra, blocks, InvalidStateError, "density block")
+        st = object.__new__(cls)
+        vars(st).update(algebra=algebra, blocks=tuple(map(_frozen, arrays)))
+        return st
 
     matrix = AlgebraElement.matrix
 
@@ -170,7 +175,7 @@ class PureVector:
 
     def state(self) -> State:
         """The induced density matrix |psi><psi| as a State."""
-        return State(self.algebra, self.blocks, trusted=True)
+        return State._of_density(self.algebra, self.blocks)
 
 
 def _as_state(state, kinds: tuple[type, ...] = (State, PureVector)):
@@ -213,7 +218,7 @@ def mixture(weights, parts) -> State:
 def product_state(sa: State, sb: State, product: FdAlgebra | None = None) -> State:
     """The product state (omega_a x omega_b) on the tensor algebra."""
     blocks = tuple(np.kron(ra, rb) for ra in sa.blocks for rb in sb.blocks)
-    return State(_product_of(sa.algebra, sb.algebra, product), blocks, trusted=True)
+    return State._of_density(_product_of(sa.algebra, sb.algebra, product), blocks)
 
 
 def restrict_to_factor(state: State, keep: str) -> State:
@@ -232,7 +237,7 @@ def restrict_to_factor(state: State, keep: str) -> State:
     for idx, i, j, n, m in blocks:
         k, spec = (i, "ajbj->ab") if keep == "a" else (j, "iaib->ab")
         out[k] = out[k] + np.einsum(spec, state.blocks[idx].reshape(n, m, n, m))
-    return State(target, tuple(out), trusted=True)
+    return State._of_density(target, tuple(out))
 
 
 def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
@@ -247,11 +252,8 @@ def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
 
 def maximally_mixed(algebra: FdAlgebra) -> State:
     n = algebra.total_dim
-    return State(
-        algebra,
-        tuple(np.eye(d, dtype=complex) / n for d in algebra.block_dims),
-        trusted=True,
-    )
+    blocks = tuple(np.eye(d, dtype=complex) / n for d in algebra.block_dims)
+    return State._of_density(algebra, blocks)
 
 
 def point_state(algebra: FdAlgebra, index: int) -> State:
@@ -262,7 +264,7 @@ def point_state(algebra: FdAlgebra, index: int) -> State:
         raise InvalidArgumentError(
             f"point index {index} out of range for {algebra.num_blocks} points"
         )
-    return State(algebra, embed(algebra, index, np.ones((1, 1), dtype=complex)), trusted=True)
+    return State._of_density(algebra, embed(algebra, index, np.ones((1, 1), dtype=complex)))
 
 
 def random_pure(algebra: FdAlgebra, rng=None) -> PureVector:
@@ -283,7 +285,7 @@ def random_vector_state(algebra: FdAlgebra, rng=None) -> State:
     psi = rng.standard_normal(algebra.total_dim) + 1j * rng.standard_normal(algebra.total_dim)
     psi /= np.linalg.norm(psi)
     blocks = tuple(np.outer(psi[s], psi[s].conj()) for s in algebra.block_slices())
-    return State(algebra, blocks, trusted=True)
+    return State._of_density(algebra, blocks)
 
 
 def random_mixed(algebra: FdAlgebra, rng=None) -> State:
@@ -294,7 +296,7 @@ def random_mixed(algebra: FdAlgebra, rng=None) -> State:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         blocks.append(g @ g.conj().T)
     tr = sum(np.trace(b).real for b in blocks)
-    return State(algebra, tuple(b / tr for b in blocks), trusted=True)
+    return State._of_density(algebra, tuple(b / tr for b in blocks))
 
 
 def qubit_pair() -> FdAlgebra:
@@ -313,4 +315,4 @@ def werner(p: float) -> State:
         raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p!r}")
     pure = singlet()
     rho = p * pure.blocks[0] + (1.0 - p) * np.eye(4) / 4.0
-    return State(pure.algebra, (rho,), trusted=True)
+    return State._of_density(pure.algebra, (rho,))

@@ -198,7 +198,7 @@ def test_classical_decompose_needs_commutative_factor():
 def test_classical_decompose_prunes_zero_weights():
     prod = tensor(make_full(2), make_commutative(3))
     blk = np.eye(2) / 2.0
-    st = State(prod, (blk, np.zeros((2, 2)), np.zeros((2, 2))), trusted=True)
+    st = State(prod, (blk, np.zeros((2, 2)), np.zeros((2, 2))))
     dec = classical_decompose(st)
     assert dec.num_terms == 1
 

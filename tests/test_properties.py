@@ -4,7 +4,8 @@ One property checks the numpy-built dense matrix against scipy's block_diag,
 one checks the one-einsum reassembly of a decomposition against
 the mixture of its product states, two cover the separability certificates
 on qubit and qutrit blocks, one the terms the Frank-Wolfe search returns,
-one the embedded two-qubit witnesses, two the one CHSH contraction that the
+one the embedded two-qubit witnesses, one the densities built unchecked
+against the checked State constructor, two the one CHSH contraction that the
 value, the scan and the see-saw share, and a last one feeds malformed counts,
 tolerances, weights, see-saw starts and entries that are no numbers to the
 public API."""
@@ -70,6 +71,7 @@ from raggio_kit.states import (
     PureVector,
     State,
     expectation,
+    maximally_mixed,
     mixture,
     point_state,
     product_state,
@@ -314,6 +316,35 @@ def test_embedded_witnesses_keep_their_two_qubit_values(dims_a, dims_b, points, 
         for pair in ((d, b), (a, d)):
             with pytest.raises(UnsupportedShapeError):
                 build(*pair)
+
+
+def _unchecked_densities(a, b, p, rng):
+    """One of each density the package builds with State._of_density, on factors a and b."""
+    n, m = a.total_dim, b.total_dim
+    x, y = random_mixed(a, rng), random_vector_state(b, rng)
+    joint = product_state(x, y)
+    u, v = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (n, m))
+    pure = PureVector(tensor(make_full(n), make_full(m)), np.kron(u, v))
+    parts = separability_test(pure).decomposition
+    classical = random_mixed(tensor(make_commutative(n), b), rng)
+    out = [x, y, joint, restrict_to_factor(joint, "a"), restrict_to_factor(joint, "b")]
+    out += [maximally_mixed(tensor(a, b)), point_state(make_commutative(n), n - 1)]
+    out += [pure.state(), werner(p), *parts.a_parts, *parts.b_parts]
+    out.append(reconstruct(classical_decompose(classical)))
+    if max(a.block_dims) >= 2 and max(b.block_dims) >= 2:
+        out += [embedded_singlet(a, b), embedded_werner(p, a, b)]
+    return out
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, st.floats(0.0, 1.0), SEEDS)
+def test_unchecked_densities_pass_the_checked_constructor(dims, p, seed):
+    # State._of_density skips the positivity and trace checks on blocks that are a
+    # density by construction; the checked State(...) must accept them nearly unchanged
+    rng = np.random.default_rng(seed)
+    for built in _unchecked_densities(FdAlgebra(dims[0]), FdAlgebra(dims[1]), p, rng):
+        checked = State(built.algebra, built.blocks)
+        assert max(np.max(np.abs(c - b)) for c, b in zip(checked.blocks, built.blocks)) <= 1e-12
 
 
 @PROPERTY

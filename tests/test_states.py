@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,10 +117,10 @@ def test_elements_and_states_check_their_blocks_alike():
 
 
 def test_states_keep_read_only_copies_of_the_callers_arrays():
-    # a trusted State used to freeze and alias the caller's own array
+    # the unchecked constructor used to freeze and alias the caller's own array
     a = np.eye(2) / 2 + 0j
-    for trusted in (True, False):
-        st = State(make_full(2), (a,), trusted=trusted)
+    for make in (State, State._of_density):
+        st = make(make_full(2), (a,))
         a[0, 0] = 1.0
         assert st.blocks[0][0, 0] == 0.5
         assert not st.blocks[0].flags.writeable
@@ -128,6 +130,19 @@ def test_states_keep_read_only_copies_of_the_callers_arrays():
     amplitudes[0] = 0.0
     assert psi.vector[0] == 1.0
     assert not psi.vector.flags.writeable and not psi.blocks[0].flags.writeable
+
+
+def test_every_public_state_is_checked():
+    # a switch that skipped every check used to let these through: CHSH 22 on the first,
+    # and NaN passed on to LAPACK from the second
+    assert [f.name for f in dataclasses.fields(State)] == ["algebra", "blocks"]
+    negative = (np.diag([-5.0, 2.0, 2.0, 2.0]),)
+    with pytest.raises(TypeError):
+        State(qubit_pair(), negative, trusted=True)
+    with pytest.raises(InvalidStateError, match="negative eigenvalue -5.000e"):
+        State(qubit_pair(), negative)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        State(make_full(2), (np.array([[np.nan, 0.0], [0.0, 0.5]]),))
 
 
 @pytest.mark.parametrize("amplitudes", [[np.nan, 1, 0, 0], [np.inf, 1, 0, 0], [1, 0, 0, -np.inf]])
