@@ -13,7 +13,8 @@ the functional is linear, its maximizer over the unit ball of self-adjoint
 elements is the sign of the effective operator, and the attained value is a
 trace norm.  Each half-step is exact, so the value history never decreases;
 random restarts plus an identity-seeded restart (whose fixed point is 2 up
-to rounding) handle the nonconvexity in the pair of sides.
+to rounding) handle the nonconvexity in the pair of sides.  A see-saw call
+plans its joint-block reads once, and 1x1 signs take no eigen-solve.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
     it, in ``a`` and ``b``: the sum of Tr(H_t A_t) over t and the blocks of A,
     for the _effective operators H of the states, (P, 1, n m, n m), against ``b``."""
     rhos = [np.array(blk)[:, None] for blk in zip(*(st.blocks for st in states))]
-    h = _effective(product, rhos, b, 0)
+    h = _effective(_plan(product, rhos, 0), b)
     return np.real(sum(np.einsum("...tac,...tca->...", ht, at) for ht, at in zip(h, a)))
 
 
@@ -162,9 +163,12 @@ def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.n
 
 def _sign(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign of every self-adjoint matrix in a (..., d, d) stack, sign(0) = +1, and
-    the (..., d) eigenvalues it was read from, which also give the trace norms."""
-    w, v = np.linalg.eigh(herm(h))
+    the (..., d) eigenvalues it was read from, which also give the trace norms.
+    For n = 1 LAPACK returns W = Re a and Z = 1; those bits are read with no eigen-solve."""
+    w, v = (h[..., 0].real, None) if h.shape[-1] == 1 else np.linalg.eigh(herm(h))
     s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
+    if v is None:
+        return s[..., None].astype(h.dtype), w
     return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2), w
 
 
@@ -179,53 +183,54 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     return element(h.algebra, [_sign(blk)[0] for blk in h.blocks])
 
 
-def _effective(product: FdAlgebra, rhos, x, side: int) -> list[np.ndarray]:
-    """Per block of factor ``side`` (0: A, 1: B), the (..., 2, d, d) stack of the
-    H_t with Tr(H_t Y) = omega(Y (x) C_t), respectively omega(C_t (x) Y), where
-    C = (X1 + X2, X1 - X2), ``rhos`` holds the state's (..., n m, n m) joint
-    blocks and ``x`` the (..., 2, d, d) stack of (X1, X2) per block of the other
-    factor; leading axes broadcast.  Reading a joint block as rho[a, b, c, d],
-    H_t[a, c] = sum rho[a, b, c, d] C_t[d, b]; side 1 swaps the factor axes of
-    rho.  H_t is Hermitian up to rounding; _sign projects it."""
-    c = [s[..., :1, :, :] + np.array([1.0, -1.0])[:, None, None] * s[..., 1:, :, :] for s in x]
-    out = [0.0] * product.factors[side].num_blocks
+def _plan(product: FdAlgebra, rhos, side: int) -> list[list[tuple[np.ndarray, int]]]:
+    """Per block i of factor ``side`` (0: A, 1: B), in order, one (rho, j) per joint block of i
+    and block j of the other factor; rho views it in ``rhos`` as (..., n, m, n, m), swapped on B."""
+    plan = [[] for _ in product.factors[side].block_dims]
     for idx, i, j, n, m in joint_blocks(product):
         rho = rhos[idx].reshape(*rhos[idx].shape[:-2], n, m, n, m)
         if side == 1:
             rho, i, j = rho.swapaxes(-4, -3).swapaxes(-2, -1), j, i
-        out[i] = out[i] + np.einsum("...abcd,...tdb->...tac", rho, c[j])
-    return out
+        plan[i].append((rho, j))
+    return plan
 
 
-def _half_step(state: State, x, side: int) -> tuple[list[np.ndarray], float]:
-    """Exact maximization on factor ``side`` against the (X1, X2) stacks ``x`` of
-    the other factor: the signs of the effective operators, as (2, d, d) stacks
-    per block, and the value reached, the sum of their trace norms."""
-    signs, eigs = zip(*map(_sign, _effective(state.algebra, state.blocks, x, side)))
+def _effective(plan, x) -> list[np.ndarray]:
+    """Per block of the factor ``plan`` maximizes on, the (..., 2, d, d) stack of the H_t with
+    Tr(H_t Y) = omega(Y (x) C_t), or omega(C_t (x) Y) on B, for C = (X1 + X2, X1 - X2) and ``x``
+    the other factor's (..., 2, d, d) stacks of (X1, X2), leading axes broadcast: H_t[a, c] =
+    sum rho[a, b, c, d] C_t[d, b] over the planned rhos in order, Hermitian up to rounding."""
+    c = [s[..., :1, :, :] + np.array([1.0, -1.0])[:, None, None] * s[..., 1:, :, :] for s in x]
+    return [sum(np.einsum("...abcd,...tdb->...tac", rho, c[j]) for rho, j in row) for row in plan]
+
+
+def _half_step(plan, x) -> tuple[list[np.ndarray], float]:
+    """Exact maximization on the factor of ``plan`` against the (X1, X2) stacks ``x``: the
+    (2, d, d) signs of the effective operators per block, and the sum of their trace norms."""
+    signs, eigs = zip(*map(_sign, _effective(plan, x)))
     return list(signs), float(sum(np.abs(w).sum(axis=-1) for w in eigs).sum())
 
 
 def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
     """Alternating maximization from a given B side.
 
-    ``b1`` and ``b2`` must be self-adjoint contractions on the second factor,
-    as in :class:`ChshObservables`; other starts raise PreconditionError.
-    Returns ``(observables, history, converged)`` where ``history`` holds the
-    value after every half-step.  Each half-step maximizes exactly, so the
-    history is nondecreasing up to rounding.  The run converges at the first
-    round gaining less than SEESAW_GAIN_TOL, or stops at SEESAW_MAX_ROUNDS.
+    ``b1`` and ``b2`` must be self-adjoint contractions on the second factor, as in
+    :class:`ChshObservables`; other starts raise PreconditionError.  Returns
+    ``(observables, history, converged)``, ``history`` holding the value after each
+    half-step, nondecreasing up to rounding since each half-step maximizes exactly.
+    The run converges at the first round gaining less than SEESAW_GAIN_TOL, or stops
+    at SEESAW_MAX_ROUNDS.  The state's joint blocks are read into one _plan per side per call.
     """
     alg_a, alg_b = _require_factors(_as_state(state).algebra)
     if not b1.algebra == b2.algebra == alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
-    prev = -np.inf
-    history: list[float] = []
-    converged = False
+    prev, history, converged = -np.inf, [], False
     b = _observable_side(b1, b2, "see-saw start (b1, b2)")
+    plan_a, plan_b = (_plan(state.algebra, state.blocks, side) for side in (0, 1))
     for _ in range(SEESAW_MAX_ROUNDS):
-        a, value = _half_step(state, b, 0)
+        a, value = _half_step(plan_a, b)
         history.append(value)
-        b, value = _half_step(state, a, 1)
+        b, value = _half_step(plan_b, a)
         history.append(value)
         if value - prev < SEESAW_GAIN_TOL:
             converged = True
@@ -259,11 +264,12 @@ def random_observables(alg_a: FdAlgebra, alg_b: FdAlgebra, rng=None) -> ChshObse
 def chsh_optimize(state, restarts: int = DEFAULT_RESTARTS, seed=None) -> ChshResult:
     """Best see-saw value over restarts, for a State or a PureVector.
 
-    Restart 0 seeds both B observables with the unit; its fixed point has
-    value 2 up to rounding.  Each later restart draws random dichotomic
-    observables from a generator spawned from ``seed`` as it begins.  Each
-    restart is one :func:`seesaw` call; the value reported is the last
-    history value of the winning restart (the first with the largest one).
+    Restart 0 seeds both B observables with the unit; its fixed point has value 2 up
+    to rounding.  Each later restart draws random dichotomic observables from a
+    generator spawned from ``seed`` as it begins, as one (2, .) draw that gives what
+    two :func:`random_dichotomic` calls give.  Each restart is one :func:`seesaw`
+    call; the value reported is the last history value of the winning restart (the
+    first with the largest one).
     """
     restarts = check_count(restarts, "restarts")
     state = _as_state(state)
@@ -272,7 +278,8 @@ def chsh_optimize(state, restarts: int = DEFAULT_RESTARTS, seed=None) -> ChshRes
     for r in range(restarts):
         if r:
             (child,) = rng.spawn(1)
-            b1, b2 = random_dichotomic(alg_b, child), random_dichotomic(alg_b, child)
+            z = child.standard_normal((2, sum(2 * d * d for d in alg_b.block_dims)))
+            b1, b2 = (element(alg_b, x) for x in zip(*_random_signs(z, alg_b.block_dims)))
         else:
             b1 = b2 = unit(alg_b)
         obs, history, converged = seesaw(state, b1, b2)

@@ -42,6 +42,11 @@ class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
+def _echo(text: str) -> str:
+    """``text`` quoted for an error message, cut to its first 20 characters."""
+    return repr(text[:20]) + ("..." if len(text) > 20 else "")
+
+
 def parse_algebra(text: str) -> FdAlgebra:
     """Parse the M/D/+/x grammar; tensor products record their factors.
 
@@ -51,21 +56,19 @@ def parse_algebra(text: str) -> FdAlgebra:
 
     def capped(blocks: int) -> None:
         if blocks > PRODUCT_DIM_CAP:
-            raise ResourceLimitError(
-                f"algebra {text!r} would have {blocks} blocks, "
-                f"which exceeds the cap {PRODUCT_DIM_CAP}"
-            )
+            why = f"algebra {_echo(text)} would have {blocks} blocks, which exceeds the cap"
+            raise ResourceLimitError(f"{why} {PRODUCT_DIM_CAP}")
 
     def atom(tok: str) -> FdAlgebra:
         m = _ATOM.match(tok)
         if not m:
-            raise UsageError(f"cannot parse algebra atom {tok!r} (expected M<n> or D<n>)")
+            raise UsageError(f"cannot parse algebra atom {_echo(tok)} (expected M<n> or D<n>)")
         if len(m.group(2)) > _ATOM_DIGITS:
             why = f"algebra atom {tok[0]}<n> has {len(tok) - 1} digits, too many to read"
             raise ResourceLimitError(why)
         kind, n = m.group(1), int(m.group(2))
         if n < 1:
-            raise UsageError(f"algebra atom {tok!r} needs a positive dimension")
+            raise UsageError(f"algebra atom {_echo(tok)} needs a positive dimension")
         if kind == "D":
             capped(n)
         return make_full(n) if kind == "M" else make_commutative(n)
@@ -73,7 +76,7 @@ def parse_algebra(text: str) -> FdAlgebra:
     def summand(part: str) -> FdAlgebra:
         toks = [t.strip() for t in part.split("+")]
         if any(not t for t in toks):
-            raise UsageError(f"empty summand in algebra {text!r}")
+            raise UsageError(f"empty summand in algebra {_echo(text)}")
         out = atom(toks[0])
         for tok in toks[1:]:
             out = direct_sum(out, atom(tok))
@@ -81,7 +84,7 @@ def parse_algebra(text: str) -> FdAlgebra:
 
     parts = [p.strip() for p in text.strip().split("x")]
     if any(not p for p in parts):
-        raise UsageError(f"empty tensor factor in algebra {text!r}")
+        raise UsageError(f"empty tensor factor in algebra {_echo(text)}")
     result = summand(parts[0])
     for part in parts[1:]:
         factor = summand(part)

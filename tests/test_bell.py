@@ -25,6 +25,7 @@ from raggio_kit.bell import (
     _check_observable,
     _effective,
     _half_step,
+    _plan,
     _random_signs,
     canonical_qubit_observables,
     chsh_optimize,
@@ -204,7 +205,7 @@ def test_effective_operators_reproduce_expectations():
         st = random_mixed(prod, rng)
         for side, (own, other) in enumerate(((alg_a, alg_b), (alg_b, alg_a))):
             y, c = stacks(other)
-            h = _effective(prod, st.blocks, y, side)
+            h = _effective(_plan(prod, st.blocks, side), y)
             assert [s.shape for s in h] == [(2, d, d) for d in own.block_dims]
             for t in (0, 1):
                 x = random_dichotomic(own, rng)
@@ -235,8 +236,8 @@ def test_one_eigh_gives_the_signs_and_the_value(alg_a, alg_b):
         assert history[-1] == pytest.approx(abs(chsh_value(st, obs)), abs=1e-12)
         x = [np.stack(pair) for pair in zip(b1.blocks, b2.blocks)]
         for side in (0, 1, 0, 1, 0, 1):
-            h = _effective(prod, st.blocks, x, side)
-            x, value = _half_step(st, x, side)
+            h = _effective(_plan(prod, st.blocks, side), x)
+            x, value = _half_step(_plan(prod, st.blocks, side), x)
             norms = trace_norm(s[0] for s in h) + trace_norm(s[1] for s in h)
             assert value == pytest.approx(norms, abs=1e-12)
 

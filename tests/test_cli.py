@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import inspect
 import io
 import json
@@ -104,6 +105,15 @@ def test_atoms_are_read_up_to_18_digits():
         with pytest.raises(ResourceLimitError, match=f"^algebra atom M<n> has {len(digits)} "):
             parse_algebra(f"M{digits} x M2")
 
+
+
+@pytest.mark.parametrize("text", ["X" + "9" * 5000, "M2" + " x" * 3000], ids=["atom", "factors"])
+def test_unparseable_algebras_echo_a_short_prefix(capsys, text):
+    code, out, err = run(capsys, "raggio-check", "--a", text, "--b", "M2", "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert repr(text[:20]) + "..." in err
 
 def test_born_text(capsys):
     code, out, _ = run(capsys, "born", "--psi", "[[0.7071,0],[0.7071,0]]")
@@ -378,6 +388,30 @@ def test_raggio_check_json(capsys):
     assert payload["samples"] == 4
     assert payload["seed"] == 9
 
+
+
+# the benchmark's raggio_check pairs (bench/workloads.py CHECK_PAIRS), pair k at seed k
+CHECK_PAIRS = (
+    ("M2", "M2"),
+    ("M2", "M3"),
+    ("M3", "M3"),
+    ("M2", "D3"),
+    ("M3", "D4"),
+    ("M2+D1", "M2"),
+    ("M2+M1", "M2+D1"),
+)
+
+
+def test_raggio_check_json_is_pinned_bit_for_bit(capsys):
+    # seeded runs must reproduce byte for byte: this digest of the seven JSON
+    # reports pins every draw and every see-saw value that reaches them
+    digest = hashlib.sha256()
+    for k, (a, b) in enumerate(CHECK_PAIRS):
+        argv = ("--a", a, "--b", b, "--seed", str(k), "--samples", "4", "--format", "json")
+        code, out, err = run(capsys, "raggio-check", *argv)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == "491c797d1def813b34a3a3de7046a8d7807c708ba8b41ddfb1a37ec607ba91f9"
 
 def test_raggio_check_inconsistent_exit_code(capsys, monkeypatch):
     # a genuinely inconsistent report would falsify the theorem, so the exit

@@ -6,7 +6,9 @@ the mixture of its product states, two cover the separability certificates
 on qubit and qutrit blocks, one the terms the Frank-Wolfe search returns,
 one the embedded two-qubit witnesses, one the densities built unchecked
 against the checked State constructor, two the one CHSH contraction that the
-value, the scan and the see-saw share, and a last one feeds malformed counts,
+value, the scan and the see-saw share, two the bits of the see-saw's shortcuts
+(signs of 1x1 blocks with no eigen-solve, and each restart's start drawn as one
+stack), and a last one feeds malformed counts,
 tolerances, weights, see-saw starts and entries that are no numbers to the
 public API."""
 
@@ -33,10 +35,14 @@ from raggio_kit.algebra import (
 )
 from raggio_kit.bell import (
     CHSH_QUANTUM_BOUND,
+    SIGN_EIGENVALUE_TOL,
     _effective,
+    _plan,
+    _sign,
     canonical_qubit_observables,
     chsh_optimize,
     chsh_value,
+    random_dichotomic,
     random_observables,
     seesaw,
 )
@@ -365,7 +371,7 @@ def test_chsh_value_is_the_expectation_of_the_bell_operator(dims, seed):
     for state in (random_mixed(product, rng), random_vector_state(product, rng)):
         want = expectation(state, bell).real
         assert abs(chsh_value(state, obs) - want) <= 1e-12
-        h = _effective(product, state.blocks, x, 1)
+        h = _effective(_plan(product, state.blocks, 1), x)
         assert abs(sum(np.einsum("tac,tca->", ht, yt) for ht, yt in zip(h, y)).real - want) <= 1e-12
 
 
@@ -381,14 +387,65 @@ def test_effective_operators_of_a_stack_are_those_of_its_members(dims, seed):
     for side in (0, 1):
         shapes = [(2, 3, 2, d, d) for d in product.factors[1 - side].block_dims]
         x = [herm(rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in shapes]
-        stacked = _effective(product, rhos, x, side)
+        stacked = _effective(_plan(product, rhos, side), x)
         assert [h.shape for h in stacked] == [
             (2, 3, 2, d, d) for d in product.factors[side].block_dims
         ]
         for p, state in enumerate(states):
             for q in range(3):
-                one = _effective(product, state.blocks, [s[p, q] for s in x], side)
+                one = _effective(_plan(product, state.blocks, side), [s[p, q] for s in x])
                 assert max(np.max(np.abs(h[p, q] - g)) for h, g in zip(stacked, one)) <= 1e-14
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+TOL = SIGN_EIGENVALUE_TOL
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, TOL, -TOL, np.nextafter(TOL, 1), np.nextafter(-TOL, -1)]),
+    st.floats(-1e300, 1e300),  # Hermitian parts overflow beyond half the float range
+)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ENTRIES, ENTRIES), min_size=1, max_size=6), st.booleans())
+def test_signs_of_one_by_one_blocks_are_those_eigh_gives(entries, real):
+    # _sign reads a (..., 1, 1) stack's signs and eigenvalues off its entries; they
+    # must be the bits of the herm + eigh path that larger blocks take
+    h = np.array([complex(re, 0.0 if real else im) for re, im in entries]).reshape(-1, 1, 1, 1)
+    h = h.real.copy() if real else h
+    w, v = np.linalg.eigh(herm(h))
+    s = np.where(np.abs(w) <= TOL, 1.0, np.sign(w))
+    signs, eigs = _sign(h)
+    assert _same_bits(eigs, w)
+    assert _same_bits(signs, (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, SEEDS)
+def test_optimize_starts_are_two_random_dichotomic_draws(dims, seed):
+    # each random restart draws its B side as one (2, .) stack; the starts that
+    # reach seesaw must be the bits of two random_dichotomic calls on its child
+    alg_b = FdAlgebra(dims[1])
+    state = random_mixed(tensor(FdAlgebra(dims[0]), alg_b), seed)
+    starts = []
+
+    def recording(st_, b1, b2):
+        starts.append((b1, b2))
+        return seesaw(st_, b1, b2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("raggio_kit.bell.seesaw", recording)
+        chsh_optimize(state, restarts=3, seed=np.random.default_rng(seed))
+    assert len(starts) == 3
+    rng = np.random.default_rng(seed)
+    for b1, b2 in starts[1:]:
+        (child,) = rng.spawn(1)
+        for got in (b1, b2):
+            want = random_dichotomic(alg_b, child)
+            assert all(_same_bits(x, y) for x, y in zip(got.blocks, want.blocks))
 
 
 M2, D2 = make_full(2), make_commutative(2)
