@@ -306,7 +306,7 @@ def horodecki_two_qubit(state: State) -> float:
     eigenvalues of T^T T, the supremum over contractions is
     max(2, 2 sqrt(M)); the classical value 2 is always available.
     """
-    if state.algebra != qubit_pair():
+    if _as_state(state).algebra != qubit_pair():
         raise UnsupportedShapeError("the closed form needs a state on M2 (x) M2")
     paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     rho = state.blocks[0]

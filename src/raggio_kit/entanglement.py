@@ -7,11 +7,11 @@ combination of product states.  Four certificates are produced here:
 * pure states: the Schmidt coefficients of the wavefunction,
 * entangled mixed states: a negative eigenvalue of the blockwise partial
   transpose, or else a realigned joint block of trace norm above 1,
-* separable mixed states: an explicit decomposition, found in the classical
-  case by conditioning on the commutative factor, and otherwise as (weight,
-  a, b) terms of pure product vectors a (x) b, per joint block by Wootters'
-  closed form on qubit-qubit blocks or by a fully-corrective Frank-Wolfe
-  search; every route's decomposition is re-measured against the state.
+* separable mixed states: an explicit decomposition, by conditioning on the
+  commutative factor in the classical case, else per joint block as (w, a, b)
+  arrays of weights and product vectors a (x) b: the spectral decomposition
+  where a side is one-dimensional, Wootters' closed form on qubit-qubit
+  blocks or a Frank-Wolfe search, each re-measured against the state.
 
 Both entanglement tests are one-sided in general, so the verdict is
 ``Undetermined`` when no certificate is found within budget; for
@@ -102,6 +102,7 @@ class Decomposition:
 def reconstruct(dec: Decomposition, product: FdAlgebra | None = None) -> State:
     """Reassemble sum_k w_k alpha_k (x) beta_k, one einsum per joint block over the
     parts' blocks stacked along k; ``product`` must factor through the parts."""
+    dec = _as_state(dec, (Decomposition,))
     product = _product_of(dec.a_parts[0].algebra, dec.b_parts[0].algebra, product)
     a, b = ([np.stack(x) for x in zip(*(s.blocks for s in p))] for p in (dec.a_parts, dec.b_parts))
     blocks = tuple(
@@ -180,7 +181,7 @@ def ppt_check(state: State) -> float:
     the second factor of each joint block.
     """
     worst = np.inf
-    for idx, _, _, n, m in joint_blocks(state.algebra):
+    for idx, _, _, n, m in joint_blocks(_as_state(state).algebra):
         pt = state.blocks[idx].reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
         worst = min(worst, float(np.linalg.eigvalsh(herm(pt))[0]))
     return float(worst)
@@ -193,7 +194,7 @@ def realignment_check(state: State) -> float:
     1 + REALIGN_TOL certifies entanglement (K. Chen, L.-A. Wu, QIC 3, 193, 2003).
     """
     worst = 0.0
-    for idx, _, _, n, m in joint_blocks(state.algebra):
+    for idx, _, _, n, m in joint_blocks(_as_state(state).algebra):
         blk = state.blocks[idx]
         w = float(np.trace(blk).real)
         if w > CLASSICAL_WEIGHT_TOL:
@@ -209,7 +210,7 @@ def classical_decompose(state: State) -> Decomposition:
     are (conditional state) (x) (point measure), so every state of this kind
     is decomposable.  Conditions on B when B is commutative, else on A.
     """
-    factors = _require_factors(state.algebra)
+    factors = _require_factors(_as_state(state).algebra)
     side = 1 if factors[1].is_commutative else 0
     if not factors[side].is_commutative:
         raise InvalidArgumentError("classical decomposition needs a commutative factor")
@@ -274,15 +275,15 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
     return a[keep], b[keep]
 
 
-def _nnls_weights(projs, rho: np.ndarray) -> np.ndarray:
-    """Nonnegative weights fitting sum_k w_k P_k to rho.
+def _nnls_weights(projs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Nonnegative weights fitting sum_k w_k P_k to a (K, d, d) stack of P_k.
 
     The unit-sum constraint enters as a soft extra row (NNLS_SUM_GAIN); hard
     normalization after the fit would fight the least-squares solution.
     """
     # imported here: scipy.optimize triples the package's import time, and few runs search
     from scipy.optimize import nnls
-    cols = np.array(projs).reshape(len(projs), -1).T
+    cols = projs.reshape(len(projs), -1).T
     target = np.concatenate([rho.reshape(-1).real, rho.reshape(-1).imag, [NNLS_SUM_GAIN]])
     w, _ = nnls(np.vstack([cols.real, cols.imag, np.full(len(projs), NNLS_SUM_GAIN)]), target)
     return w
@@ -292,15 +293,10 @@ def _reconstruction_error(x: np.ndarray, rho: np.ndarray) -> float:
     return 0.5 * trace_norm([x / float(np.trace(x).real) - rho])
 
 
-def _product_projector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Projector onto a (x) b, whose entries are formed once, as the products kron forms."""
-    v = (a[:, None] * b).reshape(-1)
-    return np.outer(v, v.conj())
-
-
-def _terms_error(terms, rho: np.ndarray) -> float:
-    """Reconstruction error of (weight, a, b) terms against rho."""
-    return _reconstruction_error(sum(w * _product_projector(a, b) for w, a, b in terms), rho)
+def _product_projectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(K, n m, n m) projectors onto a_k (x) b_k, each entry formed as kron and outer form it."""
+    v = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+    return v[:, :, None] * v[:, None, :].conj()
 
 
 def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rng):
@@ -308,29 +304,30 @@ def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rn
 
     Each round makes one oracle call, so ``max_iters`` counts oracle calls,
     and adds every atom that the call returns before the one NNLS re-fit.
-    Returns (terms, error) of the first iterate within ``tol`` whose weights
-    sum to 1 within _WEIGHT_SUM_TOL, else of the closest iterate, rescaled to
-    sum to 1.  NNLS keeps independent columns, so at most (n m)^2 terms.
+    Returns (w, a, b, error) arrays of the first iterate within ``tol`` whose
+    weights sum to 1 within _WEIGHT_SUM_TOL, else of the closest iterate,
+    rescaled to sum to 1.  NNLS keeps independent columns: at most (n m)^2 terms.
     """
-    atoms, best = [], ([], np.inf)  # atoms: (a, b, projector onto a (x) b)
-    x = np.zeros((n * m, n * m), dtype=complex)
+    a, b, projs = np.empty((0, n)), np.empty((0, m)), np.empty((0, n * m, n * m))
+    x, best = np.zeros((n * m, n * m), dtype=complex), (np.inf,)
     for _ in range(max_iters):
-        for a, b in zip(*_linear_minimizer(herm(x - rho), n, m, rng)):
-            atoms.append((a, b, _product_projector(a, b)))
-        weights = _nnls_weights([p for _, _, p in atoms], rho)
-        keep = weights > 1e-14
-        atoms, weights = [t for t, k in zip(atoms, keep) if k], weights[keep]
-        terms = [(float(w), a, b) for w, (a, b, _) in zip(weights, atoms)]
-        x = sum(w * p for w, (_, _, p) in zip(weights, atoms))
+        new_a, new_b = _linear_minimizer(herm(x - rho), n, m, rng)
+        a, b = np.concatenate([a, new_a]), np.concatenate([b, new_b])
+        projs = np.concatenate([projs, _product_projectors(new_a, new_b)])
+        w = _nnls_weights(projs, rho)
+        keep = w > 1e-14
+        w, a, b, projs = w[keep], a[keep], b[keep], projs[keep]
+        # Python's sum runs over k in order, so x keeps the bits of a term-by-term sum
+        x = sum(w[:, None, None] * projs)
         err = _reconstruction_error(x, rho)
         # the soft unit-sum row lets a loose fit miss 1 however small its error
-        if err <= tol and abs(weights.sum() - 1.0) <= _WEIGHT_SUM_TOL:
-            return terms, err
-        if err < best[1]:
-            best = terms, err
-    total = sum(w for w, _, _ in best[0])
-    terms = [(w / total, a, b) for w, a, b in best[0]]
-    return terms, _terms_error(terms, rho)
+        if err <= tol and abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
+            return w, a, b, err
+        if err < best[0]:
+            best = err, w, a, b, projs
+    _, w, a, b, projs = best
+    w = w / sum(w)
+    return w, a, b, _reconstruction_error(sum(w[:, None, None] * projs), rho)
 
 
 def _wootters_terms(rho: np.ndarray):
@@ -340,7 +337,7 @@ def _wootters_terms(rho: np.ndarray):
     tau = V^T Y V as U^T tau U = diag(lam) by one eigh of its real embedding,
     phase the columns of V U so that sum_k lam_k e^{2i phi_k} = 0, and mix
     them with Hadamard signs; each mixed vector v has v^T Y v = 0, so it is
-    a product vector.  Returns (terms, error) like the search.
+    a product vector.  Returns (w, a, b, error) arrays like the search.
     """
     w, e = np.linalg.eigh(rho)
     v = e * np.sqrt(np.clip(w, 0.0, None))
@@ -356,24 +353,23 @@ def _wootters_terms(rho: np.ndarray):
     cos = (d * d + lam[1::2] ** 2 - lam[::2] ** 2) / np.maximum(2 * d * lam[1::2], 1e-300)
     t = lam[1::2] * np.exp(1j * np.arccos(np.clip(cos, -1.0, 1.0)))
     phase = np.exp(0.5j * np.angle([d - t[0], t[0], t[1] - d, -t[1]]))
-    terms = []
-    for vec in (v @ p @ q * phase @ _HADAMARD).T:
-        weight = float(np.vdot(vec, vec).real)
-        if weight > CLASSICAL_WEIGHT_TOL:
-            terms.append((weight, *_product_split(vec, 2, 2)))
-    return terms, _terms_error(terms, rho)
+    vecs = (v @ p @ q * phase @ _HADAMARD).T
+    w = np.array([np.vdot(vec, vec).real for vec in vecs])
+    keep = w > CLASSICAL_WEIGHT_TOL
+    w, (a, b) = w[keep], _product_split(vecs[keep], 2, 2)
+    return w, a, b, _reconstruction_error(sum(w[:, None, None] * _product_projectors(a, b)), rho)
 
 
 def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
-    """(weight, a, b) terms of one PPT density on M_n (x) M_m, and their
-    error; an error above ``tol`` means that no route succeeded."""
+    """(w, a, b, error) arrays of one PPT density on M_n (x) M_m: (K,) weights, (K, n) and
+    (K, m) unit vectors; an error above ``tol`` means that no route succeeded."""
     # a one-dimensional factor carries no correlations: the spectral
     # decomposition of the other side already is a product decomposition
     if n == 1 or m == 1:
         w, v = np.linalg.eigh(rho)
-        one = np.ones(1, dtype=complex)
-        pairs = [(one, c) if n == 1 else (c, one) for c in v.T]
-        return [(float(x), *ab) for x, ab in zip(w, pairs) if x > CLASSICAL_WEIGHT_TOL], 0.0
+        keep = w > CLASSICAL_WEIGHT_TOL
+        vecs, ones = v.T[keep], np.ones((keep.sum(), 1), dtype=complex)
+        return (w[keep], ones, vecs, 0.0) if n == 1 else (w[keep], vecs, ones, 0.0)
 
     if (n, m) == (2, 2):
         return _wootters_terms(rho)
@@ -383,16 +379,16 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
 
 
 def _separable(state: State, dec, **fields) -> SeparabilityVerdict:
-    """A Separable verdict measuring ``dec`` against ``state``; ``dec`` is a
-    Decomposition or terms (weight, i, a, j, b), a and b on blocks i and j."""
+    """A Separable verdict measuring ``dec`` against ``state``; ``dec`` is a Decomposition
+    or rows (w, i, a, j, b) of block arrays, a and b on blocks i and j of the factors."""
     if not isinstance(dec, Decomposition):
         def pure(side, k, v):
             alg = state.algebra.factors[side]
             return State._of_density(alg, embed(alg, k, np.outer(v, v.conj())))
 
-        a_parts = tuple(pure(0, i, a) for _, i, a, _, _ in dec)
-        b_parts = tuple(pure(1, j, b) for _, _, _, j, b in dec)
-        dec = Decomposition(tuple(t[0] for t in dec), a_parts, b_parts)
+        a_parts = tuple(pure(0, i, v) for _, i, a, _, _ in dec for v in a)
+        b_parts = tuple(pure(1, j, v) for _, _, _, j, b in dec for v in b)
+        dec = Decomposition(tuple(np.concatenate([row[0] for row in dec])), a_parts, b_parts)
     err = trace_distance(reconstruct(dec, state.algebra), state)
     return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err, **fields)
 
@@ -410,15 +406,15 @@ def separability_test(
     the rest, a negative partial transpose certifies entanglement, and so
     does a realigned joint block of trace norm above 1 + REALIGN_TOL (tag
     ``EntangledRealignment``, value in ``realignment``).  Otherwise each
-    joint block is decomposed: qubit-qubit blocks by Wootters' closed form,
-    the rest by a Frank-Wolfe search.  ``budget`` counts the search's
-    oracle calls; one call can add several product atoms before the weights
-    are re-fit.  On qubit-qubit and qubit-qutrit blocks this succeeds
-    unless the block is entangled within PPT_TOL; larger blocks may also
-    exhaust the budget and end ``Undetermined``, which thus needs a positive
-    partial transpose, realignment at most 1 + REALIGN_TOL, and a
-    decomposition that misses ``tol``.  Neither test nor the closed form
-    draws from ``seed``.
+    joint block is decomposed: one with a one-dimensional side exactly, by
+    the spectral decomposition of its other side, qubit-qubit blocks by
+    Wootters' closed form, and the rest by a Frank-Wolfe search.  ``budget``
+    counts the search's oracle calls; one call can add several product atoms
+    before the weights are re-fit.  On qubit-qubit and qubit-qutrit blocks
+    this succeeds unless the block is entangled within PPT_TOL; larger blocks
+    may also exhaust the budget and end ``Undetermined``, which thus needs a
+    positive partial transpose, realignment at most 1 + REALIGN_TOL, and a
+    decomposition that misses ``tol``.  Only the search draws from ``seed``.
     """
     count = check_count(budget, "search budget")
     tol = check_tol(tol)
@@ -430,8 +426,8 @@ def separability_test(
         alg_a, alg_b = state.algebra.factors
         a, b = _product_split(state.vector, alg_a.total_dim, alg_b.total_dim)
         # each factor normalized as PureVector does
-        terms = [(1.0, 0, a / np.linalg.norm(a), 0, b / np.linalg.norm(b))]
-        return _separable(state, terms, schmidt_coefficients=pure.coefficients)
+        rows = [(np.ones(1), 0, a[None] / np.linalg.norm(a), 0, b[None] / np.linalg.norm(b))]
+        return _separable(state, rows, schmidt_coefficients=pure.coefficients)
 
     state = _as_state(state)
     if any(f.is_commutative for f in _require_factors(state.algebra)):
@@ -446,13 +442,13 @@ def separability_test(
         return SeparabilityVerdict(ENTANGLED_REALIGNMENT, realignment=ccnr)
 
     # per-block decompositions; every joint block must admit one
-    terms = []
+    rows = []
     for idx, i, j, n, m in joint_blocks(state.algebra):
         blk = state.blocks[idx]
         w_blk = float(np.trace(blk).real)
         if w_blk <= CLASSICAL_WEIGHT_TOL:
             continue
-        block_terms, err = _block_pair_decomposition(blk / w_blk, n, m, tol, count, rng)
+        w, a, b, err = _block_pair_decomposition(blk / w_blk, n, m, tol, count, rng)
         if err > tol:
             return SeparabilityVerdict(
                 UNDETERMINED,
@@ -463,5 +459,5 @@ def separability_test(
                     f"within tol: reconstruction error {err:.3e} on block {(i, j)}"
                 ),
             )
-        terms += [(w_blk * w, i, a, j, b) for w, a, b in block_terms]
-    return _separable(state, terms, realignment=ccnr)
+        rows.append((w_blk * w, i, a, j, b))
+    return _separable(state, rows, realignment=ccnr)

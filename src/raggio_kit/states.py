@@ -188,18 +188,18 @@ def _as_state(state, kinds: tuple[type, ...] = (State, PureVector)):
 
 def expectation(state: State, x: AlgebraElement) -> complex:
     """omega(A) = sum of blockwise Tr(rho_k A_k)."""
-    _require_same_algebra(state, x)
+    _require_same_algebra(_as_state(state), x)
     return complex(sum(np.trace(r @ a) for r, a in zip(state.blocks, x.blocks)))
 
 
 def purity(state: State) -> float:
     """Tr(rho^2); equals 1 exactly for vector states on a full matrix block."""
-    return float(sum(np.trace(b @ b).real for b in state.blocks))
+    return float(sum(np.trace(b @ b).real for b in _as_state(state).blocks))
 
 
 def trace_distance(a: State, b: State) -> float:
     """(1/2) ||rho_a - rho_b||_1 via blockwise eigenvalues."""
-    _require_same_algebra(a, b)
+    _require_same_algebra(_as_state(a), _as_state(b))
     return 0.5 * trace_norm(x - y for x, y in zip(a.blocks, b.blocks))
 
 
@@ -207,7 +207,7 @@ def mixture(weights, parts) -> State:
     """Convex combination sum_i w_i rho_i of states on a shared algebra."""
     parts = list(parts)
     w = check_weights(weights, len(parts), 1e-12)
-    alg = _require_same_algebra(*parts)
+    alg = _require_same_algebra(*map(_as_state, parts))
     blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
     for wi, s in zip(w, parts):
         for k, blk in enumerate(s.blocks):
@@ -217,6 +217,7 @@ def mixture(weights, parts) -> State:
 
 def product_state(sa: State, sb: State, product: FdAlgebra | None = None) -> State:
     """The product state (omega_a x omega_b) on the tensor algebra."""
+    sa, sb = _as_state(sa), _as_state(sb)
     blocks = tuple(np.kron(ra, rb) for ra in sa.blocks for rb in sb.blocks)
     return State._of_density(_product_of(sa.algebra, sb.algebra, product), blocks)
 
@@ -228,7 +229,7 @@ def restrict_to_factor(state: State, keep: str) -> State:
     (n_i, m_j, n_i, m_j) and the unwanted pair of axes is traced out.  The
     tensor factorization must have been recorded on the algebra.
     """
-    blocks = joint_blocks(state.algebra)
+    blocks = joint_blocks(_as_state(state).algebra)
     if keep not in ("a", "b"):
         raise InvalidArgumentError(f"keep must be 'a' or 'b', got {keep!r}")
     alg_a, alg_b = state.algebra.factors

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from raggio_kit import bell
+from raggio_kit import bell, entanglement, states
 from raggio_kit.algebra import (
     AlgebraElement,
     direct_sum,
@@ -145,6 +145,36 @@ def test_chsh_value_and_seesaw_check_the_state_type():
         chsh_value("s", obs)
     with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
         seesaw("s", obs.b1, obs.b2)
+
+
+STATE_ARGUMENTS = {
+    "ppt_check": entanglement.ppt_check,
+    "realignment_check": entanglement.realignment_check,
+    "classical_decompose": entanglement.classical_decompose,
+    "horodecki_two_qubit": horodecki_two_qubit,
+    "purity": states.purity,
+    "trace_distance_first": lambda x: states.trace_distance(x, werner(0.2)),
+    "trace_distance_second": lambda x: states.trace_distance(werner(0.2), x),
+    "restrict_to_factor": lambda x: states.restrict_to_factor(x, "a"),
+    "product_state_first": lambda x: states.product_state(x, werner(0.2)),
+    "product_state_second": lambda x: states.product_state(werner(0.2), x),
+    "mixture": lambda x: states.mixture([1.0], [x]),
+    "expectation": lambda x: expectation(x, unit(QUBIT_PAIR)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_ARGUMENTS))
+def test_state_arguments_of_another_type_raise_invalid_argument(name):
+    # a value that is not a state is named as such, not met by an AttributeError
+    for bad in (None, "s", werner(0.2).blocks[0]):
+        with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
+            STATE_ARGUMENTS[name](bad)
+
+
+def test_reconstruct_checks_the_decomposition_type():
+    for bad in (None, werner(0.2)):
+        with pytest.raises(InvalidArgumentError, match="expected a Decomposition"):
+            entanglement.reconstruct(bad)
 
 
 def test_pauli_matrices():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -17,7 +18,7 @@ from raggio_kit.entanglement import (
     UNDETERMINED,
     Decomposition,
     _linear_minimizer,
-    _product_projector,
+    _product_projectors,
     _product_split,
     classical_decompose,
     is_entangled_pure,
@@ -437,10 +438,10 @@ def test_linear_minimizer_matches_per_start_loop(n, m):
 def test_product_projector_forms_the_products_kron_forms():
     rng = np.random.default_rng(2)
     for n, m in ((2, 2), (2, 3), (3, 4)):
-        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        v = np.kron(a, b)
-        np.testing.assert_array_equal(_product_projector(a, b), np.outer(v, v.conj()))
+        a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        b = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        expected = [np.outer(v, v.conj()) for v in map(np.kron, a, b)]
+        np.testing.assert_array_equal(_product_projectors(a, b), expected)
 
 
 def test_seeded_product_mixture_search_is_pinned():
@@ -457,6 +458,39 @@ def test_seeded_product_mixture_search_is_pinned():
         0.20065908891045497,
         0.11440497651869047,
     )
+
+
+def test_separability_verdicts_are_pinned_bit_for_bit():
+    # every route that returns a decomposition must reproduce bit for bit:
+    # Wootters' closed form, the one-dimensional side, the search (settled
+    # and cut off by its budget), a product vector and classical conditioning
+    rng = np.random.default_rng(28)
+    m2, m3 = make_full(2), make_full(3)
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    cases = [
+        (werner(0.2), {}),
+        (werner(1.0 / 3.0 + 1e-10), {"tol": 1e-12}),
+        (random_product_mixture(direct_sum(m2, make_commutative(1)), m2, 5, rng), {}),
+        (random_product_mixture(m2, m3, 3, rng), {}),
+        (random_product_mixture(m3, m3, 2, rng), {}),
+        (random_product_mixture(m3, m3, 2, rng), {"budget": 3}),
+        (PureVector(tensor(m2, m3), np.kron(a, b)), {}),
+        (random_mixed(tensor(m2, make_commutative(3)), rng), {}),
+    ]
+    digest, tags = hashlib.sha256(), []
+    for st, kwargs in cases:
+        v = separability_test(st, seed=5, **kwargs)
+        tags.append(v.tag)
+        fields = (v.tag, v.error, v.realignment, v.schmidt_coefficients, v.details)
+        digest.update(repr(fields).encode())
+        if v.decomposition is not None:
+            dec = v.decomposition
+            digest.update(repr(dec.weights).encode())
+            for part in dec.a_parts + dec.b_parts:
+                digest.update(b"".join(blk.tobytes() for blk in part.blocks))
+    assert tags == [SEPARABLE, UNDETERMINED] + [SEPARABLE] * 3 + [UNDETERMINED] + [SEPARABLE] * 2
+    assert digest.hexdigest() == "756172c6510e7a3b38123d270f2c950d424aa91b74503ee77ea9b7324eaee217"
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])

@@ -53,8 +53,9 @@ from raggio_kit.entanglement import (
     Decomposition,
     _fcfw_search,
     _linear_minimizer,
+    _product_projectors,
     _product_split,
-    _terms_error,
+    _reconstruction_error,
     classical_decompose,
     ppt_check,
     realignment_check,
@@ -298,10 +299,10 @@ def test_search_returns_at_most_dim_squared_terms_with_their_measured_error(
     n, m = dims
     rng = np.random.default_rng(seed)
     rho = _product_mixture(make_full(n), make_full(m), terms, rng).blocks[0]
-    out, err = _fcfw_search(rho, n, m, 1e-6, budget, rng)
-    assert 1 <= len(out) <= (n * m) ** 2
-    assert err == _terms_error(out, rho)
-    assert abs(sum(w for w, _, _ in out) - 1.0) <= 1e-6
+    w, a, b, err = _fcfw_search(rho, n, m, 1e-6, budget, rng)
+    assert 1 <= len(w) <= (n * m) ** 2
+    assert err == _reconstruction_error(sum(w[:, None, None] * _product_projectors(a, b)), rho)
+    assert abs(sum(w) - 1.0) <= 1e-6
 
 
 NONCOMMUTATIVE = SHAPES.filter(lambda dims: max(dims) >= 2)
