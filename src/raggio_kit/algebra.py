@@ -242,7 +242,7 @@ def _block_arrays(alg: FdAlgebra, blocks, error: type, what: str) -> list[np.nda
     return arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """A block-diagonal matrix belonging to a specific :class:`FdAlgebra`.
 
@@ -291,8 +291,11 @@ class AlgebraElement:
 
 
 def _require_same_algebra(first, *rest) -> FdAlgebra:
-    """The algebra that ``first`` and every value in ``rest`` live on, as ``.algebra``."""
-    for x in rest:
+    """The algebra that ``first`` and every value in ``rest`` live on, as ``.algebra``;
+    a value whose ``.algebra`` is not an FdAlgebra raises InvalidArgumentError."""
+    for x in (first, *rest):
+        if not isinstance(getattr(x, "algebra", None), FdAlgebra):
+            raise InvalidArgumentError(f"expected an element or a state, got {type(x)!r}")
         if x.algebra != first.algebra:
             raise AlgebraMismatchError(
                 f"values live on different algebras: "
@@ -334,7 +337,7 @@ def diagonal_element(algebra: FdAlgebra, values) -> AlgebraElement:
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:
     """Blockwise conjugate transpose (the involution A -> A*)."""
-    return AlgebraElement(x.algebra, tuple(blk.conj().T for blk in x.blocks))
+    return AlgebraElement(_require_same_algebra(x), tuple(blk.conj().T for blk in x.blocks))
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -356,6 +359,7 @@ def _stack_norm(x: np.ndarray) -> float:
 
 def operator_norm(x: AlgebraElement) -> float:
     """Largest singular value over all blocks."""
+    _require_same_algebra(x)
     return max(_stack_norm(blk) for blk in x.blocks)
 
 
@@ -368,8 +372,8 @@ def _product_of(a: FdAlgebra, b: FdAlgebra, product: FdAlgebra | None) -> FdAlge
 
 def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Embed x (x) y into tensor(x.algebra, y.algebra) via blockwise Kronecker products."""
-    blocks = tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks)
-    return AlgebraElement(tensor(x.algebra, y.algebra), blocks)
+    product = tensor(_require_same_algebra(x), _require_same_algebra(y))
+    return AlgebraElement(product, tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks))
 
 
 def matrix_units(algebra: FdAlgebra):

@@ -31,6 +31,7 @@ from .algebra import (
     _hermiticity_defect,
     _product_of,
     _require_factors,
+    _require_same_algebra,
     _stack_norm,
     element,
     embed,
@@ -97,12 +98,9 @@ class ChshObservables:
     b2 = property(lambda self: element(self.alg_b, [x[1] for x in self.b]))
 
     def __init__(self, a1: AlgebraElement, a2: AlgebraElement, b1: AlgebraElement, b2: AlgebraElement):
-        sides = (("a", a1, a2), ("b", b1, b2))
-        for side, x1, x2 in sides:
-            if x1.algebra != x2.algebra:
-                raise PreconditionError(f"{side}1 and {side}2 must live on the same algebra")
-        a, b = (_observable_side(x1, x2, f"({side}1, {side}2)") for side, x1, x2 in sides)
-        vars(self).update(alg_a=a1.algebra, a=a, alg_b=b1.algebra, b=b)
+        alg_a, alg_b = _require_same_algebra(a1, a2), _require_same_algebra(b1, b2)
+        a, b = _observable_side(a1, a2, "(a1, a2)"), _observable_side(b1, b2, "(b1, b2)")
+        vars(self).update(alg_a=alg_a, a=a, alg_b=alg_b, b=b)
 
     @classmethod
     def _of_signs(cls, alg_a: FdAlgebra, a, alg_b: FdAlgebra, b) -> ChshObservables:
@@ -135,6 +133,7 @@ def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
 
 def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
+    obs = _as_state(obs, (ChshObservables,))
     product = _product_of(obs.alg_a, obs.alg_b, _as_state(state).algebra)
     return float(_chsh_values(product, [state], obs.a, obs.b)[0, 0])
 
@@ -180,7 +179,7 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     affect the trace norm, so they are sent to +1 to keep the result
     dichotomic.
     """
-    return element(h.algebra, [_sign(blk)[0] for blk in h.blocks])
+    return element(_require_same_algebra(h), [_sign(blk)[0] for blk in h.blocks])
 
 
 def _plan(product: FdAlgebra, rhos, side: int) -> list[list[tuple[np.ndarray, int]]]:
@@ -215,14 +214,15 @@ def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
     """Alternating maximization from a given B side.
 
     ``b1`` and ``b2`` must be self-adjoint contractions on the second factor, as in
-    :class:`ChshObservables`; other starts raise PreconditionError.  Returns
+    :class:`ChshObservables`: a start on another algebra raises AlgebraMismatchError,
+    and one that is no self-adjoint contraction PreconditionError.  Returns
     ``(observables, history, converged)``, ``history`` holding the value after each
     half-step, nondecreasing up to rounding since each half-step maximizes exactly.
     The run converges at the first round gaining less than SEESAW_GAIN_TOL, or stops
     at SEESAW_MAX_ROUNDS.  The state's joint blocks are read into one _plan per side per call.
     """
     alg_a, alg_b = _require_factors(_as_state(state).algebra)
-    if not b1.algebra == b2.algebra == alg_b:
+    if _require_same_algebra(b1, b2) != alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
     prev, history, converged = -np.inf, [], False
     b = _observable_side(b1, b2, "see-saw start (b1, b2)")

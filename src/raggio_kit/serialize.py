@@ -18,7 +18,7 @@ from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
 from .errors import InvalidArgumentError
 from .harness import RaggioReport
-from .states import PureVector, State
+from .states import PureVector, State, _as_state
 
 REPORT_SCHEMA_VERSION = 1
 STATE_OFF_BLOCK_TOL = 1e-9  # largest entry state_from_dict lets lie off the blocks
@@ -55,6 +55,7 @@ def _fields(data, what: str, required, optional=()) -> dict:
 
 
 def algebra_to_dict(alg: FdAlgebra) -> dict:
+    alg = _as_state(alg, (FdAlgebra,))
     out: dict = {"block_dims": list(alg.block_dims)}
     if alg.factors is not None:
         out["factors"] = [algebra_to_dict(alg.factors[0]), algebra_to_dict(alg.factors[1])]
@@ -72,6 +73,7 @@ def algebra_from_dict(data) -> FdAlgebra:
 
 
 def element_to_dict(x: AlgebraElement) -> dict:
+    x = _as_state(x, (AlgebraElement,))
     return {
         "algebra": algebra_to_dict(x.algebra),
         "blocks": [
@@ -96,6 +98,7 @@ def element_from_dict(data) -> AlgebraElement:
 
 
 def state_to_dict(state: State) -> dict:
+    state = _as_state(state)
     return {
         "algebra": algebra_to_dict(state.algebra),
         "entries": _pairs(state.matrix),
@@ -111,6 +114,7 @@ def state_from_dict(data) -> State:
 
 
 def pure_vector_to_dict(psi: PureVector) -> dict:
+    psi = _as_state(psi, (PureVector,))
     return {
         "algebra": algebra_to_dict(psi.algebra),
         "psi": _pairs(psi.vector),
@@ -125,6 +129,7 @@ def pure_vector_from_dict(data) -> PureVector:
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
+    dec = _as_state(dec, (Decomposition,))
     return {
         "weights": [float(w) for w in dec.weights],
         "a_parts": [state_to_dict(s) for s in dec.a_parts],
@@ -142,6 +147,7 @@ def decomposition_from_dict(data) -> Decomposition:
 
 
 def verdict_to_dict(v: SeparabilityVerdict) -> dict:
+    v = _as_state(v, (SeparabilityVerdict,))
     out: dict = {"tag": v.tag}
     if v.decomposition is not None:
         out["decomposition"] = decomposition_to_dict(v.decomposition)
@@ -162,6 +168,7 @@ _OBSERVABLES = ("a1", "a2", "b1", "b2")
 
 
 def observables_to_dict(obs: ChshObservables) -> dict:
+    obs = _as_state(obs, (ChshObservables,))
     return {key: element_to_dict(getattr(obs, key)) for key in _OBSERVABLES}
 
 
@@ -171,6 +178,7 @@ def observables_from_dict(data) -> ChshObservables:
 
 
 def chsh_result_to_dict(res: ChshResult) -> dict:
+    res = _as_state(res, (ChshResult,))
     return {
         "value": float(res.value),
         "observables": observables_to_dict(res.observables),
@@ -181,6 +189,7 @@ def chsh_result_to_dict(res: ChshResult) -> dict:
 
 def report_to_dict(rep: RaggioReport) -> dict:
     """The report's fields in declaration order, after the schema version."""
+    rep = _as_state(rep, (RaggioReport,))
     return {"schema": REPORT_SCHEMA_VERSION, **asdict(rep), "notes": list(rep.notes)}
 
 

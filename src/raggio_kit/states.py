@@ -101,7 +101,7 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
     return blk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """A state given by its block-diagonal density matrix.
 
@@ -133,7 +133,7 @@ class State:
     matrix = AlgebraElement.matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureVector:
     """A unit vector on a single-block algebra, inducing the state <psi, A psi>.
 
@@ -145,7 +145,7 @@ class PureVector:
 
     algebra: FdAlgebra
     vector: np.ndarray
-    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.algebra.num_blocks != 1:

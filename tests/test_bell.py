@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from raggio_kit import bell, entanglement, states
+from raggio_kit import bell, entanglement, harness, serialize, states
 from raggio_kit.algebra import (
     AlgebraElement,
+    adjoint,
     direct_sum,
     element,
     make_commutative,
     make_full,
+    multiply,
     operator_norm,
     tensor,
     tensor_element,
@@ -63,7 +65,7 @@ def test_observables_are_checked_one_side_at_a_time():
     with pytest.raises(PreconditionError, match=r"^\(b1, b2\) must be a contraction, norm is 2"):
         ChshObservables(good, good, element(M2, [2.0 * SIGMA_Z]), good)
     # an algebra mismatch on either side is reported before any matrix is checked
-    with pytest.raises(PreconditionError, match="^b1 and b2 must live on the same algebra$"):
+    with pytest.raises(AlgebraMismatchError, match="^values live on different algebras: M2 vs M3$"):
         ChshObservables(good, 2.0 * good, good, element(make_full(3), [np.eye(3)]))
     alg = direct_sum(M2, make_commutative(1))
     x = element(alg, [SIGMA_Z, [[1.0]]])
@@ -139,6 +141,51 @@ def test_observables_compare_by_identity_and_hash():
     assert len({obs, rebuilt, obs}) == 2
 
 
+def test_every_value_type_compares_by_one_rule(tiles_state):
+    # values that hold arrays compare and hash by identity; the rest by value.
+    # Each entry builds a value; a second call builds an equal-valued one.
+    def separable():
+        return entanglement.separability_test(werner(0.2), seed=0)
+
+    cases = {
+        "FdAlgebra": (lambda: tensor(M2, M2), True),
+        "AlgebraElement": (lambda: unit(M2), False),
+        "State": (lambda: werner(0.2), False),
+        "PureVector": (singlet, False),
+        "Decomposition": (lambda: separable().decomposition, False),
+        "Separable": (separable, False),
+        "EntangledPure": (lambda: entanglement.separability_test(singlet(), seed=0), True),
+        "EntangledPPT": (lambda: entanglement.separability_test(werner(0.9), seed=0), True),
+        "EntangledRealignment": (
+            lambda: entanglement.separability_test(tiles_state(), seed=0),
+            True,
+        ),
+        "Undetermined": (
+            lambda: entanglement.separability_test(werner(1.0 / 3.0 + 1e-10), seed=0, tol=1e-12),
+            True,
+        ),
+        "PureVerdict": (lambda: entanglement.is_entangled_pure(singlet()), True),
+        "ChshObservables": (lambda: canonical_qubit_observables(M2, M2), False),
+        "ChshResult": (lambda: chsh_optimize(singlet(), restarts=2, seed=0), False),
+        "BellScan": (
+            lambda: harness.bell_one_side_classical(M2, make_commutative(2), 2, 0, 2),
+            True,
+        ),
+        "RaggioReport": (
+            lambda: harness.verify_equivalence(M2, make_commutative(2), 2, 0, 2),
+            True,
+        ),
+    }
+    for name, (build, equal) in cases.items():
+        x, y = build(), build()
+        assert type(x).__name__ in (name, "SeparabilityVerdict"), name
+        if type(x) is entanglement.SeparabilityVerdict:
+            assert x.tag == name
+        assert (x == x) is True, name
+        assert (x == y) is equal and (x != y) is not equal, name
+        assert isinstance(hash(x), int), name
+
+
 def test_chsh_value_and_seesaw_check_the_state_type():
     obs = canonical_qubit_observables(M2, M2)
     with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
@@ -171,6 +218,31 @@ def test_state_arguments_of_another_type_raise_invalid_argument(name):
             STATE_ARGUMENTS[name](bad)
 
 
+U2 = unit(M2)
+OPERAND_ARGUMENTS = {
+    "add": lambda x: U2 + x,
+    "sub": lambda x: U2 - x,
+    "multiply": lambda x: multiply(U2, x),
+    "expectation": lambda x: expectation(werner(0.2), x),
+    "adjoint": adjoint,
+    "sign_operator": sign_operator,
+    "operator_norm": operator_norm,
+    "tensor_element": lambda x: tensor_element(U2, x),
+    "seesaw": lambda x: seesaw(werner(0.2), x, U2),
+    "ChshObservables": lambda x: ChshObservables(x, U2, U2, U2),
+    "chsh_value": lambda x: chsh_value(werner(0.2), x),
+    **{name: getattr(serialize, name) for name in dir(serialize) if name.endswith("_to_dict")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERAND_ARGUMENTS))
+def test_operands_of_another_type_raise_invalid_argument(name):
+    # an operand of the wrong type is named as such, not met by an AttributeError
+    for bad in (None, "s", np.eye(2)):
+        with pytest.raises(InvalidArgumentError, match="^expected an? "):
+            OPERAND_ARGUMENTS[name](bad)
+
+
 def test_reconstruct_checks_the_decomposition_type():
     for bad in (None, werner(0.2)):
         with pytest.raises(InvalidArgumentError, match="expected a Decomposition"):
@@ -191,7 +263,7 @@ def test_observable_validation():
     too_big = element(M2, [2.0 * SIGMA_Z])
     with pytest.raises(PreconditionError):
         ChshObservables(good, good, too_big, good)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(AlgebraMismatchError):
         ChshObservables(good, element(make_full(3), [np.eye(3)]), good, good)
 
 
