@@ -12,8 +12,8 @@ of a block of ``a`` and a block of ``b``, listed lexicographically, so joint
 block ``idx = i * b.num_blocks + j`` has dimension ``n_i * m_j``.  Inside it
 the basis vector ``e_r (x) f_s`` sits at row ``r * m_j + s``, so
 ``blk.reshape(n_i, m_j, n_i, m_j)`` separates the two factors.  Code that
-walks joint blocks goes through :func:`joint_blocks` rather than decoding
-``idx`` itself.
+walks joint blocks goes through :func:`joint_blocks`, or through ``_plan``
+to group them per block of one factor, rather than decoding ``idx`` itself.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def make_commutative(m: int) -> FdAlgebra:
 
 def direct_sum(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     """Direct sum: concatenated block lists."""
-    return FdAlgebra(a.block_dims + b.block_dims)
+    return FdAlgebra(_require_algebra(a).block_dims + _require_algebra(b).block_dims)
 
 
 def tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
@@ -166,11 +166,19 @@ def tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     docstring.  In finite dimension the C*-tensor product is unique, so the
     elementwise Kronecker construction is the whole story.
     """
-    return FdAlgebra(tuple(na * nb for na in a.block_dims for nb in b.block_dims), factors=(a, b))
+    da, db = (_require_algebra(x).block_dims for x in (a, b))
+    return FdAlgebra(tuple(na * nb for na in da for nb in db), factors=(a, b))
+
+
+def _require_algebra(alg) -> FdAlgebra:
+    """``alg`` itself if it is an FdAlgebra; anything else raises InvalidArgumentError."""
+    if not isinstance(alg, FdAlgebra):
+        raise InvalidArgumentError(f"expected an FdAlgebra, got {type(alg)!r}")
+    return alg
 
 
 def _require_factors(alg: FdAlgebra) -> tuple[FdAlgebra, FdAlgebra]:
-    if alg.factors is None:
+    if _require_algebra(alg).factors is None:
         raise MissingFactorizationError(
             "algebra has no recorded tensor product factorization; build it with tensor(a, b)"
         )
@@ -185,6 +193,18 @@ def joint_blocks(product: FdAlgebra) -> list[tuple[int, int, int, int, int]]:
     return [(i * len(db) + j, i, j, n, m) for i, n in enumerate(da) for j, m in enumerate(db)]
 
 
+def _plan(product: FdAlgebra, rhos, side: int) -> list[list[tuple[np.ndarray, int]]]:
+    """Per block i of factor ``side`` (0: A, 1: B), in order, one (rho, j) per joint block of i
+    and block j of the other factor; rho views it in ``rhos`` as (..., n, m, n, m), swapped on B."""
+    plan = [[] for _ in product.factors[side].block_dims]
+    for idx, i, j, n, m in joint_blocks(product):
+        rho = rhos[idx].reshape(*rhos[idx].shape[:-2], n, m, n, m)
+        if side == 1:
+            rho, i, j = rho.swapaxes(-4, -3).swapaxes(-2, -1), j, i
+        plan[i].append((rho, j))
+    return plan
+
+
 def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
     """Diagonal blocks of a dense matrix on the representation space of ``alg``.
 
@@ -192,7 +212,7 @@ def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
     blocks larger than ``tol`` in modulus.
     """
     arr = _as_numbers(arr)
-    n = alg.total_dim
+    n = _require_algebra(alg).total_dim
     if arr.shape != (n, n):
         raise InvalidDimensionError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
     owner = np.repeat(np.arange(alg.num_blocks), alg.block_dims)
@@ -214,7 +234,7 @@ def embed(alg: FdAlgebra, k: int, blk: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _first_matrix_block(alg: FdAlgebra) -> int:
-    for k, d in enumerate(alg.block_dims):
+    for k, d in enumerate(_require_algebra(alg).block_dims):
         if d >= 2:
             return k
     raise UnsupportedShapeError("algebra is commutative: no block of dimension >= 2")
@@ -232,8 +252,13 @@ def trace_norm(blocks) -> float:
 
 def _block_arrays(alg: FdAlgebra, blocks, error: type, what: str) -> list[np.ndarray]:
     """``blocks`` as complex arrays, one per block of ``alg``; a wrong block
-    count or shape raises ``error``, whose message calls a block ``what``."""
-    if len(blocks) != alg.num_blocks:
+    count or shape, or blocks that are not iterable, raise ``error``, whose message
+    calls a block ``what``."""
+    try:
+        blocks = list(blocks)
+    except TypeError as exc:
+        raise error(f"{what}s must be iterable, got {type(blocks)!r}") from exc
+    if len(blocks) != _require_algebra(alg).num_blocks:
         raise error(f"expected {alg.num_blocks} {what}s, got {len(blocks)}")
     arrays = [_as_numbers(blk) for blk in blocks]
     for k, (arr, dim) in enumerate(zip(arrays, alg.block_dims)):
@@ -305,8 +330,8 @@ def _require_same_algebra(first, *rest) -> FdAlgebra:
 
 
 def element(algebra: FdAlgebra, blocks) -> AlgebraElement:
-    """Wrap a list of per-block matrices as an element of ``algebra``."""
-    return AlgebraElement(algebra, tuple(blocks))
+    """Wrap an iterable of per-block matrices as an element of ``algebra``."""
+    return AlgebraElement(algebra, blocks)
 
 
 def element_from_matrix(algebra: FdAlgebra, mat) -> AlgebraElement:
@@ -316,19 +341,19 @@ def element_from_matrix(algebra: FdAlgebra, mat) -> AlgebraElement:
 
 def unit(algebra: FdAlgebra) -> AlgebraElement:
     """The unit element 1 (identity in every block)."""
-    return AlgebraElement(algebra, tuple(np.eye(d, dtype=complex) for d in algebra.block_dims))
+    blocks = tuple(np.eye(d, dtype=complex) for d in _require_algebra(algebra).block_dims)
+    return AlgebraElement(algebra, blocks)
 
 
 def zero(algebra: FdAlgebra) -> AlgebraElement:
-    return AlgebraElement(
-        algebra, tuple(np.zeros((d, d), dtype=complex) for d in algebra.block_dims)
-    )
+    blocks = tuple(np.zeros((d, d), dtype=complex) for d in _require_algebra(algebra).block_dims)
+    return AlgebraElement(algebra, blocks)
 
 
 def diagonal_element(algebra: FdAlgebra, values) -> AlgebraElement:
     """Element with the given diagonal (handy for commutative algebras)."""
     vals = _as_numbers(values)
-    if vals.shape != (algebra.total_dim,):
+    if vals.shape != (_require_algebra(algebra).total_dim,):
         raise InvalidDimensionError(
             f"need {algebra.total_dim} diagonal values, got shape {vals.shape}"
         )
@@ -365,7 +390,7 @@ def operator_norm(x: AlgebraElement) -> float:
 
 def _product_of(a: FdAlgebra, b: FdAlgebra, product: FdAlgebra | None) -> FdAlgebra:
     """``product``, which must record ``(a, b)`` as its factors, or ``tensor(a, b)`` if None."""
-    if product is not None and product.factors != (a, b):
+    if product is not None and _require_algebra(product).factors != (a, b):
         raise AlgebraMismatchError("product algebra does not factor into the operands' algebras")
     return tensor(a, b) if product is None else product
 
@@ -382,7 +407,7 @@ def matrix_units(algebra: FdAlgebra):
     These generate the algebra linearly, so commutator checks over all pairs
     decide commutativity exactly.
     """
-    for k, d in enumerate(algebra.block_dims):
+    for k, d in enumerate(_require_algebra(algebra).block_dims):
         for r in range(d):
             for s in range(d):
                 e = np.zeros((d, d), dtype=complex)

@@ -29,14 +29,15 @@ from .algebra import (
     FdAlgebra,
     _first_matrix_block,
     _hermiticity_defect,
+    _plan,
     _product_of,
+    _require_algebra,
     _require_factors,
     _require_same_algebra,
     _stack_norm,
     element,
     embed,
     herm,
-    joint_blocks,
     unit,
 )
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
@@ -145,7 +146,7 @@ def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.n
     consecutive states, or runs of one state's settings when it has more; they
     draw the same stream.  Settings are not re-checked: _sign builds each as
     v diag(+-1) v*, from finite draws."""
-    alg_a, alg_b = product.factors
+    alg_a, alg_b = _require_factors(product)
     wa, wb = (sum(2 * d * d for d in alg.block_dims) for alg in (alg_a, alg_b))
     step = max(1, SCAN_CHUNK_SETTINGS // max(settings, 1))
     values = np.empty((len(states), settings))
@@ -180,18 +181,6 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     dichotomic.
     """
     return element(_require_same_algebra(h), [_sign(blk)[0] for blk in h.blocks])
-
-
-def _plan(product: FdAlgebra, rhos, side: int) -> list[list[tuple[np.ndarray, int]]]:
-    """Per block i of factor ``side`` (0: A, 1: B), in order, one (rho, j) per joint block of i
-    and block j of the other factor; rho views it in ``rhos`` as (..., n, m, n, m), swapped on B."""
-    plan = [[] for _ in product.factors[side].block_dims]
-    for idx, i, j, n, m in joint_blocks(product):
-        rho = rhos[idx].reshape(*rhos[idx].shape[:-2], n, m, n, m)
-        if side == 1:
-            rho, i, j = rho.swapaxes(-4, -3).swapaxes(-2, -1), j, i
-        plan[i].append((rho, j))
-    return plan
 
 
 def _effective(plan, x) -> list[np.ndarray]:
@@ -252,7 +241,7 @@ def _random_signs(z: np.ndarray, dims) -> list[np.ndarray]:
 
 def random_dichotomic(alg: FdAlgebra, rng=None) -> AlgebraElement:
     """Random self-adjoint unitary (a norm-one extreme point), blockwise."""
-    z = _as_rng(rng).standard_normal(sum(2 * d * d for d in alg.block_dims))
+    z = _as_rng(rng).standard_normal(sum(2 * d * d for d in _require_algebra(alg).block_dims))
     return element(alg, _random_signs(z, alg.block_dims))
 
 

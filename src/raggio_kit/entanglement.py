@@ -27,6 +27,7 @@ import numpy as np
 
 from .algebra import (
     FdAlgebra,
+    _plan,
     _product_of,
     _require_factors,
     _require_same_algebra,
@@ -42,6 +43,7 @@ from .states import (
     _as_rng,
     _as_state,
     check_count,
+    check_parts,
     check_tol,
     check_weights,
     point_state,
@@ -86,6 +88,7 @@ class Decomposition:
     b_parts: tuple[State, ...]
 
     def __post_init__(self):
+        check_parts(self.a_parts, self.b_parts)
         if len(self.a_parts) != len(self.b_parts):
             raise InvalidArgumentError("a_parts and b_parts must have matching lengths")
         w = check_weights(self.weights, len(self.a_parts), _WEIGHT_SUM_TOL)
@@ -206,9 +209,9 @@ def realignment_check(state: State) -> float:
 def classical_decompose(state: State) -> Decomposition:
     """Decompose a state on A (x) B with a commutative factor.
 
-    Conditioning on the points of the commutative side is exact: the terms
-    are (conditional state) (x) (point measure), so every state of this kind
-    is decomposable.  Conditions on B when B is commutative, else on A.
+    Conditioning on the points of the commutative side, B if it is, else A, is
+    exact: the terms are (conditional state) (x) (point measure), so every state
+    of this kind is decomposable.  It reads the joint blocks through ``algebra._plan``.
     """
     factors = _require_factors(_as_state(state).algebra)
     side = 1 if factors[1].is_commutative else 0
@@ -216,10 +219,8 @@ def classical_decompose(state: State) -> Decomposition:
         raise InvalidArgumentError("classical decomposition needs a commutative factor")
     points, other = factors[side], factors[1 - side]
 
-    # blocks of the conditional state on the other factor, one bucket per point
-    buckets = [[] for _ in range(points.num_blocks)]
-    for idx, i, j, _, _ in joint_blocks(state.algebra):
-        buckets[(i, j)[side]].append(state.blocks[idx])
+    # per point, the other factor's blocks: rho[0, :, 0] of each (1, d, 1, d) planned view
+    buckets = [[rho[0, :, 0] for rho, _ in row] for row in _plan(state.algebra, state.blocks, side)]
     weights, parts = [], ([], [])
     for point, blocks in enumerate(buckets):
         w = float(sum(np.trace(b).real for b in blocks))

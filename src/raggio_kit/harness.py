@@ -23,7 +23,7 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .algebra import FdAlgebra, _first_matrix_block, embed, joint_blocks, tensor
+from .algebra import FdAlgebra, _first_matrix_block, _require_algebra, embed, joint_blocks, tensor
 from .bell import (
     CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_BOUND,
@@ -71,10 +71,9 @@ def embedded_werner(p: float, alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
 
 
 def _capped_product(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
-    if a.total_dim * b.total_dim > PRODUCT_DIM_CAP:
-        raise ResourceLimitError(
-            f"product dimension {a.total_dim * b.total_dim} exceeds the cap {PRODUCT_DIM_CAP}"
-        )
+    dim = _require_algebra(a).total_dim * _require_algebra(b).total_dim
+    if dim > PRODUCT_DIM_CAP:
+        raise ResourceLimitError(f"product dimension {dim} exceeds the cap {PRODUCT_DIM_CAP}")
     return tensor(a, b)
 
 

@@ -23,11 +23,13 @@ from .algebra import (
     _hermiticity_defect,
     _is_count,
     _is_real,
+    _plan,
     _product_of,
+    _require_algebra,
+    _require_factors,
     _require_same_algebra,
     embed,
     herm,
-    joint_blocks,
     make_full,
     tensor,
     trace_norm,
@@ -74,6 +76,13 @@ def check_weights(weights, count: int, slack: float) -> np.ndarray:
     if not np.all(np.isfinite(w)) or np.any(w < -1e-12) or abs(w.sum() - 1.0) > slack:
         raise InvalidArgumentError(f"weights must be finite, nonnegative and sum to 1, got {w}")
     return w
+
+
+def check_parts(*parts) -> None:
+    """Require every argument to be a list or tuple; _as_state checks the states in it."""
+    for p in parts:
+        if not isinstance(p, (list, tuple)):
+            raise InvalidArgumentError(f"parts must be a list or tuple of states, got {type(p)!r}")
 
 
 def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
@@ -148,7 +157,7 @@ class PureVector:
     blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.algebra.num_blocks != 1:
+        if _require_algebra(self.algebra).num_blocks != 1:
             raise UnsupportedShapeError(
                 "vector states with a single wavefunction need a single-block algebra; "
                 f"got blocks {self.algebra.block_dims}"
@@ -204,8 +213,8 @@ def trace_distance(a: State, b: State) -> float:
 
 
 def mixture(weights, parts) -> State:
-    """Convex combination sum_i w_i rho_i of states on a shared algebra."""
-    parts = list(parts)
+    """Convex combination sum_i w_i rho_i of a list or tuple of states on a shared algebra."""
+    check_parts(parts)
     w = check_weights(weights, len(parts), 1e-12)
     alg = _require_same_algebra(*map(_as_state, parts))
     blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
@@ -225,20 +234,17 @@ def product_state(sa: State, sb: State, product: FdAlgebra | None = None) -> Sta
 def restrict_to_factor(state: State, keep: str) -> State:
     """Restriction of a state on A (x) B to one factor, omega(x (x) 1).
 
-    Works blockwise: the joint block (i, j) is reshaped to
-    (n_i, m_j, n_i, m_j) and the unwanted pair of axes is traced out.  The
-    tensor factorization must have been recorded on the algebra.
+    Works blockwise: each block of the kept factor sums the joint-block views
+    of its row of ``algebra._plan``, with the other factor's pair of axes
+    traced out.  The tensor factorization must have been recorded on the algebra.
     """
-    blocks = joint_blocks(_as_state(state).algebra)
+    factors = _require_factors(_as_state(state).algebra)
     if keep not in ("a", "b"):
         raise InvalidArgumentError(f"keep must be 'a' or 'b', got {keep!r}")
-    alg_a, alg_b = state.algebra.factors
-    target = alg_a if keep == "a" else alg_b
-    out = [np.zeros((d, d), dtype=complex) for d in target.block_dims]
-    for idx, i, j, n, m in blocks:
-        k, spec = (i, "ajbj->ab") if keep == "a" else (j, "iaib->ab")
-        out[k] = out[k] + np.einsum(spec, state.blocks[idx].reshape(n, m, n, m))
-    return State._of_density(target, tuple(out))
+    side = "ab".index(keep)
+    rows = _plan(state.algebra, state.blocks, side)
+    out = tuple(sum(np.einsum("ajbj->ab", rho) for rho, _ in row) for row in rows)
+    return State._of_density(factors[side], out)
 
 
 def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
@@ -252,14 +258,14 @@ def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
 
 
 def maximally_mixed(algebra: FdAlgebra) -> State:
-    n = algebra.total_dim
+    n = _require_algebra(algebra).total_dim
     blocks = tuple(np.eye(d, dtype=complex) / n for d in algebra.block_dims)
     return State._of_density(algebra, blocks)
 
 
 def point_state(algebra: FdAlgebra, index: int) -> State:
     """Evaluation at one point of a commutative algebra (a Dirac measure)."""
-    if not algebra.is_commutative:
+    if not _require_algebra(algebra).is_commutative:
         raise InvalidArgumentError("point states need a commutative algebra")
     if check_count(index, "point index", minimum=0) >= algebra.num_blocks:
         raise InvalidArgumentError(
@@ -271,7 +277,7 @@ def point_state(algebra: FdAlgebra, index: int) -> State:
 def random_pure(algebra: FdAlgebra, rng=None) -> PureVector:
     """Haar-random unit vector on a single-block algebra."""
     rng = _as_rng(rng)
-    n = algebra.total_dim
+    n = _require_algebra(algebra).total_dim
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureVector(algebra, psi)
 
@@ -283,7 +289,8 @@ def random_vector_state(algebra: FdAlgebra, rng=None) -> State:
     |Psi><Psi|, which is the general form of a vector state here.
     """
     rng = _as_rng(rng)
-    psi = rng.standard_normal(algebra.total_dim) + 1j * rng.standard_normal(algebra.total_dim)
+    n = _require_algebra(algebra).total_dim
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi /= np.linalg.norm(psi)
     blocks = tuple(np.outer(psi[s], psi[s].conj()) for s in algebra.block_slices())
     return State._of_density(algebra, blocks)
@@ -293,7 +300,7 @@ def random_mixed(algebra: FdAlgebra, rng=None) -> State:
     """Full-rank random density: blockwise G G* normalized to unit trace."""
     rng = _as_rng(rng)
     blocks = []
-    for d in algebra.block_dims:
+    for d in _require_algebra(algebra).block_dims:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         blocks.append(g @ g.conj().T)
     tr = sum(np.trace(b).real for b in blocks)

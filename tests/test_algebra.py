@@ -20,10 +20,29 @@ from raggio_kit.algebra import (
     unit,
     zero,
 )
-from raggio_kit.bell import canonical_qubit_observables, chsh_optimize, chsh_value
+from raggio_kit.bell import (
+    canonical_qubit_observables,
+    chsh_optimize,
+    chsh_value,
+    random_dichotomic,
+)
 from raggio_kit.entanglement import Decomposition, ppt_check, reconstruct, separability_test
-from raggio_kit.errors import AlgebraMismatchError, InvalidArgumentError, InvalidDimensionError
-from raggio_kit.states import maximally_mixed, product_state, restrict_to_factor
+from raggio_kit.errors import (
+    AlgebraMismatchError,
+    InvalidArgumentError,
+    InvalidDimensionError,
+    InvalidStateError,
+)
+from raggio_kit.harness import bell_one_side_classical, embedded_singlet, verify_equivalence
+from raggio_kit.states import (
+    PureVector,
+    State,
+    maximally_mixed,
+    mixture,
+    product_state,
+    random_mixed,
+    restrict_to_factor,
+)
 
 
 COMMUTATOR_TOL = 1e-12
@@ -210,6 +229,50 @@ def test_every_operand_check_is_one_rule():
     for call in calls:
         with pytest.raises(AlgebraMismatchError, match="^product algebra does not factor into"):
             call()
+
+
+M2 = make_full(2)
+# each call used to end in a raw AttributeError (an algebra that is None) or a raw
+# TypeError (blocks or parts that are no container)
+WRONG_TYPES = {
+    "tensor": (InvalidArgumentError, lambda: tensor(None, M2)),
+    "tensor-second": (InvalidArgumentError, lambda: tensor(M2, None)),
+    "direct_sum": (InvalidArgumentError, lambda: direct_sum(None, M2)),
+    "unit": (InvalidArgumentError, lambda: unit(None)),
+    "diagonal_element": (InvalidArgumentError, lambda: diagonal_element(None, [1])),
+    "State": (InvalidArgumentError, lambda: State(None, ())),
+    "PureVector": (InvalidArgumentError, lambda: PureVector(None, [1])),
+    "random_mixed": (InvalidArgumentError, lambda: random_mixed(None)),
+    "maximally_mixed": (InvalidArgumentError, lambda: maximally_mixed(None)),
+    "random_dichotomic": (InvalidArgumentError, lambda: random_dichotomic(None)),
+    "canonical_qubit_observables": (
+        InvalidArgumentError,
+        lambda: canonical_qubit_observables(None, M2),
+    ),
+    "embedded_singlet": (InvalidArgumentError, lambda: embedded_singlet(None, M2)),
+    "verify_equivalence": (InvalidArgumentError, lambda: verify_equivalence(None, M2)),
+    "bell_one_side_classical": (InvalidArgumentError, lambda: bell_one_side_classical(None, M2)),
+    "State-blocks-None": (InvalidStateError, lambda: State(M2, None)),
+    "State-blocks-int": (InvalidStateError, lambda: State(M2, 5)),
+    "element-blocks-None": (InvalidDimensionError, lambda: element(M2, None)),
+    "element-blocks-int": (InvalidDimensionError, lambda: element(M2, 5)),
+    "Decomposition-parts-None": (InvalidArgumentError, lambda: Decomposition(None, None, None)),
+    "mixture-parts-None": (InvalidArgumentError, lambda: mixture([1.0], None)),
+}
+
+
+@pytest.mark.parametrize("error, call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_arguments_of_the_wrong_type_raise_domain_errors(error, call):
+    # pytest.raises lets a raw AttributeError or TypeError through, failing the test
+    with pytest.raises(error):
+        call()
+
+
+def test_element_still_takes_any_iterable_of_blocks():
+    blocks = [np.eye(2), np.zeros((1, 1))]
+    alg = direct_sum(M2, make_commutative(1))
+    for given in (blocks, tuple(blocks), iter(blocks), (b for b in blocks)):
+        np.testing.assert_array_equal(element(alg, given).matrix, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_unit_and_zero():

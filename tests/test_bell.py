@@ -6,6 +6,7 @@ import pytest
 from raggio_kit import bell, entanglement, harness, serialize, states
 from raggio_kit.algebra import (
     AlgebraElement,
+    _plan,
     adjoint,
     direct_sum,
     element,
@@ -27,7 +28,6 @@ from raggio_kit.bell import (
     _check_observable,
     _effective,
     _half_step,
-    _plan,
     _random_signs,
     canonical_qubit_observables,
     chsh_optimize,

@@ -21,6 +21,7 @@ from scipy.linalg import block_diag
 
 from raggio_kit.algebra import (
     FdAlgebra,
+    _plan,
     diagonal_element,
     direct_sum,
     element,
@@ -37,7 +38,6 @@ from raggio_kit.bell import (
     CHSH_QUANTUM_BOUND,
     SIGN_EIGENVALUE_TOL,
     _effective,
-    _plan,
     _sign,
     canonical_qubit_observables,
     chsh_optimize,
@@ -47,6 +47,7 @@ from raggio_kit.bell import (
     seesaw,
 )
 from raggio_kit.entanglement import (
+    CLASSICAL_WEIGHT_TOL,
     PPT_TOL,
     REALIGN_TOL,
     SEPARABLE,
@@ -188,6 +189,61 @@ def test_classical_decompose_reconstructs_with_either_side_commutative(dims, see
         for state in (random_mixed(product, rng), random_vector_state(product, rng)):
             dec = classical_decompose(state)
             assert trace_distance(reconstruct(dec, product), state) <= 1e-9
+
+
+def _restricted_by_joint_blocks(state, keep):
+    """Reference copy of restrict_to_factor's joint_blocks loop before it read algebra._plan."""
+    alg_a, alg_b = state.algebra.factors
+    target = alg_a if keep == "a" else alg_b
+    out = [np.zeros((d, d), dtype=complex) for d in target.block_dims]
+    for idx, i, j, n, m in joint_blocks(state.algebra):
+        k, spec = (i, "ajbj->ab") if keep == "a" else (j, "iaib->ab")
+        out[k] = out[k] + np.einsum(spec, state.blocks[idx].reshape(n, m, n, m))
+    return State._of_density(target, tuple(out))
+
+
+def _conditioned_by_joint_blocks(state):
+    """Reference copy of classical_decompose's joint_blocks buckets before it read algebra._plan."""
+    factors = state.algebra.factors
+    side = 1 if factors[1].is_commutative else 0
+    points, other = factors[side], factors[1 - side]
+    buckets = [[] for _ in range(points.num_blocks)]
+    for idx, i, j, _, _ in joint_blocks(state.algebra):
+        buckets[(i, j)[side]].append(state.blocks[idx])
+    weights, parts = [], ([], [])
+    for point, blocks in enumerate(buckets):
+        w = float(sum(np.trace(b).real for b in blocks))
+        if w <= CLASSICAL_WEIGHT_TOL:
+            continue
+        weights.append(w)
+        parts[side].append(point_state(points, point))
+        parts[1 - side].append(State._of_density(other, tuple(b / w for b in blocks)))
+    return Decomposition(tuple(weights), tuple(parts[0]), tuple(parts[1]))
+
+
+def _same_blocks(x, y) -> bool:
+    return x.algebra == y.algebra and len(x.blocks) == len(y.blocks) and all(
+        np.array_equal(bx, by) for bx, by in zip(x.blocks, y.blocks)
+    )
+
+
+@PROPERTY
+@given(FACTOR_PAIRS, SEEDS)
+def test_restriction_and_conditioning_match_the_joint_blocks_loops(dims, seed):
+    # the per-factor plan must give the exact entries of the loops it replaced
+    rng = np.random.default_rng(seed)
+    a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
+    for state in (random_mixed(tensor(a, b), rng), random_vector_state(tensor(a, b), rng)):
+        for keep in ("a", "b"):
+            want = _restricted_by_joint_blocks(state, keep)
+            assert _same_blocks(restrict_to_factor(state, keep), want)
+    products = (tensor(make_commutative(a.total_dim), b), tensor(a, make_commutative(b.total_dim)))
+    for product in products:
+        for state in (random_mixed(product, rng), random_vector_state(product, rng)):
+            got, want = classical_decompose(state), _conditioned_by_joint_blocks(state)
+            assert np.array_equal(got.weights, want.weights)
+            pairs = zip(got.a_parts + got.b_parts, want.a_parts + want.b_parts)
+            assert len(got.a_parts) == len(want.a_parts) and all(_same_blocks(x, y) for x, y in pairs)
 
 
 @PROPERTY
