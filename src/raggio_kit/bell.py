@@ -61,7 +61,7 @@ SEESAW_GAIN_TOL, SEESAW_MAX_ROUNDS = 1e-10, 500  # per see-saw run: convergence 
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * np.sqrt(2.0)
 DEFAULT_RESTARTS = 16  # chsh_optimize's see-saw restarts
-# random settings drawn and evaluated at once by random_settings_chsh
+# random settings drawn and evaluated at once by _random_settings_chsh
 SCAN_CHUNK_SETTINGS = 1000
 
 
@@ -139,13 +139,13 @@ def chsh_value(state: State, obs: ChshObservables) -> float:
     return float(_chsh_values(product, [state], obs.a, obs.b)[0, 0])
 
 
-def random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.ndarray:
+def _random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.ndarray:
     """(P, Q) CHSH values of ``settings`` random dichotomic settings per state,
     drawn from ``rng`` in the order of a random_observables call per setting.
     Chunks of at most SCAN_CHUNK_SETTINGS settings bound the memory: runs of
     consecutive states, or runs of one state's settings when it has more; they
     draw the same stream.  Settings are not re-checked: _sign builds each as
-    v diag(+-1) v*, from finite draws."""
+    v diag(+-1) v*, from finite draws; bell_one_side_classical checks the rest."""
     alg_a, alg_b = _require_factors(product)
     wa, wb = (sum(2 * d * d for d in alg.block_dims) for alg in (alg_a, alg_b))
     step = max(1, SCAN_CHUNK_SETTINGS // max(settings, 1))

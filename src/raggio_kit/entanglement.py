@@ -7,11 +7,11 @@ combination of product states.  Four certificates are produced here:
 * pure states: the Schmidt coefficients of the wavefunction,
 * entangled mixed states: a negative eigenvalue of the blockwise partial
   transpose, or else a realigned joint block of trace norm above 1,
-* separable mixed states: an explicit decomposition, by conditioning on the
-  commutative factor in the classical case, else per joint block as (w, a, b)
-  arrays of weights and product vectors a (x) b: the spectral decomposition
-  where a side is one-dimensional, Wootters' closed form on qubit-qubit
-  blocks or a Frank-Wolfe search, each re-measured against the state.
+* separable mixed states: an explicit decomposition, per joint block as
+  (w, a, b) arrays of weights and product vectors a (x) b: the spectral
+  decomposition where a side is one-dimensional (every joint block, when a
+  factor is commutative), Wootters' closed form on qubit-qubit blocks or a
+  Frank-Wolfe search, each re-measured against the state.
 
 Both entanglement tests are one-sided in general, so the verdict is
 ``Undetermined`` when no certificate is found within budget; for
@@ -27,26 +27,25 @@ import numpy as np
 
 from .algebra import (
     FdAlgebra,
-    _plan,
+    _as_numbers,
+    _frozen,
+    _is_count,
     _product_of,
     _require_factors,
-    _require_same_algebra,
-    embed,
     herm,
     joint_blocks,
     trace_norm,
 )
 from .errors import InvalidArgumentError
 from .states import (
+    STATE_TRACE_TOL,
     PureVector,
     State,
     _as_rng,
     _as_state,
     check_count,
-    check_parts,
     check_tol,
     check_weights,
-    point_state,
     purity,
     trace_distance,
 )
@@ -81,37 +80,69 @@ _HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2.0
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """A convex combination sum_k w_k alpha_k (x) beta_k of product states."""
+    """A convex combination sum_k w_k |a_k><a_k| (x) |b_k><b_k| of pure product states.
 
-    weights: tuple[float, ...]
-    a_parts: tuple[State, ...]
-    b_parts: tuple[State, ...]
+    ``algebra`` is a product with recorded factors.  ``rows`` holds one (i, j, w, a, b)
+    per joint block: read-only (K,) weights and (K, n_i) and (K, m_j) arrays of unit
+    vectors on block i of the first factor and block j of the second.  The weights are
+    kept as given, clipped at 0; ``weights`` and ``reconstruct`` renormalize them.
+    """
+
+    algebra: FdAlgebra
+    rows: tuple
 
     def __post_init__(self):
-        check_parts(self.a_parts, self.b_parts)
-        if len(self.a_parts) != len(self.b_parts):
-            raise InvalidArgumentError("a_parts and b_parts must have matching lengths")
-        w = check_weights(self.weights, len(self.a_parts), _WEIGHT_SUM_TOL)
-        w = np.clip(w, 0.0, None) / float(w.sum())
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        for parts in (self.a_parts, self.b_parts):
-            _require_same_algebra(*map(_as_state, parts))
+        dims = [f.block_dims for f in _require_factors(self.algebra)]
+        if not isinstance(self.rows, (list, tuple)):
+            raise InvalidArgumentError(f"rows must be a list or tuple, got {type(self.rows)!r}")
+        rows = []
+        for r, row in enumerate(self.rows):
+            shape = isinstance(row, (list, tuple)) and len(row) == 5
+            if not (shape and all(_is_count(k, 0) and k < len(d) for k, d in zip(row, dims))):
+                raise InvalidArgumentError(f"row {r} is not (i, j, w, a, b) on blocks of {dims}")
+            i, j, w, a, b = *row[:2], *map(_as_numbers, row[2:])
+            k = a.shape[:1]
+            if (w.shape, a.shape, b.shape) != (k, k + (dims[0][i],), k + (dims[1][j],)):
+                raise InvalidArgumentError(f"row {r} must hold K weights, then K vectors per side")
+            with np.errstate(over="ignore"):  # squares of huge entries overflow to inf
+                norms = np.concatenate([np.sum(np.abs(v) ** 2, axis=1) for v in (a, b)])
+            if np.any(w.imag) or not np.all(np.abs(norms - 1.0) <= STATE_TRACE_TOL):
+                raise InvalidArgumentError(f"row {r} needs real weights and finite unit vectors")
+            rows.append((int(i), int(j), w.real, a, b))
+        w = np.concatenate([np.zeros(0), *(row[2] for row in rows)])
+        check_weights(w, len(w), _WEIGHT_SUM_TOL)
+        rows = tuple((i, j, *map(_frozen, (np.clip(w, 0.0, None), a, b))) for i, j, w, a, b in rows)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of_rows(cls, algebra: FdAlgebra, rows) -> Decomposition:
+        """The package's own rows (unit vectors, weights >= 0), kept read-only with no check."""
+        dec = object.__new__(cls)
+        vars(dec).update(algebra=algebra, rows=tuple((i, j, *map(_frozen, x)) for i, j, *x in rows))
+        return dec
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """Every term's weight in row order, renormalized to sum to 1."""
+        w = np.concatenate([row[2] for row in self.rows])
+        return tuple(float(x) for x in w / float(w.sum()))
 
     @property
     def num_terms(self) -> int:
-        return len(self.weights)
+        return sum(len(row[2]) for row in self.rows)
 
 
 def reconstruct(dec: Decomposition, product: FdAlgebra | None = None) -> State:
-    """Reassemble sum_k w_k alpha_k (x) beta_k, one einsum per joint block over the
-    parts' blocks stacked along k; ``product`` must factor through the parts."""
-    dec = _as_state(dec, (Decomposition,))
-    product = _product_of(dec.a_parts[0].algebra, dec.b_parts[0].algebra, product)
-    a, b = ([np.stack(x) for x in zip(*(s.blocks for s in p))] for p in (dec.a_parts, dec.b_parts))
-    blocks = tuple(
-        np.einsum("k,kac,kbd->abcd", dec.weights, a[i], b[j]).reshape(n * m, n * m)
-        for _, i, j, n, m in joint_blocks(product)
-    )
+    """Reassemble sum_k w_k |a_k><a_k| (x) |b_k><b_k|, one einsum of outer products per row,
+    added into its joint block; ``product`` must record ``dec.algebra``'s factors."""
+    product = _product_of(*_as_state(dec, (Decomposition,)).algebra.factors, product)
+    index = {(i, j): idx for idx, i, j, _, _ in joint_blocks(product)}
+    blocks = [np.zeros((d, d), dtype=complex) for d in product.block_dims]
+    total = float(np.concatenate([row[2] for row in dec.rows]).sum())  # as ``weights`` divides
+    for i, j, w, a, b in dec.rows:
+        aa, bb = (v[:, :, None] * v[:, None, :].conj() for v in (a, b))
+        term = np.einsum("k,kac,kbd->abcd", w / total, aa, bb)
+        blocks[index[i, j]] += term.reshape(a.shape[1] * b.shape[1], -1)
     return State._of_density(product, blocks)
 
 
@@ -209,27 +240,13 @@ def realignment_check(state: State) -> float:
 def classical_decompose(state: State) -> Decomposition:
     """Decompose a state on A (x) B with a commutative factor.
 
-    Conditioning on the points of the commutative side, B if it is, else A, is
-    exact: the terms are (conditional state) (x) (point measure), so every state
-    of this kind is decomposable.  It reads the joint blocks through ``algebra._plan``.
+    Every joint block then has a one-dimensional side, so the spectral
+    decomposition of each block's other side is exact: every state of this
+    kind is decomposable, into pure products.
     """
-    factors = _require_factors(_as_state(state).algebra)
-    side = 1 if factors[1].is_commutative else 0
-    if not factors[side].is_commutative:
+    if not any(f.is_commutative for f in _require_factors(_as_state(state).algebra)):
         raise InvalidArgumentError("classical decomposition needs a commutative factor")
-    points, other = factors[side], factors[1 - side]
-
-    # per point, the other factor's blocks: rho[0, :, 0] of each (1, d, 1, d) planned view
-    buckets = [[rho[0, :, 0] for rho, _ in row] for row in _plan(state.algebra, state.blocks, side)]
-    weights, parts = [], ([], [])
-    for point, blocks in enumerate(buckets):
-        w = float(sum(np.trace(b).real for b in blocks))
-        if w <= CLASSICAL_WEIGHT_TOL:
-            continue
-        weights.append(w)
-        parts[side].append(point_state(points, point))
-        parts[1 - side].append(State._of_density(other, tuple(b / w for b in blocks)))
-    return Decomposition(tuple(weights), tuple(parts[0]), tuple(parts[1]))
+    return Decomposition._of_rows(state.algebra, [r[:5] for r in _block_rows(state, 0.0, 1, None)])
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +396,18 @@ def _block_pair_decomposition(rho, n: int, m: int, tol, max_iters, rng):
     return _fcfw_search(rho, n, m, tol, max_iters, rng)
 
 
-def _separable(state: State, dec, **fields) -> SeparabilityVerdict:
-    """A Separable verdict measuring ``dec`` against ``state``; ``dec`` is a Decomposition
-    or rows (w, i, a, j, b) of block arrays, a and b on blocks i and j of the factors."""
-    if not isinstance(dec, Decomposition):
-        def pure(side, k, v):
-            alg = state.algebra.factors[side]
-            return State._of_density(alg, embed(alg, k, np.outer(v, v.conj())))
+def _block_rows(state: State, tol: float, max_iters: int, rng):
+    """(i, j, w, a, b, error) per joint block of weight above CLASSICAL_WEIGHT_TOL, in order."""
+    for idx, i, j, n, m in joint_blocks(state.algebra):
+        blk = state.blocks[idx]
+        w_blk = float(np.trace(blk).real)
+        if w_blk > CLASSICAL_WEIGHT_TOL:
+            w, a, b, err = _block_pair_decomposition(blk / w_blk, n, m, tol, max_iters, rng)
+            yield i, j, w_blk * w, a, b, err
 
-        a_parts = tuple(pure(0, i, v) for _, i, a, _, _ in dec for v in a)
-        b_parts = tuple(pure(1, j, v) for _, _, _, j, b in dec for v in b)
-        dec = Decomposition(tuple(np.concatenate([row[0] for row in dec])), a_parts, b_parts)
+
+def _separable(state: State, dec: Decomposition, **fields) -> SeparabilityVerdict:
+    """A Separable verdict measuring ``dec`` against ``state``."""
     err = trace_distance(reconstruct(dec, state.algebra), state)
     return SeparabilityVerdict(SEPARABLE, decomposition=dec, error=err, **fields)
 
@@ -403,7 +421,7 @@ def separability_test(
     """Decide decomposability of a state on A (x) B, with certificate.
 
     Pure wavefunctions are settled by their Schmidt coefficients.  States
-    with a commutative factor are decomposed exactly by conditioning.  For
+    with a commutative factor are decomposed exactly (classical_decompose).  For
     the rest, a negative partial transpose certifies entanglement, and so
     does a realigned joint block of trace norm above 1 + REALIGN_TOL (tag
     ``EntangledRealignment``, value in ``realignment``).  Otherwise each
@@ -424,11 +442,10 @@ def separability_test(
         pure = is_entangled_pure(state)
         if pure.entangled:
             return SeparabilityVerdict(ENTANGLED_PURE, schmidt_coefficients=pure.coefficients)
-        alg_a, alg_b = state.algebra.factors
-        a, b = _product_split(state.vector, alg_a.total_dim, alg_b.total_dim)
-        # each factor normalized as PureVector does
-        rows = [(np.ones(1), 0, a[None] / np.linalg.norm(a), 0, b[None] / np.linalg.norm(b))]
-        return _separable(state, rows, schmidt_coefficients=pure.coefficients)
+        split = _product_split(state.vector, *(f.total_dim for f in state.algebra.factors))
+        a, b = (v[None] / np.linalg.norm(v) for v in split)  # each normalized as PureVector does
+        dec = Decomposition._of_rows(state.algebra, [(0, 0, np.ones(1), a, b)])
+        return _separable(state, dec, schmidt_coefficients=pure.coefficients)
 
     state = _as_state(state)
     if any(f.is_commutative for f in _require_factors(state.algebra)):
@@ -444,21 +461,10 @@ def separability_test(
 
     # per-block decompositions; every joint block must admit one
     rows = []
-    for idx, i, j, n, m in joint_blocks(state.algebra):
-        blk = state.blocks[idx]
-        w_blk = float(np.trace(blk).real)
-        if w_blk <= CLASSICAL_WEIGHT_TOL:
-            continue
-        w, a, b, err = _block_pair_decomposition(blk / w_blk, n, m, tol, count, rng)
+    for *row, err in _block_rows(state, tol, count, rng):
         if err > tol:
-            return SeparabilityVerdict(
-                UNDETERMINED,
-                error=err,
-                realignment=ccnr,
-                details=(
-                    f"transpose and realignment tests passed, but no decomposition came "
-                    f"within tol: reconstruction error {err:.3e} on block {(i, j)}"
-                ),
-            )
-        rows.append((w_blk * w, i, a, j, b))
-    return _separable(state, rows, realignment=ccnr)
+            details = (f"transpose and realignment tests passed, but no decomposition came within "
+                       f"tol: reconstruction error {err:.3e} on block {tuple(row[:2])}")
+            return SeparabilityVerdict(UNDETERMINED, error=err, realignment=ccnr, details=details)
+        rows.append(row)
+    return _separable(state, Decomposition._of_rows(state.algebra, rows), realignment=ccnr)

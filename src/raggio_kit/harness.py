@@ -27,10 +27,10 @@ from .algebra import FdAlgebra, _first_matrix_block, _require_algebra, embed, jo
 from .bell import (
     CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_BOUND,
+    _random_settings_chsh,
     canonical_qubit_observables,
     chsh_optimize,
     chsh_value,
-    random_settings_chsh,
 )
 from .entanglement import separability_test
 from .errors import ResourceLimitError
@@ -116,7 +116,7 @@ def bell_one_side_classical(
     product = _capped_product(a, b)
     rng = _as_rng(seed)
     states = [st for _, st in _sample_states(product, samples, rng)]
-    values = random_settings_chsh(product, states, settings, rng)
+    values = _random_settings_chsh(product, states, settings, rng)
     worst = float(np.max(np.abs(values), initial=0.0))
     if not (a.is_commutative or b.is_commutative):
         witness = chsh_value(embedded_singlet(a, b), canonical_qubit_observables(a, b))

@@ -22,6 +22,7 @@ from .states import PureVector, State, _as_state
 
 REPORT_SCHEMA_VERSION = 1
 STATE_OFF_BLOCK_TOL = 1e-9  # largest entry state_from_dict lets lie off the blocks
+_ROW_KEYS = ("a_block", "b_block", "weights", "a", "b")  # a decomposition row, as (i, j, w, a, b)
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:
@@ -129,21 +130,28 @@ def pure_vector_from_dict(data) -> PureVector:
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
-    dec = _as_state(dec, (Decomposition,))
-    return {
-        "weights": [float(w) for w in dec.weights],
-        "a_parts": [state_to_dict(s) for s in dec.a_parts],
-        "b_parts": [state_to_dict(s) for s in dec.b_parts],
-    }
+    rows = [dict(zip(_ROW_KEYS, (i, j, w.tolist(), *([_pairs(v) for v in x] for x in (a, b)))))
+            for i, j, w, a, b in _as_state(dec, (Decomposition,)).rows]
+    return {"algebra": algebra_to_dict(dec.algebra), "rows": rows}
 
 
 def decomposition_from_dict(data) -> Decomposition:
-    keys = ("weights", "a_parts", "b_parts")
-    lists = [_fields(data, "decomposition", keys)[key] for key in keys]
-    if not all(isinstance(x, list) for x in lists):
-        raise InvalidArgumentError("decomposition needs a list of weights and two lists of states")
-    a_parts, b_parts = (tuple(state_from_dict(s) for s in parts) for parts in lists[1:])
-    return Decomposition(lists[0], a_parts, b_parts)
+    """Each row's vectors are decoded at the dimension of the block that the row names;
+    every other check is Decomposition's."""
+    alg = algebra_from_dict(_fields(data, "decomposition", ("algebra", "rows"))["algebra"])
+    dims = [f.block_dims for f in alg.factors or ()]  # no factors: Decomposition refuses alg
+    if not isinstance(data["rows"], list):
+        raise InvalidArgumentError("decomposition rows must be a list")
+    rows = []
+    for r, item in enumerate(data["rows"]):
+        row = list(map(_fields(item, f"row {r}", _ROW_KEYS).get, _ROW_KEYS))
+        for side, (k, d) in enumerate(zip(row, dims)):  # row[3 + side]: vectors on block k of d
+            if not (_is_count(k, 0) and k < len(d) and isinstance(row[3 + side], list)):
+                raise InvalidArgumentError(f"row {r}: expected a list of vectors on a block of {d}")
+            vectors = [_unpairs(v, d[k], f"row {r}") for v in row[3 + side]]
+            row[3 + side] = np.reshape(vectors, (-1, d[k]))
+        rows.append(row)
+    return Decomposition(alg, rows)
 
 
 def verdict_to_dict(v: SeparabilityVerdict) -> dict:

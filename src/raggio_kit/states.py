@@ -78,13 +78,6 @@ def check_weights(weights, count: int, slack: float) -> np.ndarray:
     return w
 
 
-def check_parts(*parts) -> None:
-    """Require every argument to be a list or tuple; _as_state checks the states in it."""
-    for p in parts:
-        if not isinstance(p, (list, tuple)):
-            raise InvalidArgumentError(f"parts must be a list or tuple of states, got {type(p)!r}")
-
-
 def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
     """Validate one density block: Hermitian, positive up to tolerance.
 
@@ -214,14 +207,12 @@ def trace_distance(a: State, b: State) -> float:
 
 def mixture(weights, parts) -> State:
     """Convex combination sum_i w_i rho_i of a list or tuple of states on a shared algebra."""
-    check_parts(parts)
+    if not isinstance(parts, (list, tuple)):
+        raise InvalidArgumentError(f"parts must be a list or tuple of states, got {type(parts)!r}")
     w = check_weights(weights, len(parts), 1e-12)
     alg = _require_same_algebra(*map(_as_state, parts))
-    blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
-    for wi, s in zip(w, parts):
-        for k, blk in enumerate(s.blocks):
-            blocks[k] = blocks[k] + wi * blk
-    return State(alg, tuple(blocks))
+    blocks = [sum(wi * s.blocks[k] for wi, s in zip(w, parts)) for k in range(alg.num_blocks)]
+    return State(alg, blocks)
 
 
 def product_state(sa: State, sb: State, product: FdAlgebra | None = None) -> State:
@@ -239,7 +230,7 @@ def restrict_to_factor(state: State, keep: str) -> State:
     traced out.  The tensor factorization must have been recorded on the algebra.
     """
     factors = _require_factors(_as_state(state).algebra)
-    if keep not in ("a", "b"):
+    if not (isinstance(keep, str) and keep in ("a", "b")):
         raise InvalidArgumentError(f"keep must be 'a' or 'b', got {keep!r}")
     side = "ab".index(keep)
     rows = _plan(state.algebra, state.blocks, side)

@@ -218,11 +218,12 @@ def test_every_operand_check_is_one_rule():
     a, b = make_full(2), direct_sum(make_full(2), make_commutative(1))
     sa, sb = maximally_mixed(a), maximally_mixed(b)
     assert product_state(sa, sb).algebra == tensor(a, b)
-    assert reconstruct(Decomposition((1.0,), (sa,), (sb,))).algebra == tensor(a, b)
+    dec = Decomposition(tensor(a, b), [(0, 0, [1.0], [[1.0, 0.0]], [[0.0, 1.0]])])
+    assert reconstruct(dec).algebra == tensor(a, b)
     swapped = tensor(b, a)
     calls = (
         lambda: product_state(sa, sb, swapped),
-        lambda: reconstruct(Decomposition((1.0,), (sa,), (sb,)), swapped),
+        lambda: reconstruct(dec, swapped),
         lambda: chsh_value(maximally_mixed(swapped), canonical_qubit_observables(a, b)),
         lambda: chsh_value(maximally_mixed(make_full(6)), canonical_qubit_observables(a, b)),
     )
@@ -256,7 +257,7 @@ WRONG_TYPES = {
     "State-blocks-int": (InvalidStateError, lambda: State(M2, 5)),
     "element-blocks-None": (InvalidDimensionError, lambda: element(M2, None)),
     "element-blocks-int": (InvalidDimensionError, lambda: element(M2, 5)),
-    "Decomposition-parts-None": (InvalidArgumentError, lambda: Decomposition(None, None, None)),
+    "Decomposition-parts-None": (InvalidArgumentError, lambda: Decomposition(tensor(M2, M2), None)),
     "mixture-parts-None": (InvalidArgumentError, lambda: mixture([1.0], None)),
 }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,23 @@ def test_observable_validation():
         ChshObservables(good, good, too_big, good)
     with pytest.raises(AlgebraMismatchError):
         ChshObservables(good, element(make_full(3), [np.eye(3)]), good, good)
+
+
+def test_huge_observables_are_refused_as_contractions():
+    # operator_norm formed X*X, which overflows on these entries: diag(1e160, 1) read
+    # as norm -0.0, passed as a contraction, and chsh_value returned 1e160
+    good = element(M2, [SIGMA_X])
+    for m, norm in (
+        (np.diag([1e160, 1.0]), 1e160),
+        (np.diag([1e308, 1.0]), 1e308),
+        (np.array([[0.0, 1e200], [1e200, 0.0]]), 1e200),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = element(M2, [m])
+            assert operator_norm(huge) == pytest.approx(norm, rel=1e-12)
+            with pytest.raises(PreconditionError, match="must be a contraction"):
+                ChshObservables(good, good, huge, good)
 
 
 def test_sign_operator():

@@ -570,7 +570,7 @@ def test_text_lines_are_the_json_payload(capsys, argv):
             expected = payload[key][int(indexed.group(2))]
         elif key == "terms":
             key = "decomposition"
-            expected = len(payload[key]["weights"])
+            expected = sum(len(row["weights"]) for row in payload[key]["rows"])
         elif key == "notes":
             expected = "; ".join(payload[key])
         else:

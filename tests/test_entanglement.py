@@ -169,9 +169,9 @@ def test_classical_decompose_right_commutative():
         assert trace_distance(reconstruct(dec, prod), st) <= 1e-9
         assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
         # the commutative side of every term is a point measure
-        for part in dec.b_parts:
-            diag = np.concatenate([np.diagonal(b).real for b in part.blocks])
-            assert np.max(diag) == pytest.approx(1.0, abs=1e-12)
+        for _, _, _, _, b in dec.rows:
+            assert b.shape[1] == 1
+            np.testing.assert_allclose(np.abs(b), 1.0, atol=1e-12)
 
 
 def test_classical_decompose_left_commutative():
@@ -201,7 +201,10 @@ def test_classical_decompose_prunes_zero_weights():
     blk = np.eye(2) / 2.0
     st = State(prod, (blk, np.zeros((2, 2)), np.zeros((2, 2))))
     dec = classical_decompose(st)
-    assert dec.num_terms == 1
+    assert len(dec.rows) == 1 and dec.num_terms == 2
+    # a zero eigenvalue of the one nonzero block is pruned as well
+    st = State(prod, (np.diag([1.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2))))
+    assert classical_decompose(st).num_terms == 1
 
 
 def test_separability_pure_inputs():
@@ -312,7 +315,7 @@ def test_separability_skips_joint_blocks_of_zero_weight():
     v = separability_test(st, seed=1)
     assert v.tag == SEPARABLE
     assert v.error <= DEFAULT_DECOMP_TOL
-    assert all(np.trace(a.blocks[0]).real == pytest.approx(1.0) for a in v.decomposition.a_parts)
+    assert all(i == 0 for i, *_ in v.decomposition.rows)
     assert trace_distance(reconstruct(v.decomposition, st.algebra), st) == v.error
 
 
@@ -341,32 +344,55 @@ def test_separability_rejects_non_finite_tolerance():
 
 
 def test_decomposition_parts_must_be_states():
-    # a part that is not a state used to end in AttributeError
-    st = random_mixed(make_full(2), 0)
-    for weights, a_parts, b_parts in (((1.0,), ("x",), ("y",)), ((0.5, 0.5), (st, st), (st, None))):
-        with pytest.raises(InvalidArgumentError, match="^expected a State or PureVector, got"):
-            Decomposition(weights, a_parts, b_parts)
+    # rows that are not (i, j, w, a, b) of numbers end in InvalidArgumentError
+    prod = tensor(make_full(2), make_full(2))
+    e = [[1.0, 0.0]]
+    for rows, match in (
+        (None, "^rows must be a list or tuple"),
+        ([(0, 0, [1.0], e)], r"^row 0 is not \(i, j, w, a, b\) on blocks of"),
+        (["x"], r"^row 0 is not \(i, j, w, a, b\)"),
+        ([(0, 0, [1.0], "x", "y")], "^entries must be numbers"),
+        ([(0, 0, [1.0], e, None)], "^entries must be numbers"),
+        ([(0, None, [1.0], e, e)], r"^row 0 is not \(i, j, w, a, b\)"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=match):
+            Decomposition(prod, rows)
 
 
 def test_decomposition_validation():
-    st = random_mixed(make_full(2), 0)
+    prod = tensor(make_full(2), direct_sum(make_full(3), make_commutative(1)))
+    a, b = np.eye(2, dtype=complex), np.eye(3, dtype=complex)[:2]
+
+    def rows(w, a=a, b=b, i=0, j=0):
+        return [(i, j, w, a, b)]
+
     with pytest.raises(InvalidArgumentError, match="finite"):
-        Decomposition((float("nan"),), (st,), (st,))
+        Decomposition(prod, rows([float("nan"), 1.0]))
     with pytest.raises(InvalidArgumentError):
-        Decomposition((0.5, 0.2), (st, st), (st, st))  # weights sum to 0.7
-    with pytest.raises(InvalidArgumentError):
-        Decomposition((1.0,), (st,), (st, st))
+        Decomposition(prod, rows([0.5, 0.2]))  # weights sum to 0.7
+    with pytest.raises(InvalidArgumentError, match="must hold K weights"):
+        Decomposition(prod, rows([1.0]))  # one weight, two vectors
     with pytest.raises(InvalidArgumentError, match="no term given"):
-        Decomposition((), (), ())
-    with pytest.raises(InvalidArgumentError, match=r"must be 2 real number\(s\), one per term"):
-        Decomposition((1.0,), (st, st), (st, st))
-    with pytest.raises(AlgebraMismatchError):
-        Decomposition((0.5, 0.5), (st, random_mixed(make_full(3), 0)), (st, st))
-    for weights in ((True,), ("0.5", "0.5")):  # both used to be accepted
+        Decomposition(prod, ())
+    with pytest.raises(InvalidArgumentError, match="must hold K weights"):
+        Decomposition(prod, rows([0.5, 0.5], b=np.eye(2)))  # vectors of the wrong block size
+    with pytest.raises(InvalidArgumentError, match="needs real weights"):
+        Decomposition(prod, rows([0.5, 0.5j]))
+    for i, j in ((0, 2), (True, 0), (-1, 0)):
+        with pytest.raises(InvalidArgumentError, match="on blocks of"):
+            Decomposition(prod, rows([0.5, 0.5], i=i, j=j))
+    # off unit norm, non-finite, and entries whose squares overflow (with no RuntimeWarning)
+    for bad in ([1.0, 1.0], [np.inf, 0.0], [np.nan, 0.0], [1e200, 0.0]):
+        with pytest.raises(InvalidArgumentError, match="finite unit vectors"):
+            Decomposition(prod, rows([0.5, 0.5], a=np.array([bad, [0.0, 1.0]])))
+    with pytest.raises(MissingFactorizationError):
+        Decomposition(make_full(4), rows([0.5, 0.5]))
+    for weights in ([True, False], ["0.5", "0.5"]):  # both used to be accepted
         with pytest.raises(InvalidArgumentError):
-            Decomposition(weights, (st,) * len(weights), (st,) * len(weights))
-    dec = Decomposition((0.25, 0.75), (st, st), (st, st))
-    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-15)
+            Decomposition(prod, rows(weights))
+    dec = Decomposition(prod, rows([0.25, 0.75]) + [(0, 1, [0.0], a[:1], [[1.0]])])
+    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-15) and dec.num_terms == 3
+    assert all(not arr.flags.writeable for row in dec.rows for arr in row[2:])
 
 
 def test_verdict_decomposable_property():
@@ -460,10 +486,23 @@ def test_seeded_product_mixture_search_is_pinned():
     )
 
 
+def _verdict_bytes(v) -> bytes:
+    """A verdict's fields, its weights and the bytes of every row's arrays."""
+    out = repr((v.tag, v.error, v.realignment, v.schmidt_coefficients, v.details)).encode()
+    if v.decomposition is not None:
+        out += repr(v.decomposition.weights).encode()
+        for i, j, w, a, b in v.decomposition.rows:
+            out += repr((i, j)).encode() + w.tobytes() + a.tobytes() + b.tobytes()
+    return out
+
+
 def test_separability_verdicts_are_pinned_bit_for_bit():
     # every route that returns a decomposition must reproduce bit for bit:
     # Wootters' closed form, the one-dimensional side, the search (settled
-    # and cut off by its budget), a product vector and classical conditioning
+    # and cut off by its budget), a product vector and classical conditioning.
+    # The routes' digest holds the bits that the rows had when each term was
+    # still a State; classical conditioning became the one-dimensional side
+    # per joint block, so its terms (now pure) carry a digest of their own.
     rng = np.random.default_rng(28)
     m2, m3 = make_full(2), make_full(3)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -476,21 +515,18 @@ def test_separability_verdicts_are_pinned_bit_for_bit():
         (random_product_mixture(m3, m3, 2, rng), {}),
         (random_product_mixture(m3, m3, 2, rng), {"budget": 3}),
         (PureVector(tensor(m2, m3), np.kron(a, b)), {}),
-        (random_mixed(tensor(m2, make_commutative(3)), rng), {}),
     ]
     digest, tags = hashlib.sha256(), []
     for st, kwargs in cases:
         v = separability_test(st, seed=5, **kwargs)
         tags.append(v.tag)
-        fields = (v.tag, v.error, v.realignment, v.schmidt_coefficients, v.details)
-        digest.update(repr(fields).encode())
-        if v.decomposition is not None:
-            dec = v.decomposition
-            digest.update(repr(dec.weights).encode())
-            for part in dec.a_parts + dec.b_parts:
-                digest.update(b"".join(blk.tobytes() for blk in part.blocks))
-    assert tags == [SEPARABLE, UNDETERMINED] + [SEPARABLE] * 3 + [UNDETERMINED] + [SEPARABLE] * 2
-    assert digest.hexdigest() == "756172c6510e7a3b38123d270f2c950d424aa91b74503ee77ea9b7324eaee217"
+        digest.update(_verdict_bytes(v))
+    assert tags == [SEPARABLE, UNDETERMINED] + [SEPARABLE] * 3 + [UNDETERMINED, SEPARABLE]
+    assert digest.hexdigest() == "24b748f349764d33fe7eeb94a66a6ffbd4673df017c95fcef992344711495a29"
+    v = separability_test(random_mixed(tensor(m2, make_commutative(3)), rng), seed=5)
+    assert v.tag == SEPARABLE and v.decomposition.num_terms == 6
+    classical = hashlib.sha256(_verdict_bytes(v)).hexdigest()
+    assert classical == "deedf114645fc0cba6e1ce27e71d55ea7036c0864eca79ec870c5d0dc14c4ee2"
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])

@@ -8,9 +8,9 @@ from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor, 
 from raggio_kit.bell import (
     CHSH_QUANTUM_BOUND,
     SCAN_CHUNK_SETTINGS,
+    _random_settings_chsh,
     chsh_optimize,
     random_observables,
-    random_settings_chsh,
 )
 from raggio_kit.entanglement import UNDETERMINED, SeparabilityVerdict, separability_test
 from raggio_kit.errors import (
@@ -128,7 +128,7 @@ def test_bell_scan_matches_loop_reference(a, b):
         reference = _loop_scan_values(a, b, 6, seed, 7)
         rng = np.random.default_rng(seed)
         states = [st for _, st in _sample_states(product, 6, rng)]
-        values = random_settings_chsh(product, states, 7, rng)
+        values = _random_settings_chsh(product, states, 7, rng)
         np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
         expected = np.abs(reference).max()
         if not (a.is_commutative or b.is_commutative):
@@ -157,7 +157,7 @@ def test_bell_scan_chunks_match_loop_reference(monkeypatch):
     rng = np.random.default_rng(5)
     product = tensor(M2, D2)
     states = [st for _, st in _sample_states(product, 3, rng)]
-    values = random_settings_chsh(product, states, settings, rng)
+    values = _random_settings_chsh(product, states, settings, rng)
     assert calls == [1, 1, 1]
     np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
     scan = bell_one_side_classical(M2, D2, samples=3, seed=5, settings=settings)
@@ -184,7 +184,7 @@ def test_bell_scan_splits_one_states_settings_into_chunks(monkeypatch):
     product = tensor(M2, M2)
     states = [st for _, st in _sample_states(product, 3, rng)]
     recorder = _RecordingRng(rng)
-    values = random_settings_chsh(product, states, 10, recorder)
+    values = _random_settings_chsh(product, states, 10, recorder)
     assert [size[:2] for size in recorder.sizes] == [(1, 4), (1, 4), (1, 2)] * 3
     np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
 

@@ -12,6 +12,7 @@ stack), and a last one feeds malformed counts,
 tolerances, weights, see-saw starts and entries that are no numbers to the
 public API."""
 
+import json
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from raggio_kit.algebra import (
     diagonal_element,
     direct_sum,
     element,
+    embed,
     herm,
     joint_blocks,
     make_commutative,
@@ -75,6 +77,7 @@ from raggio_kit.harness import (
     embedded_werner,
     verify_equivalence,
 )
+from raggio_kit.serialize import decomposition_from_dict, decomposition_to_dict
 from raggio_kit.states import (
     PureVector,
     State,
@@ -203,22 +206,20 @@ def _restricted_by_joint_blocks(state, keep):
 
 
 def _conditioned_by_joint_blocks(state):
-    """Reference copy of classical_decompose's joint_blocks buckets before it read algebra._plan."""
+    """Reference copy of classical_decompose's joint_blocks buckets before it split each
+    joint block by its spectrum: the commutative side, and per point of it that holds
+    weight, the weight and the other factor's conditional blocks."""
     factors = state.algebra.factors
     side = 1 if factors[1].is_commutative else 0
-    points, other = factors[side], factors[1 - side]
-    buckets = [[] for _ in range(points.num_blocks)]
+    buckets = [[] for _ in range(factors[side].num_blocks)]
     for idx, i, j, _, _ in joint_blocks(state.algebra):
         buckets[(i, j)[side]].append(state.blocks[idx])
-    weights, parts = [], ([], [])
+    out = {}
     for point, blocks in enumerate(buckets):
         w = float(sum(np.trace(b).real for b in blocks))
-        if w <= CLASSICAL_WEIGHT_TOL:
-            continue
-        weights.append(w)
-        parts[side].append(point_state(points, point))
-        parts[1 - side].append(State._of_density(other, tuple(b / w for b in blocks)))
-    return Decomposition(tuple(weights), tuple(parts[0]), tuple(parts[1]))
+        if w > CLASSICAL_WEIGHT_TOL:
+            out[point] = w, [b / w for b in blocks]
+    return side, out
 
 
 def _same_blocks(x, y) -> bool:
@@ -240,26 +241,39 @@ def test_restriction_and_conditioning_match_the_joint_blocks_loops(dims, seed):
     products = (tensor(make_commutative(a.total_dim), b), tensor(a, make_commutative(b.total_dim)))
     for product in products:
         for state in (random_mixed(product, rng), random_vector_state(product, rng)):
-            got, want = classical_decompose(state), _conditioned_by_joint_blocks(state)
-            assert np.array_equal(got.weights, want.weights)
-            pairs = zip(got.a_parts + got.b_parts, want.a_parts + want.b_parts)
-            assert len(got.a_parts) == len(want.a_parts) and all(_same_blocks(x, y) for x, y in pairs)
+            # each point's pure terms add up to the conditional state the buckets gave
+            side, want = _conditioned_by_joint_blocks(state)
+            other = product.factors[1 - side]
+            got = {p: [np.zeros((d, d), dtype=complex) for d in other.block_dims] for p in want}
+            dec = classical_decompose(state)
+            weights = iter(dec.weights)
+            for i, j, _, a, b in dec.rows:
+                point, k, vecs = (j, i, a) if side == 1 else (i, j, b)
+                for v in vecs:
+                    got[point][k] += next(weights) * np.outer(v, v.conj())
+            for point, (w, blocks) in want.items():
+                assert max(np.max(np.abs(g - w * c)) for g, c in zip(got[point], blocks)) <= 1e-14
 
 
 @PROPERTY
 @given(FACTOR_PAIRS, st.integers(1, 6), SEEDS)
 def test_reconstruct_matches_the_mixture_of_product_states(dims, terms, seed):
+    # one row per term, so several rows may add into one joint block
     rng = np.random.default_rng(seed)
     a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
-    draw = (random_vector_state, random_mixed)
     w = rng.random(terms) + 0.05
-    dec = Decomposition(
-        tuple(w / w.sum()),
-        tuple(draw[rng.integers(2)](a, rng) for _ in range(terms)),
-        tuple(draw[rng.integers(2)](b, rng) for _ in range(terms)),
-    )
+    rows, pure = [], ([], [])
+    for wk in w / w.sum():
+        ij = [rng.integers(f.num_blocks) for f in (a, b)]
+        vecs = [rng.standard_normal(f.block_dims[k]) + 1j * rng.standard_normal(f.block_dims[k])
+                for f, k in zip((a, b), ij)]
+        vecs = [v / np.linalg.norm(v) for v in vecs]
+        rows.append((*ij, [wk], vecs[0][None], vecs[1][None]))
+        for f, k, v, out in zip((a, b), ij, vecs, pure):
+            out.append(State(f, embed(f, k, np.outer(v, v.conj()))))
     product = tensor(a, b)
-    parts = [product_state(x, y, product) for x, y in zip(dec.a_parts, dec.b_parts)]
+    dec = Decomposition(product, rows)
+    parts = [product_state(x, y, product) for x, y in zip(*pure)]
     want = mixture(dec.weights, parts)
     for got in (reconstruct(dec, product), reconstruct(dec)):
         assert got.algebra == product
@@ -272,6 +286,35 @@ def test_reconstruct_matches_the_mixture_of_product_states(dims, terms, seed):
                 reconstruct(dec, other)
 
 
+@PROPERTY
+@given(FACTOR_PAIRS, st.integers(1, 3), SEEDS)
+def test_separable_rows_are_unit_vectors_that_round_trip_bit_for_bit(dims, terms, seed):
+    # every route: product mixtures (closed form, one-dimensional side or search) and
+    # states with a commutative factor on either side
+    rng = np.random.default_rng(seed)
+    a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
+    states = [
+        _product_mixture(a, b, terms, rng),
+        random_mixed(tensor(make_commutative(a.total_dim), b), rng),
+        random_vector_state(tensor(a, make_commutative(b.total_dim)), rng),
+    ]
+    for state in states:
+        v = separability_test(state, budget=20, seed=seed)
+        if v.tag != SEPARABLE:
+            continue
+        dec = v.decomposition
+        for _, _, _, x, y in dec.rows:
+            for vecs in (x, y):
+                assert np.all(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= 1e-12)
+        assert v.error == trace_distance(reconstruct(dec), state)
+        back = decomposition_from_dict(json.loads(json.dumps(decomposition_to_dict(dec))))
+        assert back.algebra == dec.algebra and len(back.rows) == len(dec.rows)
+        for got, want in zip(back.rows, dec.rows):
+            assert got[:2] == want[:2]
+            for g, w in zip(got[2:], want[2:]):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def _product_mixture(alg_a, alg_b, terms: int, rng):
     """A random mixture of product states; each factor is pure or full rank."""
     draw = (random_vector_state, random_mixed)
@@ -281,10 +324,6 @@ def _product_mixture(alg_a, alg_b, terms: int, rng):
     ]
     w = rng.random(terms) + 0.05
     return mixture(w / w.sum(), parts)
-
-
-def _block_of(part) -> int:
-    return int(np.argmax([np.trace(b).real for b in part.blocks]))
 
 
 M2 = make_full(2)
@@ -308,8 +347,8 @@ def test_two_qubit_ppt_blocks_decompose_in_closed_form(case):
     v = separability_test(state, seed=0)
     assert v.tag == SEPARABLE
     assert v.error <= 1e-9
-    parts = zip(v.decomposition.a_parts, v.decomposition.b_parts)
-    assert 1 <= sum((_block_of(a), _block_of(b)) == (0, 0) for a, b in parts) <= 4
+    rows = v.decomposition.rows
+    assert 1 <= sum(len(w) for i, j, w, _, _ in rows if (i, j) == (0, 0)) <= 4
 
 
 @PROPERTY
@@ -388,11 +427,10 @@ def _unchecked_densities(a, b, p, rng):
     joint = product_state(x, y)
     u, v = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (n, m))
     pure = PureVector(tensor(make_full(n), make_full(m)), np.kron(u, v))
-    parts = separability_test(pure).decomposition
     classical = random_mixed(tensor(make_commutative(n), b), rng)
     out = [x, y, joint, restrict_to_factor(joint, "a"), restrict_to_factor(joint, "b")]
     out += [maximally_mixed(tensor(a, b)), point_state(make_commutative(n), n - 1)]
-    out += [pure.state(), werner(p), *parts.a_parts, *parts.b_parts]
+    out += [pure.state(), werner(p), reconstruct(separability_test(pure).decomposition)]
     out.append(reconstruct(classical_decompose(classical)))
     if max(a.block_dims) >= 2 and max(b.block_dims) >= 2:
         out += [embedded_singlet(a, b), embedded_werner(p, a, b)]
@@ -507,7 +545,6 @@ def test_optimize_starts_are_two_random_dichotomic_draws(dims, seed):
 
 M2, D2 = make_full(2), make_commutative(2)
 WERNER = werner(0.9)
-M2_STATE = random_mixed(M2, 0)
 BAD_COUNTS = st.one_of(
     st.floats().filter(lambda x: not x.is_integer()),
     st.booleans(),
@@ -547,7 +584,7 @@ BAD_WEIGHTS = st.one_of(
 )
 WEIGHT_ARGUMENTS = [
     lambda v: mixture([v], [WERNER]),
-    lambda v: Decomposition((v,), (M2_STATE,), (M2_STATE,)),
+    lambda v: Decomposition(tensor(M2, M2), [(0, 0, [v], [[1.0, 0.0]], [[1.0, 0.0]])]),
     werner,
 ]
 # every entry is the value, so the array takes its dtype (True among ints would be an int)

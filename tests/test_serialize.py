@@ -179,14 +179,16 @@ def test_decomposition_roundtrip():
 def test_decomposition_from_dict_rejects_non_finite_weights():
     dec = classical_decompose(random_mixed(tensor(M2, make_commutative(2)), 4))
     payload = decomposition_to_dict(dec)
-    payload["weights"][0] = float("nan")
+    payload["rows"][0]["weights"][0] = float("nan")
     payload = json.loads(json.dumps(payload))  # written as NaN, which json parses back
     with pytest.raises(InvalidArgumentError, match="finite"):
         decomposition_from_dict(payload)
     # weights: [null] and weights: 5 used to end in a raw TypeError
     for key, bad in (("weights", [None]), ("weights", 5), ("weights", ["0.5", "0.5"]),
-                     ("weights", [True]), ("a_parts", 5)):
-        garbage = dict(decomposition_to_dict(dec), **{key: bad})
+                     ("weights", [True]), ("a", 5), ("a", [[[1.0]]]), ("a_block", 7),
+                     ("b_block", "0"), ("b", [[[1.0, 0.0], [0.0, 0.0]]])):
+        garbage = json.loads(json.dumps(decomposition_to_dict(dec)))
+        garbage["rows"][0][key] = bad
         with pytest.raises(InvalidArgumentError):
             decomposition_from_dict(garbage)
 
@@ -269,10 +271,11 @@ def _valid_payload(name):
         ("state", ("algebra",)),
         ("chsh_result", ("observables", "a1", "blocks", 0)),
         ("verdict", ("decomposition",)),
-        ("decomposition", ("a_parts", 0)),
+        ("decomposition", ("algebra",)),
+        ("decomposition", ("rows", 0)),
     ],
     ids=["state-algebra", "chsh_result-element_block", "verdict-decomposition",
-         "decomposition-state"],
+         "decomposition-algebra", "decomposition-row"],
 )
 def test_nested_documents_obey_their_own_schema(name, path):
     # the nested copies of algebra, element, state and decomposition used to lack their
@@ -311,7 +314,7 @@ def _loader_cases():
         ("state-algebra", state_from_dict, "state", state, ("algebra",)),
         ("pure_vector", pure_vector_from_dict, "pure_vector", pure_vector_to_dict(singlet()), ()),
         ("decomposition", decomposition_from_dict, "decomposition", dec, ()),
-        ("decomposition-state", decomposition_from_dict, "decomposition", dec, ("b_parts", 0)),
+        ("decomposition-row", decomposition_from_dict, "decomposition", dec, ("rows", 0)),
         ("observables", observables, "chsh_result", chsh, ("observables",)),
         ("observables-element", observables, "chsh_result", chsh, ("observables", "a2")),
     ]
