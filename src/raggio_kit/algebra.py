@@ -345,11 +345,6 @@ def unit(algebra: FdAlgebra) -> AlgebraElement:
     return AlgebraElement(algebra, blocks)
 
 
-def zero(algebra: FdAlgebra) -> AlgebraElement:
-    blocks = tuple(np.zeros((d, d), dtype=complex) for d in _require_algebra(algebra).block_dims)
-    return AlgebraElement(algebra, blocks)
-
-
 def diagonal_element(algebra: FdAlgebra, values) -> AlgebraElement:
     """Element with the given diagonal (handy for commutative algebras)."""
     vals = _as_numbers(values)
@@ -395,16 +390,3 @@ def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     product = tensor(_require_same_algebra(x), _require_same_algebra(y))
     return AlgebraElement(product, tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks))
 
-
-def matrix_units(algebra: FdAlgebra):
-    """Yield the matrix-unit generators e_{rs} of every block.
-
-    These generate the algebra linearly, so commutator checks over all pairs
-    decide commutativity exactly.
-    """
-    for k, d in enumerate(_require_algebra(algebra).block_dims):
-        for r in range(d):
-            for s in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[r, s] = 1.0
-                yield AlgebraElement(algebra, embed(algebra, k, e))

@@ -258,10 +258,12 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
 
     Deterministic starts come from the product split of every eigenvector of
     G; a few random starts guard against shared local minima.  All starts
-    alternate as one stack, and each drops out once its value stops falling.
-    Returns (k, n) and (k, m) arrays of unit vectors, best value first: the
-    best start always, then every start of negative value whose product
-    overlap with each better start stays below 1 - LMO_DISTINCT_TOL.
+    alternate as one stack, and each drops out once its value stops falling,
+    or once its product overlap with a start of lower value reaches
+    1 - LMO_DISTINCT_TOL: that start already holds its atom, so it is not
+    returned.  Returns (k, n) and (k, m) arrays of unit vectors, best value
+    first: the best start always, then every start of negative value whose
+    product overlap with each better start stays below 1 - LMO_DISTINCT_TOL.
     """
     G4 = G.reshape(n, m, n, m)
     a0, b0 = _product_split(np.linalg.eigh(G)[1].T, n, m)
@@ -281,7 +283,11 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
         b[live] = vb[:, :, 0]
         stopped = val[live] - wb[:, 0] < 1e-14
         val[live] = wb[:, 0]
-        live = live[~stopped]
+        # a live start at a lower start's atom is dropped: value +inf, never returned
+        same = np.abs(al.conj() @ a.T) * np.abs(b[live].conj() @ b.T) >= 1.0 - LMO_DISTINCT_TOL
+        dup = (same & (val < val[live, None])).any(axis=1)
+        val[live[dup]] = np.inf
+        live = live[~(stopped | dup)]
         if not len(live):
             break
     order = np.argsort(val, kind="stable")

@@ -69,7 +69,10 @@ def check_weights(weights, count: int, slack: float) -> np.ndarray:
     """``weights`` as a float array: ``count >= 1`` finite real numbers (not
     bools), none below -1e-12, that sum to 1 within ``slack``."""
     sequence = isinstance(weights, (list, tuple)) or np.ndim(weights) == 1
-    if not (sequence and count >= 1 and len(weights) == count and all(map(_is_real, weights))):
+    # every element of an ndarray of a real dtype passes _is_real, so it is not walked
+    real = isinstance(weights, np.ndarray) and weights.dtype.kind in "fiu"
+    if not (sequence and count >= 1 and len(weights) == count
+            and (real or all(map(_is_real, weights)))):
         need = f"{count} real number(s), one per term" if count else "at least one; no term given"
         raise InvalidArgumentError(f"weights must be {need}, got {weights!r}")
     w = np.array(weights, dtype=float)

@@ -12,13 +12,11 @@ from raggio_kit.algebra import (
     element_from_matrix,
     make_commutative,
     make_full,
-    matrix_units,
     multiply,
     operator_norm,
     tensor,
     tensor_element,
     unit,
-    zero,
 )
 from raggio_kit.bell import (
     canonical_qubit_observables,
@@ -50,7 +48,13 @@ COMMUTATOR_TOL = 1e-12
 
 def commutes_exactly(alg):
     """Brute force: no commutator of two matrix units has norm above COMMUTATOR_TOL."""
-    units = list(matrix_units(alg))
+    dims = alg.block_dims
+    # e_rs of block k (row-major rows of the identity), zero in every other block
+    units = [
+        element(alg, [e if i == k else np.zeros((c, c)) for i, c in enumerate(dims)])
+        for k, d in enumerate(dims)
+        for e in np.eye(d * d).reshape(d * d, d, d)
+    ]
     for i, x in enumerate(units):
         for y in units[i + 1 :]:
             if operator_norm(multiply(x, y) - multiply(y, x)) > COMMUTATOR_TOL:
@@ -282,7 +286,8 @@ def test_unit_and_zero():
     x = random_element(alg, rng)
     for blk, ref in zip(multiply(unit(alg), x).blocks, x.blocks):
         np.testing.assert_allclose(blk, ref)
-    for blk in zero(alg).blocks:
+    zero = element(alg, [np.zeros((d, d)) for d in alg.block_dims])
+    for blk in multiply(zero, x).blocks:
         assert not blk.any()
 
 
@@ -307,7 +312,7 @@ def test_operator_norm_frozen_values():
     )
     assert operator_norm(x) == pytest.approx(2.0, abs=1e-12)
     assert operator_norm(unit(alg)) == pytest.approx(1.0, abs=1e-12)
-    assert operator_norm(zero(alg)) == 0.0
+    assert operator_norm(element(alg, [np.zeros((d, d)) for d in alg.block_dims])) == 0.0
 
 
 def test_operator_norm_matches_dense_svd():
@@ -460,16 +465,3 @@ def test_diagonal_element():
     np.testing.assert_allclose(np.diagonal(x.matrix), [1.0, 2.0, 3.0])
     with pytest.raises(InvalidDimensionError):
         diagonal_element(alg, [1.0, 2.0])
-
-
-def test_matrix_units_span_and_count():
-    alg = direct_sum(make_full(2), make_commutative(1))
-    units = list(matrix_units(alg))
-    assert len(units) == 2 * 2 + 1
-    total = units[0]
-    for u in units[1:]:
-        total = total + u
-    # sum of all e_rs has every in-block entry equal to one
-    assert total.matrix[0, 1] == 1.0
-    assert total.matrix[2, 2] == 1.0
-    assert total.matrix[0, 2] == 0.0

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from raggio_kit import entanglement
 from raggio_kit.algebra import direct_sum, herm, make_commutative, make_full, tensor
@@ -461,6 +462,49 @@ def test_linear_minimizer_matches_per_start_loop(n, m):
         assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
 
 
+def test_linear_minimizer_runs_no_more_start_rounds_than_the_per_start_loop(monkeypatch):
+    # both make one eigh of G, then two per start and round (a stack of s
+    # matrices counts s): a start that reaches a lower start's atom leaves the stack
+    count, eigh = [0], np.linalg.eigh
+
+    def counting(x, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(x)[:-2]))
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    oracles = {"stack": _linear_minimizer, "loop": _loop_linear_minimizer}
+    total = {"stack": 0, "loop": 0}
+    for n, m in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        for seed in range(5):
+            g = np.random.default_rng([seed, n, m])
+            G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+            rho = random_mixed(tensor(make_full(n), make_full(m)), g).blocks[0]
+            for form in (G, -rho):
+                rounds = {}
+                for name, oracle in oracles.items():
+                    count[0] = 0
+                    oracle(form, n, m, np.random.default_rng(seed))
+                    rounds[name] = (count[0] - 1) // 2
+                    total[name] += rounds[name]
+                assert rounds["stack"] <= rounds["loop"]
+    assert total["stack"] < total["loop"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(strategies.integers(2, 3), strategies.integers(2, 4), strategies.integers(0, 2**32 - 1))
+def test_linear_minimizer_keeps_the_loops_best_and_returns_distinct_atoms(n, m, seed):
+    g = np.random.default_rng(seed)
+    G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+    expected = _product_value(G, *_loop_linear_minimizer(G, n, m, np.random.default_rng(seed)))
+    a, b = _linear_minimizer(G, n, m, np.random.default_rng(seed))
+    values = [_product_value(G, x, y) for x, y in zip(a, b)]
+    assert abs(values[0] - expected) <= 1e-12
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(values))
+    assert all(val < 0.0 for val in values[1:])
+    overlap = np.abs(a.conj() @ a.T) * np.abs(b.conj() @ b.T)
+    assert np.all(overlap[np.triu_indices(len(a), 1)] < 1.0 - LMO_DISTINCT_TOL)
+
+
 def test_product_projector_forms_the_products_kron_forms():
     rng = np.random.default_rng(2)
     for n, m in ((2, 2), (2, 3), (3, 4)):
@@ -478,11 +522,11 @@ def test_seeded_product_mixture_search_is_pinned():
     v = separability_test(st, seed=17)
     assert v.tag == SEPARABLE
     assert v.decomposition.num_terms == 33
-    assert v.error == 3.6766756114576214e-07
+    assert v.error == 3.674089303854255e-07
     assert v.decomposition.weights[:3] == (
-        0.5302053780769459,
-        0.20065908891045497,
-        0.11440497651869047,
+        0.5302053769482244,
+        0.2006590856207802,
+        0.11440498004584719,
     )
 
 
@@ -500,9 +544,11 @@ def test_separability_verdicts_are_pinned_bit_for_bit():
     # every route that returns a decomposition must reproduce bit for bit:
     # Wootters' closed form, the one-dimensional side, the search (settled
     # and cut off by its budget), a product vector and classical conditioning.
-    # The routes' digest holds the bits that the rows had when each term was
-    # still a State; classical conditioning became the one-dimensional side
-    # per joint block, so its terms (now pure) carry a digest of their own.
+    # The three search cases (M2 x M3, M3 x M3 twice) carry the bits of the
+    # oracle that drops a start at a lower start's atom; the other routes keep
+    # the bits their rows had when each term was still a State.  Classical
+    # conditioning became the one-dimensional side per joint block, so its
+    # terms (now pure) carry a digest of their own.
     rng = np.random.default_rng(28)
     m2, m3 = make_full(2), make_full(3)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -522,7 +568,7 @@ def test_separability_verdicts_are_pinned_bit_for_bit():
         tags.append(v.tag)
         digest.update(_verdict_bytes(v))
     assert tags == [SEPARABLE, UNDETERMINED] + [SEPARABLE] * 3 + [UNDETERMINED, SEPARABLE]
-    assert digest.hexdigest() == "24b748f349764d33fe7eeb94a66a6ffbd4673df017c95fcef992344711495a29"
+    assert digest.hexdigest() == "f9114117e9a1a11bf790346fafd733a626779f50c842c89920e33615ad7aea5e"
     v = separability_test(random_mixed(tensor(m2, make_commutative(3)), rng), seed=5)
     assert v.tag == SEPARABLE and v.decomposition.num_terms == 6
     classical = hashlib.sha256(_verdict_bytes(v)).hexdigest()

@@ -5,6 +5,7 @@ import pytest
 
 from raggio_kit.algebra import (
     AlgebraElement,
+    _is_real,
     direct_sum,
     element,
     make_commutative,
@@ -32,6 +33,7 @@ from raggio_kit.errors import (
 from raggio_kit.states import (
     PureVector,
     State,
+    check_weights,
     expectation,
     maximally_mixed,
     mixture,
@@ -363,6 +365,30 @@ def test_mixture():
     # ints beyond the float range used to end in a raw OverflowError
     with pytest.raises(InvalidArgumentError, match="real number"):
         mixture([10**400, 1 - 10**400], parts[:2])
+
+
+def test_weight_arrays_are_read_as_the_element_wise_rule_reads_them():
+    # real dtypes skip the per-element walk; every other array is still walked
+    arrays = [
+        (np.array([0.25, 0.75]), True),
+        (np.array([0.5, 0.5], dtype=np.float32), True),
+        (np.array([1, 0]), True),
+        (np.array([0, 1], dtype=np.int8), True),
+        (np.array([1, 0], dtype=np.uint64), True),
+        (np.array([0, 1], dtype=np.uint8), True),
+        (np.array([True, False]), False),
+        (np.array([0.5, 0.5], dtype=complex), False),
+        (np.array([1.0, False], dtype=object), False),
+        (np.array([0.5, 0.5], dtype=object), True),
+    ]
+    assert {w.dtype.kind for w, _ in arrays} == set("fiubcO")
+    for weights, accepted in arrays:
+        assert all(map(_is_real, weights)) == accepted
+        if accepted:
+            np.testing.assert_array_equal(check_weights(weights, 2, 1e-6), weights)
+        else:
+            with pytest.raises(InvalidArgumentError, match="real number"):
+                check_weights(weights, 2, 1e-6)
 
 
 def test_weight_count_errors_say_how_many_weights_are_needed():
