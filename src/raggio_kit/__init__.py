@@ -5,7 +5,6 @@ from .algebra import (
     AlgebraElement,
     FdAlgebra,
     adjoint,
-    diagonal_element,
     direct_sum,
     element,
     element_from_matrix,
@@ -71,7 +70,6 @@ from .states import (
     PureVector,
     State,
     expectation,
-    maximally_mixed,
     mixture,
     point_state,
     product_state,

@@ -345,16 +345,6 @@ def unit(algebra: FdAlgebra) -> AlgebraElement:
     return AlgebraElement(algebra, blocks)
 
 
-def diagonal_element(algebra: FdAlgebra, values) -> AlgebraElement:
-    """Element with the given diagonal (handy for commutative algebras)."""
-    vals = _as_numbers(values)
-    if vals.shape != (_require_algebra(algebra).total_dim,):
-        raise InvalidDimensionError(
-            f"need {algebra.total_dim} diagonal values, got shape {vals.shape}"
-        )
-    return AlgebraElement(algebra, tuple(np.diag(vals[s]) for s in algebra.block_slices()))
-
-
 def adjoint(x: AlgebraElement) -> AlgebraElement:
     """Blockwise conjugate transpose (the involution A -> A*)."""
     return AlgebraElement(_require_same_algebra(x), tuple(blk.conj().T for blk in x.blocks))

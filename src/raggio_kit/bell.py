@@ -122,13 +122,12 @@ class ChshResult:
     converged: bool
 
 
-def _chsh_values(product: FdAlgebra, states, a, b) -> np.ndarray:
-    """(P, Q) CHSH values of P states on ``product`` under Q settings, given per
-    factor block a (P, Q, 2, d, d) stack of (X1, X2), or one that broadcasts to
-    it, in ``a`` and ``b``: the sum of Tr(H_t A_t) over t and the blocks of A,
-    for the _effective operators H of the states, (P, 1, n m, n m), against ``b``."""
-    rhos = [np.array(blk)[:, None] for blk in zip(*(st.blocks for st in states))]
-    h = _effective(_plan(product, rhos, 0), b)
+def _chsh_values(product: FdAlgebra, rhos, a, b) -> np.ndarray:
+    """(P, Q) CHSH values of P states on ``product``, per joint block a (P, n m, n m) density
+    stack in ``rhos``, under Q settings, per factor block a (P, Q, 2, d, d) stack of (X1, X2),
+    or one that broadcasts to it, in ``a`` and ``b``: the sum of Tr(H_t A_t) over t and the
+    blocks of A, for the _effective operators H of the states, (P, 1, n m, n m), against ``b``."""
+    h = _effective(_plan(product, [rho[:, None] for rho in rhos], 0), b)
     return np.real(sum(np.einsum("...tac,...tca->...", ht, at) for ht, at in zip(h, a)))
 
 
@@ -136,27 +135,28 @@ def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
     obs = _as_state(obs, (ChshObservables,))
     product = _product_of(obs.alg_a, obs.alg_b, _as_state(state).algebra)
-    return float(_chsh_values(product, [state], obs.a, obs.b)[0, 0])
+    return float(_chsh_values(product, [blk[None] for blk in state.blocks], obs.a, obs.b)[0, 0])
 
 
-def _random_settings_chsh(product: FdAlgebra, states, settings: int, rng) -> np.ndarray:
-    """(P, Q) CHSH values of ``settings`` random dichotomic settings per state,
-    drawn from ``rng`` in the order of a random_observables call per setting.
+def _random_settings_chsh(product: FdAlgebra, rhos, settings: int, rng) -> np.ndarray:
+    """(P, Q) CHSH values of ``settings`` random dichotomic settings for each of P states,
+    given per joint block as (P, n m, n m) density stacks in ``rhos`` (states._random_densities
+    draws them), the settings drawn from ``rng`` in the order of a random_observables call each.
     Chunks of at most SCAN_CHUNK_SETTINGS settings bound the memory: runs of
     consecutive states, or runs of one state's settings when it has more; they
-    draw the same stream.  Settings are not re-checked: _sign builds each as
-    v diag(+-1) v*, from finite draws; bell_one_side_classical checks the rest."""
+    draw the same stream.  Densities and settings are not re-checked: _sign builds each
+    setting as v diag(+-1) v*, from finite draws; bell_one_side_classical checks the rest."""
     alg_a, alg_b = _require_factors(product)
     wa, wb = (sum(2 * d * d for d in alg.block_dims) for alg in (alg_a, alg_b))
     step = max(1, SCAN_CHUNK_SETTINGS // max(settings, 1))
-    values = np.empty((len(states), settings))
-    for lo in range(0, len(states), step):
-        part = states[lo : lo + step]
+    values = np.empty((len(rhos[0]), settings))
+    for lo in range(0, len(rhos[0]), step):
+        part = [rho[lo : lo + step] for rho in rhos]
         for q in range(0, settings, SCAN_CHUNK_SETTINGS):
             run = min(settings - q, SCAN_CHUNK_SETTINGS)
-            z = rng.standard_normal((len(part), run, 2 * (wa + wb)))
-            a = _random_signs(z[..., : 2 * wa].reshape(len(part), run, 2, wa), alg_a.block_dims)
-            b = _random_signs(z[..., 2 * wa :].reshape(len(part), run, 2, wb), alg_b.block_dims)
+            z = rng.standard_normal((len(part[0]), run, 2 * (wa + wb)))
+            a = _random_signs(z[..., : 2 * wa].reshape(*z.shape[:2], 2, wa), alg_a.block_dims)
+            b = _random_signs(z[..., 2 * wa :].reshape(*z.shape[:2], 2, wb), alg_b.block_dims)
             values[lo : lo + step, q : q + run] = _chsh_values(product, part, a, b)
     return values
 
@@ -188,7 +188,8 @@ def _effective(plan, x) -> list[np.ndarray]:
     Tr(H_t Y) = omega(Y (x) C_t), or omega(C_t (x) Y) on B, for C = (X1 + X2, X1 - X2) and ``x``
     the other factor's (..., 2, d, d) stacks of (X1, X2), leading axes broadcast: H_t[a, c] =
     sum rho[a, b, c, d] C_t[d, b] over the planned rhos in order, Hermitian up to rounding."""
-    c = [s[..., :1, :, :] + np.array([1.0, -1.0])[:, None, None] * s[..., 1:, :, :] for s in x]
+    pairs = ((s[..., :1, :, :], s[..., 1:, :, :]) for s in x)
+    c = [np.concatenate((x1 + x2, x1 - x2), axis=-3) for x1, x2 in pairs]
     return [sum(np.einsum("...abcd,...tdb->...tac", rho, c[j]) for rho, j in row) for row in plan]
 
 

@@ -34,7 +34,7 @@ from .bell import (
 )
 from .entanglement import separability_test
 from .errors import ResourceLimitError
-from .states import State, _as_rng, check_count, random_mixed, random_vector_state, singlet, werner
+from .states import State, _as_rng, _random_densities, check_count, singlet, werner
 
 PRODUCT_DIM_CAP = 64
 CHSH_SLACK = 1e-6
@@ -77,11 +77,12 @@ def _capped_product(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     return tensor(a, b)
 
 
-def _sample_states(product: FdAlgebra, count: int, rng) -> list[tuple[str, State]]:
-    # alternate vector states and full-rank mixtures, each with its kind; both matter,
-    # since decomposability failures show up differently for pure and mixed inputs
-    draws = (("vector", random_vector_state), ("mixed", random_mixed))
-    return [(kind, draw(product, rng)) for kind, draw in islice(cycle(draws), count)]
+def _sample_densities(product: FdAlgebra, count: int, rng) -> tuple[list[str], list[np.ndarray]]:
+    """The kinds of ``count`` samples, alternating vector states and full-rank mixtures (both
+    matter: decomposability fails differently for pure and mixed inputs), and per block of
+    ``product`` their (count, d, d) densities, drawn by one states._random_densities call."""
+    kinds = list(islice(cycle(("vector", "mixed")), count))
+    return kinds, _random_densities(product, [kind == "vector" for kind in kinds], rng)
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,16 @@ def bell_one_side_classical(
     reports a violation regardless of what the random draws happen to find.
 
     The draws keep their historical order (all states, then one
-    random_observables draw per setting), so seeded scans reproduce.
+    random_observables draw per setting), so seeded scans reproduce.  The states are
+    drawn in one normal draw as per-block density stacks, with no State per sample;
+    random_vector_state and random_mixed are that draw's one-row case, same bits.
     """
     samples = check_count(samples, "samples", minimum=0)
     settings = check_count(settings, "settings", minimum=0)
     product = _capped_product(a, b)
     rng = _as_rng(seed)
-    states = [st for _, st in _sample_states(product, samples, rng)]
-    values = _random_settings_chsh(product, states, settings, rng)
+    _, rhos = _sample_densities(product, samples, rng)
+    values = _random_settings_chsh(product, rhos, settings, rng)
     worst = float(np.max(np.abs(values), initial=0.0))
     if not (a.is_commutative or b.is_commutative):
         witness = chsh_value(embedded_singlet(a, b), canonical_qubit_observables(a, b))
@@ -189,8 +192,9 @@ def verify_equivalence(
     if not expected_all:
         labeled.append(("injected singlet", embedded_singlet(a, b)))
         labeled.append(("injected Werner(0.5)", embedded_werner(0.5, a, b)))
-    for k, (kind, st) in enumerate(_sample_states(product, samples, master)):
-        labeled.append((f"sample {k} ({kind})", st))
+    kinds, rhos = _sample_densities(product, samples, master)
+    for k, kind in enumerate(kinds):
+        labeled.append((f"sample {k} ({kind})", State._of_density(product, [r[k] for r in rhos])))
     job_seeds = master.integers(0, 2**63 - 1, size=(len(labeled), 2))
 
     results = []

@@ -215,8 +215,12 @@ def load_schema(name: str) -> dict:
     """One of the bundled JSON Schemas (by bare name, e.g. 'state') as a self-contained
     2020-12 compound document.  Every sibling file that it refers to, directly or through
     another sibling, is embedded unchanged under ``$defs`` by file name, keeping its own
-    ``$id``; so a validator resolves each ``$ref`` offline, with no registry."""
+    ``$id``; so a validator resolves each ``$ref`` offline, with no registry.  Any other
+    ``name`` (a path included) raises InvalidArgumentError."""
     folder = resources.files("raggio_kit") / "schemas"
+    names = sorted(f.name.removesuffix(".schema.json") for f in folder.iterdir())
+    if not (isinstance(name, str) and name in names):
+        raise InvalidArgumentError(f"no bundled schema {name!r}; choose from {', '.join(names)}")
     own = f"{name}.schema.json"
     found = {own: json.loads((folder / own).read_text())}
     while missing := set().union(*map(_file_refs, found.values())) - set(found):

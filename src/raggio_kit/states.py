@@ -10,6 +10,7 @@ diagonal subalgebra are all provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -251,12 +252,6 @@ def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
     return np.abs(_as_state(psi, (PureVector,)).vector) ** 2
 
 
-def maximally_mixed(algebra: FdAlgebra) -> State:
-    n = _require_algebra(algebra).total_dim
-    blocks = tuple(np.eye(d, dtype=complex) / n for d in algebra.block_dims)
-    return State._of_density(algebra, blocks)
-
-
 def point_state(algebra: FdAlgebra, index: int) -> State:
     """Evaluation at one point of a commutative algebra (a Dirac measure)."""
     if not _require_algebra(algebra).is_commutative:
@@ -276,29 +271,37 @@ def random_pure(algebra: FdAlgebra, rng=None) -> PureVector:
     return PureVector(algebra, psi)
 
 
-def random_vector_state(algebra: FdAlgebra, rng=None) -> State:
-    """State induced by a random unit vector of the full representation space.
+def _random_densities(algebra: FdAlgebra, vector_mask, rng) -> list[np.ndarray]:
+    """Per block, (K, d, d) stacks of K random densities from one standard_normal call: row k
+    has the stream and bits of random_vector_state if ``vector_mask[k]``, else of random_mixed."""
+    rng, dims, n = _as_rng(rng), _require_algebra(algebra).block_dims, algebra.total_dim
+    vec, w = np.asarray(vector_mask, dtype=bool), sum(2 * d * d for d in dims)
+    owner = np.repeat(vec, np.where(vec, 2 * n, w))  # the normals that vector rows take
+    z = rng.standard_normal(owner.size)
+    zv, zm = z[owner].reshape(-1, 2 * n), z[~owner].reshape(-1, w)
+    psi = zv[:, :n] + 1j * zv[:, n:]
+    psi /= np.array([np.linalg.norm(p) for p in psi]).reshape(-1, 1)  # an axis= norm moves bits
+    mixed = []
+    for d, hi in zip(dims, accumulate(2 * d * d for d in dims)):
+        x = zm[:, hi - 2 * d * d : hi].reshape(-1, 2, d, d)
+        g = x[:, 0] + 1j * x[:, 1]
+        mixed.append(g @ g.conj().swapaxes(-1, -2))
+    tr = sum(b.trace(axis1=-2, axis2=-1).real for b in mixed)
+    out = [np.empty((len(vec), d, d), dtype=complex) for d in dims]
+    for blk, s, b in zip(out, algebra.block_slices(), mixed):
+        blk[vec], blk[~vec] = psi[:, s, None] * psi[:, None, s].conj(), b / tr[:, None, None]
+    return out
 
-    On a multi-block algebra the induced density is the blockwise pinch of
-    |Psi><Psi|, which is the general form of a vector state here.
-    """
-    rng = _as_rng(rng)
-    n = _require_algebra(algebra).total_dim
-    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    psi /= np.linalg.norm(psi)
-    blocks = tuple(np.outer(psi[s], psi[s].conj()) for s in algebra.block_slices())
-    return State._of_density(algebra, blocks)
+
+def random_vector_state(algebra: FdAlgebra, rng=None) -> State:
+    """State induced by a random unit vector of the full representation space; on a
+    multi-block algebra, the blockwise pinch of |Psi><Psi|, the general vector state here."""
+    return State._of_density(algebra, [b[0] for b in _random_densities(algebra, [True], rng)])
 
 
 def random_mixed(algebra: FdAlgebra, rng=None) -> State:
     """Full-rank random density: blockwise G G* normalized to unit trace."""
-    rng = _as_rng(rng)
-    blocks = []
-    for d in _require_algebra(algebra).block_dims:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks.append(g @ g.conj().T)
-    tr = sum(np.trace(b).real for b in blocks)
-    return State._of_density(algebra, tuple(b / tr for b in blocks))
+    return State._of_density(algebra, [b[0] for b in _random_densities(algebra, [False], rng)])
 
 
 def qubit_pair() -> FdAlgebra:

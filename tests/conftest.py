@@ -13,6 +13,12 @@ from raggio_kit.states import State
 QUTRIT_PAIR = tensor(make_full(3), make_full(3))
 
 
+def maximally_mixed(algebra) -> State:
+    """The tracial state 1 / n on ``algebra``, n its total dimension."""
+    n = algebra.total_dim
+    return State(algebra, [np.eye(d) / n for d in algebra.block_dims])
+
+
 def _local_unitary(n: int, rng) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

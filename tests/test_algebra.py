@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import maximally_mixed
 from raggio_kit import algebra
 from raggio_kit.algebra import (
     AlgebraElement,
     FdAlgebra,
     adjoint,
-    diagonal_element,
     direct_sum,
     element,
     element_from_matrix,
@@ -35,7 +35,6 @@ from raggio_kit.harness import bell_one_side_classical, embedded_singlet, verify
 from raggio_kit.states import (
     PureVector,
     State,
-    maximally_mixed,
     mixture,
     product_state,
     random_mixed,
@@ -244,11 +243,9 @@ WRONG_TYPES = {
     "tensor-second": (InvalidArgumentError, lambda: tensor(M2, None)),
     "direct_sum": (InvalidArgumentError, lambda: direct_sum(None, M2)),
     "unit": (InvalidArgumentError, lambda: unit(None)),
-    "diagonal_element": (InvalidArgumentError, lambda: diagonal_element(None, [1])),
     "State": (InvalidArgumentError, lambda: State(None, ())),
     "PureVector": (InvalidArgumentError, lambda: PureVector(None, [1])),
     "random_mixed": (InvalidArgumentError, lambda: random_mixed(None)),
-    "maximally_mixed": (InvalidArgumentError, lambda: maximally_mixed(None)),
     "random_dichotomic": (InvalidArgumentError, lambda: random_dichotomic(None)),
     "canonical_qubit_observables": (
         InvalidArgumentError,
@@ -405,14 +402,14 @@ def test_non_finite_blocks_rejected():
     with pytest.raises(InvalidArgumentError, match="numbers"):
         element(make_full(2), [[["a", 1], [1, 0]]])
     with pytest.raises(InvalidArgumentError, match="numbers"):
-        diagonal_element(make_full(2), ["a", 1])
+        PureVector(make_full(2), ["a", 1])
     with pytest.raises(InvalidArgumentError, match="numbers"):
         element_from_matrix(make_full(2), [[None, 0], [0, 1]])
     # a ragged entry list used to end in numpy's raw "inhomogeneous shape" ValueError
     with pytest.raises(InvalidArgumentError, match="regular"):
         element(make_full(2), [[[1, 2], [3]]])
     with pytest.raises(InvalidArgumentError, match="regular"):
-        diagonal_element(make_full(2), [1, [2]])
+        PureVector(make_full(2), [1, [2]])
 
 
 def test_bool_entries_in_nested_lists_rejected(monkeypatch):
@@ -429,7 +426,7 @@ def test_bool_entries_in_nested_lists_rejected(monkeypatch):
         with pytest.raises(InvalidArgumentError, match="bool"):
             element_from_matrix(make_full(2), bad)
     with pytest.raises(InvalidArgumentError, match="bool"):
-        diagonal_element(make_full(2), [1.0, False])
+        PureVector(make_full(2), [1.0, False])
     np.testing.assert_array_equal(element(make_full(2), [[[1, 0], [0, 1]]]).blocks[0], np.eye(2))
 
     # an ndarray's dtype already settles it, so its entries are not walked
@@ -458,10 +455,3 @@ def test_element_from_matrix():
     with pytest.raises(InvalidDimensionError, match="expected a 3x3 matrix"):
         element_from_matrix(alg, np.eye(2))
 
-
-def test_diagonal_element():
-    alg = make_commutative(3)
-    x = diagonal_element(alg, [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(np.diagonal(x.matrix), [1.0, 2.0, 3.0])
-    with pytest.raises(InvalidDimensionError):
-        diagonal_element(alg, [1.0, 2.0])

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import maximally_mixed
 from raggio_kit import bell, entanglement, harness, serialize, states
 from raggio_kit.algebra import (
     AlgebraElement,
@@ -469,8 +470,6 @@ def test_optimize_needs_a_tensor_product_algebra():
 
 
 def test_seesaw_requires_factors_and_budget():
-    from raggio_kit.states import maximally_mixed
-
     flat = maximally_mixed(make_full(4))
     with pytest.raises(UnsupportedShapeError):
         seesaw(flat, unit(M2), unit(M2))

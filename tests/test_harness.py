@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,13 +21,13 @@ from raggio_kit.errors import (
 )
 from raggio_kit.harness import (
     VERDICT_CONSISTENT,
-    _sample_states,
+    _sample_densities,
     bell_one_side_classical,
     embedded_singlet,
     embedded_werner,
     verify_equivalence,
 )
-from raggio_kit.states import expectation, purity, restrict_to_factor, singlet, werner
+from raggio_kit.states import State, expectation, purity, restrict_to_factor, singlet, werner
 
 M2, M3 = make_full(2), make_full(3)
 D2, D3 = make_commutative(2), make_commutative(3)
@@ -103,7 +104,9 @@ def _loop_scan_values(a, b, samples, seed, settings):
     product = tensor(a, b)
     rng = np.random.default_rng(seed)
     values = []
-    for _, state in _sample_states(product, samples, rng):
+    _, rhos = _sample_densities(product, samples, rng)
+    for k in range(samples):
+        state = State._of_density(product, [rho[k] for rho in rhos])
         for _ in range(settings):
             obs = random_observables(a, b, rng)
             op = tensor_element(obs.a1, obs.b1 + obs.b2) + tensor_element(obs.a2, obs.b1 - obs.b2)
@@ -127,8 +130,8 @@ def test_bell_scan_matches_loop_reference(a, b):
     for seed in (0, 17):
         reference = _loop_scan_values(a, b, 6, seed, 7)
         rng = np.random.default_rng(seed)
-        states = [st for _, st in _sample_states(product, 6, rng)]
-        values = _random_settings_chsh(product, states, 7, rng)
+        _, rhos = _sample_densities(product, 6, rng)
+        values = _random_settings_chsh(product, rhos, 7, rng)
         np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
         expected = np.abs(reference).max()
         if not (a.is_commutative or b.is_commutative):
@@ -141,9 +144,9 @@ def _count_chunks(monkeypatch):
     calls = []
     evaluate = bell._chsh_values
 
-    def counted(product, states, a, b):
-        calls.append(len(states))
-        return evaluate(product, states, a, b)
+    def counted(product, rhos, a, b):
+        calls.append(len(rhos[0]))
+        return evaluate(product, rhos, a, b)
 
     monkeypatch.setattr(bell, "_chsh_values", counted)
     return calls
@@ -156,8 +159,8 @@ def test_bell_scan_chunks_match_loop_reference(monkeypatch):
     calls = _count_chunks(monkeypatch)
     rng = np.random.default_rng(5)
     product = tensor(M2, D2)
-    states = [st for _, st in _sample_states(product, 3, rng)]
-    values = _random_settings_chsh(product, states, settings, rng)
+    _, rhos = _sample_densities(product, 3, rng)
+    values = _random_settings_chsh(product, rhos, settings, rng)
     assert calls == [1, 1, 1]
     np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
     scan = bell_one_side_classical(M2, D2, samples=3, seed=5, settings=settings)
@@ -182,9 +185,9 @@ def test_bell_scan_splits_one_states_settings_into_chunks(monkeypatch):
     reference = _loop_scan_values(M2, M2, 3, 8, 10)
     rng = np.random.default_rng(8)
     product = tensor(M2, M2)
-    states = [st for _, st in _sample_states(product, 3, rng)]
+    _, rhos = _sample_densities(product, 3, rng)
     recorder = _RecordingRng(rng)
-    values = _random_settings_chsh(product, states, 10, recorder)
+    values = _random_settings_chsh(product, rhos, 10, recorder)
     assert [size[:2] for size in recorder.sizes] == [(1, 4), (1, 4), (1, 2)] * 3
     np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
 
@@ -193,6 +196,33 @@ def test_bell_scan_small_sizes_are_one_chunk(monkeypatch):
     calls = _count_chunks(monkeypatch)
     bell_one_side_classical(M3, make_commutative(4), samples=10, seed=0, settings=10)
     assert calls == [10]
+
+
+SCAN_PIN_PAIRS = [
+    (M3, make_commutative(4)),
+    (M2, D2),
+    (M2, M2),
+    (direct_sum(M2, make_commutative(1)), M2),
+    (direct_sum(M2, make_full(1)), direct_sum(M2, make_commutative(1))),
+]
+
+
+def test_seeded_scan_values_are_pinned_bit_for_bit():
+    # the scan's results and its (P, Q) value arrays, seeded, on every pair shape of
+    # the loop reference; the digest was taken when every sample was drawn as a State
+    h = hashlib.sha256()
+    for i, (a, b) in enumerate(SCAN_PIN_PAIRS):
+        product = tensor(a, b)
+        for samples in (0, 1, 5, 10):
+            seed = 31 * i + samples
+            scan = bell_one_side_classical(a, b, samples=samples, seed=seed, settings=10)
+            fields = (scan.bound_holds, scan.max_abs_value.hex(), scan.samples, scan.settings)
+            h.update(repr(fields).encode())
+            rng = np.random.default_rng(seed)
+            _, rhos = _sample_densities(product, samples, rng)
+            values = _random_settings_chsh(product, rhos, 10, rng)
+            h.update(repr(values.shape).encode() + values.tobytes())
+    assert h.hexdigest() == "80e96079736105b59e8c81dcf544410d0b95b37900c92cdbcdcd893fbe1e229c"
 
 
 def test_bell_scan_argument_checks():
@@ -276,10 +306,11 @@ def test_verify_refuses_an_over_cap_product_before_building_it(monkeypatch):
 
 
 def test_sample_states_label_each_draw_with_its_kind():
-    draws = _sample_states(tensor(M2, M2), 5, np.random.default_rng(3))
-    assert [kind for kind, _ in draws] == ["vector", "mixed", "vector", "mixed", "vector"]
+    kinds, (rho,) = _sample_densities(tensor(M2, M2), 5, np.random.default_rng(3))
+    assert kinds == ["vector", "mixed", "vector", "mixed", "vector"]
     # a vector state is pure, a full-rank mixture is not
-    assert [purity(st) > 1.0 - 1e-12 for _, st in draws] == [True, False, True, False, True]
+    purities = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    assert [p > 1.0 - 1e-12 for p in purities] == [True, False, True, False, True]
 
 
 def test_verify_argument_checks_and_seed_fallback():

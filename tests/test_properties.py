@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
+from conftest import maximally_mixed
 from raggio_kit.algebra import (
     FdAlgebra,
     _plan,
-    diagonal_element,
     direct_sum,
     element,
     embed,
@@ -82,7 +82,6 @@ from raggio_kit.states import (
     PureVector,
     State,
     expectation,
-    maximally_mixed,
     mixture,
     point_state,
     product_state,
@@ -593,7 +592,7 @@ NUMBER_ARGUMENTS = [
     lambda v: v * unit(M2),
     lambda v: unit(M2) * v,
     lambda v: element(M2, [[[v, v], [v, v]]]),
-    lambda v: diagonal_element(D2, [v, v]),
+    lambda v: element(D2, [[[v]], [[v]]]),
     lambda v: State(M2, ([[v, v], [v, v]],)),
     lambda v: PureVector(M2, [v, v]),
 ]

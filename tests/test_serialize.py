@@ -256,6 +256,15 @@ def test_load_schema_embeds_the_files_it_refers_to_unchanged():
         assert compound["$defs"][key] == _raw_schema(key.removesuffix(".schema.json"))
 
 
+def test_load_schema_takes_only_a_bundled_name():
+    # each used to end in FileNotFoundError, or to read a file by its relative path
+    for bad in ("nope", None, 3, "", "../schemas/report", "report.schema.json", np.array([0, 1])):
+        with pytest.raises(InvalidArgumentError, match="choose from algebra, chsh_result, decomp"):
+            load_schema(bad)
+    assert sorted(SCHEMA_NAMES) == ["algebra", "chsh_result", "decomposition", "element",
+                                    "pure_vector", "report", "state", "verdict"]
+
+
 def _valid_payload(name):
     if name == "state":
         return state_to_dict(random_mixed(tensor(M2, make_commutative(2)), 6))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import maximally_mixed
 from raggio_kit.algebra import (
     AlgebraElement,
     _is_real,
@@ -33,9 +34,9 @@ from raggio_kit.errors import (
 from raggio_kit.states import (
     PureVector,
     State,
+    _random_densities,
     check_weights,
     expectation,
-    maximally_mixed,
     mixture,
     point_state,
     product_state,
@@ -476,6 +477,55 @@ def test_trace_distance_metric():
             <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
         )
         assert -1e-15 <= trace_distance(a, b) <= 1.0 + 1e-12
+
+
+def _one_state_at_a_time(algebra, vector_mask, rng) -> list[list[np.ndarray]]:
+    """Per draw, the density blocks as random_vector_state and random_mixed once drew
+    them, one state and one standard_normal call per part at a time."""
+    out = []
+    for vector in vector_mask:
+        if vector:
+            n = algebra.total_dim
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi /= np.linalg.norm(psi)
+            out.append([np.outer(psi[s], psi[s].conj()) for s in algebra.block_slices()])
+            continue
+        blocks = []
+        for d in algebra.block_dims:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            blocks.append(g @ g.conj().T)
+        tr = sum(np.trace(b).real for b in blocks)
+        out.append([b / tr for b in blocks])
+    return out
+
+
+def test_batched_draws_are_the_single_draws_bit_for_bit():
+    m2d1 = direct_sum(make_full(2), make_commutative(1))
+    algebras = [
+        make_full(3),
+        direct_sum(m2d1, make_full(3)),
+        make_commutative(4),
+        tensor(make_full(2), make_full(2)),
+        tensor(make_full(3), make_commutative(4)),
+        tensor(m2d1, make_full(2)),
+        tensor(direct_sum(make_full(2), make_full(1)), m2d1),
+        tensor(make_full(3), make_full(3)),
+    ]
+    masks = np.random.default_rng(2)
+    for seed, alg in enumerate(algebras):
+        for mask in (masks.random(12) < 0.5, [True] * 3, [False] * 3, []):
+            batched_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batched = _random_densities(alg, mask, batched_rng)
+            single = _one_state_at_a_time(alg, mask, single_rng)
+            assert [b.shape for b in batched] == [(len(mask), d, d) for d in alg.block_dims]
+            for k, blocks in enumerate(single):
+                assert [b[k].tobytes() for b in batched] == [b.tobytes() for b in blocks]
+            assert batched_rng.bit_generator.state == single_rng.bit_generator.state
+        # the public draws are the one-row case
+        for draw, vector in ((random_vector_state, True), (random_mixed, False)):
+            st = draw(alg, np.random.default_rng(seed))
+            (blocks,) = _one_state_at_a_time(alg, [vector], np.random.default_rng(seed))
+            assert [b.tobytes() for b in st.blocks] == [b.tobytes() for b in blocks]
 
 
 def test_seed_handling_is_deterministic():
