@@ -4,13 +4,10 @@ CHSH optimization."""
 from .algebra import (
     AlgebraElement,
     FdAlgebra,
-    adjoint,
     direct_sum,
     element,
-    element_from_matrix,
     make_commutative,
     make_full,
-    multiply,
     operator_norm,
     tensor,
     tensor_element,
@@ -71,7 +68,6 @@ from .states import (
     State,
     expectation,
     mixture,
-    point_state,
     product_state,
     purity,
     qubit_pair,

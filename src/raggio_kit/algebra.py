@@ -32,7 +32,6 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-9
-OFF_BLOCK_TOL = 1e-12  # largest entry element_from_matrix lets lie off the blocks
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -226,7 +225,7 @@ def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
     return tuple(arr[s, s] for s in alg.block_slices())
 
 
-def embed(alg: FdAlgebra, k: int, blk: np.ndarray) -> tuple[np.ndarray, ...]:
+def _embed(alg: FdAlgebra, k: int, blk: np.ndarray) -> tuple[np.ndarray, ...]:
     """Blocks of ``alg`` holding ``blk`` in the top-left corner of block ``k``, zeros elsewhere."""
     out = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
     out[k][: len(blk), : len(blk)] = blk
@@ -240,14 +239,14 @@ def _first_matrix_block(alg: FdAlgebra) -> int:
     raise UnsupportedShapeError("algebra is commutative: no block of dimension >= 2")
 
 
-def herm(x: np.ndarray) -> np.ndarray:
+def _herm(x: np.ndarray) -> np.ndarray:
     """Hermitian part (X + X*) / 2 of a matrix or of each matrix in a (..., d, d) stack."""
     return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
-def trace_norm(blocks) -> float:
+def _trace_norm(blocks) -> float:
     """Sum over the blocks of the trace norm of each block's Hermitian part."""
-    return sum(float(np.sum(np.abs(np.linalg.eigvalsh(herm(blk))))) for blk in blocks)
+    return sum(float(np.sum(np.abs(np.linalg.eigvalsh(_herm(blk))))) for blk in blocks)
 
 
 def _block_arrays(alg: FdAlgebra, blocks, error: type, what: str) -> list[np.ndarray]:
@@ -272,7 +271,6 @@ class AlgebraElement:
     """A block-diagonal matrix belonging to a specific :class:`FdAlgebra`.
 
     Elements are immutable; the wrapped arrays are marked read-only.
-    Arithmetic (+, -, scalar *) stays inside the owner algebra.
     """
 
     algebra: FdAlgebra
@@ -292,27 +290,13 @@ class AlgebraElement:
             out[s, s] = blk
         return out
 
-    def is_self_adjoint(self, tol: float = HERMITICITY_TOL) -> bool:
-        return all(_hermiticity_defect(blk) <= tol for blk in self.blocks)
 
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        _require_same_algebra(self, other)
-        return AlgebraElement(self.algebra, tuple(x + y for x, y in zip(self.blocks, other.blocks)))
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        _require_same_algebra(self, other)
-        return AlgebraElement(self.algebra, tuple(x - y for x, y in zip(self.blocks, other.blocks)))
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.algebra, tuple(-x for x in self.blocks))
-
-    def __mul__(self, scalar) -> AlgebraElement:
-        if not (_is_real(scalar) or isinstance(scalar, (complex, np.complexfloating))):
-            raise InvalidArgumentError(f"elements scale by numbers, not by {scalar!r}")
-        s = complex(scalar)
-        return AlgebraElement(self.algebra, tuple(s * x for x in self.blocks))
-
-    __rmul__ = __mul__
+def _as_state(value, kinds: tuple[type, ...]):
+    """``value`` itself if it is one of ``kinds``; other types raise InvalidArgumentError."""
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidArgumentError(f"expected a {names}, got {type(value)!r}")
+    return value
 
 
 def _require_same_algebra(first, *rest) -> FdAlgebra:
@@ -334,26 +318,10 @@ def element(algebra: FdAlgebra, blocks) -> AlgebraElement:
     return AlgebraElement(algebra, blocks)
 
 
-def element_from_matrix(algebra: FdAlgebra, mat) -> AlgebraElement:
-    """Split a dense matrix into blocks, rejecting off-block entries above OFF_BLOCK_TOL."""
-    return AlgebraElement(algebra, split_dense(algebra, mat, OFF_BLOCK_TOL))
-
-
 def unit(algebra: FdAlgebra) -> AlgebraElement:
     """The unit element 1 (identity in every block)."""
     blocks = tuple(np.eye(d, dtype=complex) for d in _require_algebra(algebra).block_dims)
     return AlgebraElement(algebra, blocks)
-
-
-def adjoint(x: AlgebraElement) -> AlgebraElement:
-    """Blockwise conjugate transpose (the involution A -> A*)."""
-    return AlgebraElement(_require_same_algebra(x), tuple(blk.conj().T for blk in x.blocks))
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Blockwise matrix product; both factors must share an owner."""
-    _require_same_algebra(x, y)
-    return AlgebraElement(x.algebra, tuple(a @ b for a, b in zip(x.blocks, y.blocks)))
 
 
 def _stack_norm(x: np.ndarray) -> float:
@@ -364,8 +332,7 @@ def _stack_norm(x: np.ndarray) -> float:
 
 def operator_norm(x: AlgebraElement) -> float:
     """Largest singular value over all blocks."""
-    _require_same_algebra(x)
-    return max(_stack_norm(blk) for blk in x.blocks)
+    return max(_stack_norm(blk) for blk in _as_state(x, (AlgebraElement,)).blocks)
 
 
 def _product_of(a: FdAlgebra, b: FdAlgebra, product: FdAlgebra | None) -> FdAlgebra:
@@ -377,6 +344,7 @@ def _product_of(a: FdAlgebra, b: FdAlgebra, product: FdAlgebra | None) -> FdAlge
 
 def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Embed x (x) y into tensor(x.algebra, y.algebra) via blockwise Kronecker products."""
-    product = tensor(_require_same_algebra(x), _require_same_algebra(y))
+    x, y = (_as_state(v, (AlgebraElement,)) for v in (x, y))
+    product = tensor(x.algebra, y.algebra)
     return AlgebraElement(product, tuple(np.kron(bx, by) for bx in x.blocks for by in y.blocks))
 

@@ -27,7 +27,9 @@ from .algebra import (
     HERMITICITY_TOL,
     AlgebraElement,
     FdAlgebra,
+    _embed,
     _first_matrix_block,
+    _herm,
     _hermiticity_defect,
     _plan,
     _product_of,
@@ -36,12 +38,10 @@ from .algebra import (
     _require_same_algebra,
     _stack_norm,
     element,
-    embed,
-    herm,
     unit,
 )
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
-from .states import State, _as_rng, _as_state, check_count, qubit_pair
+from .states import _STATES, State, _as_rng, _as_state, _check_count, qubit_pair
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -99,6 +99,7 @@ class ChshObservables:
     b2 = property(lambda self: element(self.alg_b, [x[1] for x in self.b]))
 
     def __init__(self, a1: AlgebraElement, a2: AlgebraElement, b1: AlgebraElement, b2: AlgebraElement):
+        a1, a2, b1, b2 = (_as_state(x, (AlgebraElement,)) for x in (a1, a2, b1, b2))
         alg_a, alg_b = _require_same_algebra(a1, a2), _require_same_algebra(b1, b2)
         a, b = _observable_side(a1, a2, "(a1, a2)"), _observable_side(b1, b2, "(b1, b2)")
         vars(self).update(alg_a=alg_a, a=a, alg_b=alg_b, b=b)
@@ -134,7 +135,7 @@ def _chsh_values(product: FdAlgebra, rhos, a, b) -> np.ndarray:
 def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
     obs = _as_state(obs, (ChshObservables,))
-    product = _product_of(obs.alg_a, obs.alg_b, _as_state(state).algebra)
+    product = _product_of(obs.alg_a, obs.alg_b, _as_state(state, _STATES).algebra)
     return float(_chsh_values(product, [blk[None] for blk in state.blocks], obs.a, obs.b)[0, 0])
 
 
@@ -165,7 +166,7 @@ def _sign(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign of every self-adjoint matrix in a (..., d, d) stack, sign(0) = +1, and
     the (..., d) eigenvalues it was read from, which also give the trace norms.
     For n = 1 LAPACK returns W = Re a and Z = 1; those bits are read with no eigen-solve."""
-    w, v = (h[..., 0].real, None) if h.shape[-1] == 1 else np.linalg.eigh(herm(h))
+    w, v = (h[..., 0].real, None) if h.shape[-1] == 1 else np.linalg.eigh(_herm(h))
     s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
     if v is None:
         return s[..., None].astype(h.dtype), w
@@ -180,7 +181,7 @@ def sign_operator(h: AlgebraElement) -> AlgebraElement:
     affect the trace norm, so they are sent to +1 to keep the result
     dichotomic.
     """
-    return element(_require_same_algebra(h), [_sign(blk)[0] for blk in h.blocks])
+    return element(_as_state(h, (AlgebraElement,)).algebra, [_sign(blk)[0] for blk in h.blocks])
 
 
 def _effective(plan, x) -> list[np.ndarray]:
@@ -211,7 +212,8 @@ def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
     The run converges at the first round gaining less than SEESAW_GAIN_TOL, or stops
     at SEESAW_MAX_ROUNDS.  The state's joint blocks are read into one _plan per side per call.
     """
-    alg_a, alg_b = _require_factors(_as_state(state).algebra)
+    alg_a, alg_b = _require_factors(_as_state(state, _STATES).algebra)
+    b1, b2 = (_as_state(x, (AlgebraElement,)) for x in (b1, b2))
     if _require_same_algebra(b1, b2) != alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
     prev, history, converged = -np.inf, [], False
@@ -261,8 +263,8 @@ def chsh_optimize(state, restarts: int = DEFAULT_RESTARTS, seed=None) -> ChshRes
     call; the value reported is the last history value of the winning restart (the
     first with the largest one).
     """
-    restarts = check_count(restarts, "restarts")
-    state = _as_state(state)
+    restarts = _check_count(restarts, "restarts")
+    state = _as_state(state, _STATES)
     alg_b = _require_factors(state.algebra)[1]
     rng, best, iterations = _as_rng(seed), None, 0
     for r in range(restarts):
@@ -285,7 +287,7 @@ def canonical_qubit_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshObser
     corner of each factor's first matrix block (on M2, all of it), zero elsewhere."""
     obs = []
     for alg, x in zip((alg_a, alg_a, alg_b, alg_b), CANONICAL_QUBIT_SETTINGS):
-        obs.append(element(alg, embed(alg, _first_matrix_block(alg), x)))
+        obs.append(element(alg, _embed(alg, _first_matrix_block(alg), x)))
     return ChshObservables(*obs)
 
 
@@ -296,7 +298,7 @@ def horodecki_two_qubit(state: State) -> float:
     eigenvalues of T^T T, the supremum over contractions is
     max(2, 2 sqrt(M)); the classical value 2 is always available.
     """
-    if _as_state(state).algebra != qubit_pair():
+    if _as_state(state, _STATES).algebra != qubit_pair():
         raise UnsupportedShapeError("the closed form needs a state on M2 (x) M2")
     paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     rho = state.blocks[0]

@@ -29,23 +29,24 @@ from .algebra import (
     FdAlgebra,
     _as_numbers,
     _frozen,
+    _herm,
     _is_count,
     _product_of,
     _require_factors,
-    herm,
+    _trace_norm,
     joint_blocks,
-    trace_norm,
 )
 from .errors import InvalidArgumentError
 from .states import (
     STATE_TRACE_TOL,
+    _STATES,
     PureVector,
     State,
     _as_rng,
     _as_state,
-    check_count,
-    check_tol,
-    check_weights,
+    _check_count,
+    _check_tol,
+    _check_weights,
     purity,
     trace_distance,
 )
@@ -110,7 +111,7 @@ class Decomposition:
                 raise InvalidArgumentError(f"row {r} needs real weights and finite unit vectors")
             rows.append((int(i), int(j), w.real, a, b))
         w = np.concatenate([np.zeros(0), *(row[2] for row in rows)])
-        check_weights(w, len(w), _WEIGHT_SUM_TOL)
+        _check_weights(w, len(w), _WEIGHT_SUM_TOL)
         rows = tuple((i, j, *map(_frozen, (np.clip(w, 0.0, None), a, b))) for i, j, w, a, b in rows)
         object.__setattr__(self, "rows", rows)
 
@@ -215,9 +216,9 @@ def ppt_check(state: State) -> float:
     the second factor of each joint block.
     """
     worst = np.inf
-    for idx, _, _, n, m in joint_blocks(_as_state(state).algebra):
+    for idx, _, _, n, m in joint_blocks(_as_state(state, _STATES).algebra):
         pt = state.blocks[idx].reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
-        worst = min(worst, float(np.linalg.eigvalsh(herm(pt))[0]))
+        worst = min(worst, float(np.linalg.eigvalsh(_herm(pt))[0]))
     return float(worst)
 
 
@@ -228,7 +229,7 @@ def realignment_check(state: State) -> float:
     1 + REALIGN_TOL certifies entanglement (K. Chen, L.-A. Wu, QIC 3, 193, 2003).
     """
     worst = 0.0
-    for idx, _, _, n, m in joint_blocks(_as_state(state).algebra):
+    for idx, _, _, n, m in joint_blocks(_as_state(state, _STATES).algebra):
         blk = state.blocks[idx]
         w = float(np.trace(blk).real)
         if w > CLASSICAL_WEIGHT_TOL:
@@ -244,7 +245,7 @@ def classical_decompose(state: State) -> Decomposition:
     decomposition of each block's other side is exact: every state of this
     kind is decomposable, into pure products.
     """
-    if not any(f.is_commutative for f in _require_factors(_as_state(state).algebra)):
+    if not any(f.is_commutative for f in _require_factors(_as_state(state, _STATES).algebra)):
         raise InvalidArgumentError("classical decomposition needs a commutative factor")
     return Decomposition._of_rows(state.algebra, [r[:5] for r in _block_rows(state, 0.0, 1, None)])
 
@@ -277,9 +278,9 @@ def _linear_minimizer(G: np.ndarray, n: int, m: int, rng):
     live = np.arange(len(a))
     for _ in range(LMO_ROUNDS):
         bl = b[live]
-        a[live] = np.linalg.eigh(herm(np.einsum("ajbk,sj,sk->sab", G4, bl.conj(), bl)))[1][:, :, 0]
+        a[live] = np.linalg.eigh(_herm(np.einsum("ajbk,sj,sk->sab", G4, bl.conj(), bl)))[1][:, :, 0]
         al = a[live]
-        wb, vb = np.linalg.eigh(herm(np.einsum("ajbk,sa,sb->sjk", G4, al.conj(), al)))
+        wb, vb = np.linalg.eigh(_herm(np.einsum("ajbk,sa,sb->sjk", G4, al.conj(), al)))
         b[live] = vb[:, :, 0]
         stopped = val[live] - wb[:, 0] < 1e-14
         val[live] = wb[:, 0]
@@ -314,7 +315,7 @@ def _nnls_weights(projs: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _reconstruction_error(x: np.ndarray, rho: np.ndarray) -> float:
-    return 0.5 * trace_norm([x / float(np.trace(x).real) - rho])
+    return 0.5 * _trace_norm([x / float(np.trace(x).real) - rho])
 
 
 def _product_projectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,7 +336,7 @@ def _fcfw_search(rho: np.ndarray, n: int, m: int, tol: float, max_iters: int, rn
     a, b, projs = np.empty((0, n)), np.empty((0, m)), np.empty((0, n * m, n * m))
     x, best = np.zeros((n * m, n * m), dtype=complex), (np.inf,)
     for _ in range(max_iters):
-        new_a, new_b = _linear_minimizer(herm(x - rho), n, m, rng)
+        new_a, new_b = _linear_minimizer(_herm(x - rho), n, m, rng)
         a, b = np.concatenate([a, new_a]), np.concatenate([b, new_b])
         projs = np.concatenate([projs, _product_projectors(new_a, new_b)])
         w = _nnls_weights(projs, rho)
@@ -441,8 +442,8 @@ def separability_test(
     positive partial transpose, realignment at most 1 + REALIGN_TOL, and a
     decomposition that misses ``tol``.  Only the search draws from ``seed``.
     """
-    count = check_count(budget, "search budget")
-    tol = check_tol(tol)
+    count = _check_count(budget, "search budget")
+    tol = _check_tol(tol)
     rng = _as_rng(seed)
     if isinstance(state, PureVector):
         pure = is_entangled_pure(state)
@@ -453,7 +454,7 @@ def separability_test(
         dec = Decomposition._of_rows(state.algebra, [(0, 0, np.ones(1), a, b)])
         return _separable(state, dec, schmidt_coefficients=pure.coefficients)
 
-    state = _as_state(state)
+    state = _as_state(state, _STATES)
     if any(f.is_commutative for f in _require_factors(state.algebra)):
         return _separable(state, classical_decompose(state))
 

@@ -23,7 +23,7 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .algebra import FdAlgebra, _first_matrix_block, _require_algebra, embed, joint_blocks, tensor
+from .algebra import FdAlgebra, _embed, _first_matrix_block, _require_algebra, joint_blocks, tensor
 from .bell import (
     CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_BOUND,
@@ -34,7 +34,7 @@ from .bell import (
 )
 from .entanglement import separability_test
 from .errors import ResourceLimitError
-from .states import State, _as_rng, _random_densities, check_count, singlet, werner
+from .states import State, _as_rng, _check_count, _random_densities, singlet, werner
 
 PRODUCT_DIM_CAP = 64
 CHSH_SLACK = 1e-6
@@ -57,7 +57,7 @@ def _embed_two_qubit_density(alg_a: FdAlgebra, alg_b: FdAlgebra, rho4: np.ndarra
     idx, n, m = next((idx, n, m) for idx, i, j, n, m in joint_blocks(product) if (i, j) == (ia, jb))
     blk = np.zeros((n, m, n, m), dtype=complex)
     blk[:2, :2, :2, :2] = rho4.reshape(2, 2, 2, 2)
-    return State._of_density(product, embed(product, idx, blk.reshape(n * m, n * m)))
+    return State._of_density(product, _embed(product, idx, blk.reshape(n * m, n * m)))
 
 
 def embedded_singlet(alg_a: FdAlgebra, alg_b: FdAlgebra) -> State:
@@ -114,8 +114,8 @@ def bell_one_side_classical(
     drawn in one normal draw as per-block density stacks, with no State per sample;
     random_vector_state and random_mixed are that draw's one-row case, same bits.
     """
-    samples = check_count(samples, "samples", minimum=0)
-    settings = check_count(settings, "settings", minimum=0)
+    samples = _check_count(samples, "samples", minimum=0)
+    settings = _check_count(settings, "settings", minimum=0)
     product = _capped_product(a, b)
     rng = _as_rng(seed)
     _, rhos = _sample_densities(product, samples, rng)
@@ -180,11 +180,11 @@ def verify_equivalence(
     name the same state.  Sampling, search, and optimization are all
     driven by generators spawned from ``seed``.
     """
-    samples = check_count(samples, "samples")
+    samples = _check_count(samples, "samples")
     product = _capped_product(a, b)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % 2**32)
-    seed = check_count(seed, "seed", minimum=0)
+    seed = _check_count(seed, "seed", minimum=0)
     expected_all = a.is_commutative or b.is_commutative
     master = _as_rng(seed)
 

@@ -18,7 +18,7 @@ from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
 from .errors import InvalidArgumentError
 from .harness import RaggioReport
-from .states import PureVector, State, _as_state
+from .states import _STATES, PureVector, State, _as_state
 
 REPORT_SCHEMA_VERSION = 1
 STATE_OFF_BLOCK_TOL = 1e-9  # largest entry state_from_dict lets lie off the blocks
@@ -99,7 +99,7 @@ def element_from_dict(data) -> AlgebraElement:
 
 
 def state_to_dict(state: State) -> dict:
-    state = _as_state(state)
+    state = _as_state(state, _STATES)
     return {
         "algebra": algebra_to_dict(state.algebra),
         "entries": _pairs(state.matrix),

@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraElement,
     FdAlgebra,
     _as_numbers,
+    _as_state,
     _block_arrays,
     _frozen,
     _hermiticity_defect,
@@ -28,12 +29,11 @@ from .algebra import (
     _product_of,
     _require_algebra,
     _require_factors,
+    _herm,
     _require_same_algebra,
-    embed,
-    herm,
+    _trace_norm,
     make_full,
     tensor,
-    trace_norm,
 )
 from .errors import InvalidArgumentError, InvalidStateError, UnsupportedShapeError
 
@@ -52,21 +52,21 @@ def _as_rng(seed) -> np.random.Generator:
         raise InvalidArgumentError(f"invalid seed {seed!r}: {exc}") from exc
 
 
-def check_count(value, name: str, minimum: int = 1) -> int:
+def _check_count(value, name: str, minimum: int = 1) -> int:
     """``value`` as an int; it must be an integer (not a bool) of at least ``minimum``."""
     if not _is_count(value, minimum):
         raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
-def check_tol(value) -> float:
+def _check_tol(value) -> float:
     """``value`` as a float; it must be a positive finite real number (not a bool)."""
     if not _is_real(value) or not 0.0 < value < np.inf:
         raise InvalidArgumentError(f"tolerance must be positive and finite, got {value!r}")
     return float(value)
 
 
-def check_weights(weights, count: int, slack: float) -> np.ndarray:
+def _check_weights(weights, count: int, slack: float) -> np.ndarray:
     """``weights`` as a float array: ``count >= 1`` finite real numbers (not
     bools), none below -1e-12, that sum to 1 within ``slack``."""
     sequence = isinstance(weights, (list, tuple)) or np.ndim(weights) == 1
@@ -93,7 +93,7 @@ def _clean_density_block(blk: np.ndarray, label: str) -> np.ndarray:
         raise InvalidStateError(f"{label} has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow to inf here
         herm_defect = _hermiticity_defect(blk)
-        blk = herm(blk)
+        blk = _herm(blk)
     if herm_defect > HERMITICITY_TOL:
         raise InvalidStateError(f"{label} is not Hermitian (defect {herm_defect:.3e})")
     if not np.all(np.isfinite(blk)):
@@ -184,44 +184,39 @@ class PureVector:
         return State._of_density(self.algebra, self.blocks)
 
 
-def _as_state(state, kinds: tuple[type, ...] = (State, PureVector)):
-    """``state`` itself if it is one of ``kinds``; other types raise InvalidArgumentError."""
-    if not isinstance(state, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise InvalidArgumentError(f"expected a {names}, got {type(state)!r}")
-    return state
+_STATES = (State, PureVector)  # what _as_state takes where a state is asked for
 
 
 def expectation(state: State, x: AlgebraElement) -> complex:
     """omega(A) = sum of blockwise Tr(rho_k A_k)."""
-    _require_same_algebra(_as_state(state), x)
+    _require_same_algebra(_as_state(state, _STATES), _as_state(x, (AlgebraElement,)))
     return complex(sum(np.trace(r @ a) for r, a in zip(state.blocks, x.blocks)))
 
 
 def purity(state: State) -> float:
     """Tr(rho^2); equals 1 exactly for vector states on a full matrix block."""
-    return float(sum(np.trace(b @ b).real for b in _as_state(state).blocks))
+    return float(sum(np.trace(b @ b).real for b in _as_state(state, _STATES).blocks))
 
 
 def trace_distance(a: State, b: State) -> float:
     """(1/2) ||rho_a - rho_b||_1 via blockwise eigenvalues."""
-    _require_same_algebra(_as_state(a), _as_state(b))
-    return 0.5 * trace_norm(x - y for x, y in zip(a.blocks, b.blocks))
+    _require_same_algebra(_as_state(a, _STATES), _as_state(b, _STATES))
+    return 0.5 * _trace_norm(x - y for x, y in zip(a.blocks, b.blocks))
 
 
 def mixture(weights, parts) -> State:
     """Convex combination sum_i w_i rho_i of a list or tuple of states on a shared algebra."""
     if not isinstance(parts, (list, tuple)):
         raise InvalidArgumentError(f"parts must be a list or tuple of states, got {type(parts)!r}")
-    w = check_weights(weights, len(parts), 1e-12)
-    alg = _require_same_algebra(*map(_as_state, parts))
+    w = _check_weights(weights, len(parts), 1e-12)
+    alg = _require_same_algebra(*(_as_state(s, _STATES) for s in parts))
     blocks = [sum(wi * s.blocks[k] for wi, s in zip(w, parts)) for k in range(alg.num_blocks)]
     return State(alg, blocks)
 
 
 def product_state(sa: State, sb: State, product: FdAlgebra | None = None) -> State:
     """The product state (omega_a x omega_b) on the tensor algebra."""
-    sa, sb = _as_state(sa), _as_state(sb)
+    sa, sb = _as_state(sa, _STATES), _as_state(sb, _STATES)
     blocks = tuple(np.kron(ra, rb) for ra in sa.blocks for rb in sb.blocks)
     return State._of_density(_product_of(sa.algebra, sb.algebra, product), blocks)
 
@@ -233,7 +228,7 @@ def restrict_to_factor(state: State, keep: str) -> State:
     of its row of ``algebra._plan``, with the other factor's pair of axes
     traced out.  The tensor factorization must have been recorded on the algebra.
     """
-    factors = _require_factors(_as_state(state).algebra)
+    factors = _require_factors(_as_state(state, _STATES).algebra)
     if not (isinstance(keep, str) and keep in ("a", "b")):
         raise InvalidArgumentError(f"keep must be 'a' or 'b', got {keep!r}")
     side = "ab".index(keep)
@@ -250,17 +245,6 @@ def restrict_to_diagonal(psi: PureVector) -> np.ndarray:
     the diagonal of the density matrix |psi><psi|.
     """
     return np.abs(_as_state(psi, (PureVector,)).vector) ** 2
-
-
-def point_state(algebra: FdAlgebra, index: int) -> State:
-    """Evaluation at one point of a commutative algebra (a Dirac measure)."""
-    if not _require_algebra(algebra).is_commutative:
-        raise InvalidArgumentError("point states need a commutative algebra")
-    if check_count(index, "point index", minimum=0) >= algebra.num_blocks:
-        raise InvalidArgumentError(
-            f"point index {index} out of range for {algebra.num_blocks} points"
-        )
-    return State._of_density(algebra, embed(algebra, index, np.ones((1, 1), dtype=complex)))
 
 
 def random_pure(algebra: FdAlgebra, rng=None) -> PureVector:

@@ -7,7 +7,7 @@ realignment test certifies.
 import numpy as np
 import pytest
 
-from raggio_kit.algebra import make_full, tensor
+from raggio_kit.algebra import element, make_full, tensor
 from raggio_kit.states import State
 
 QUTRIT_PAIR = tensor(make_full(3), make_full(3))
@@ -17,6 +17,11 @@ def maximally_mixed(algebra) -> State:
     """The tracial state 1 / n on ``algebra``, n its total dimension."""
     n = algebra.total_dim
     return State(algebra, [np.eye(d) / n for d in algebra.block_dims])
+
+
+def blockwise(f, x, *rest):
+    """The element of ``x``'s algebra whose blocks are ``f`` of the blocks of ``x`` and ``rest``."""
+    return element(x.algebra, [f(*blks) for blks in zip(x.blocks, *(y.blocks for y in rest))])
 
 
 def _local_unitary(n: int, rng) -> np.ndarray:

@@ -15,8 +15,6 @@ from raggio_kit.algebra import (
     element,
     make_commutative,
     make_full,
-    multiply,
-    adjoint,
     operator_norm,
     tensor,
     tensor_element,
@@ -257,7 +255,8 @@ def test_criterion_8_structural_property_battery():
     for _ in range(500):
         x = _random_element(alg, rng)
         nx = operator_norm(x)
-        gap = abs(operator_norm(multiply(adjoint(x), x)) - nx**2)
+        xstar_x = element(alg, [b.conj().T @ b for b in x.blocks])
+        gap = abs(operator_norm(xstar_x) - nx**2)
         worst_cstar = max(worst_cstar, gap / (1.0 + nx**2))
     checks.append(worst_cstar <= 1e-9)
 
@@ -305,7 +304,8 @@ def test_criterion_8_structural_property_battery():
     for _ in range(10):
         st = random_mixed(alg_b, rng)
         x = random_dichotomic(alg_b, rng)
-        checks.append(expectation(st, multiply(adjoint(x), x)).real >= -1e-12)
+        xstar_x = element(alg_b, [b.conj().T @ b for b in x.blocks])
+        checks.append(expectation(st, xstar_x).real >= -1e-12)
 
     # Schmidt coefficients are a unit vector for any wavefunction
     for _ in range(10):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from raggio_kit import entanglement
-from raggio_kit.algebra import direct_sum, herm, make_commutative, make_full, tensor
+from raggio_kit.algebra import _herm, direct_sum, make_commutative, make_full, tensor
 from raggio_kit.entanglement import (
     DEFAULT_DECOMP_TOL,
     ENTANGLED_PPT,
@@ -432,8 +432,8 @@ def _loop_linear_minimizer(G, n, m, rng, n_random=6):
     for a, b in starts:
         val = np.inf
         for _ in range(40):
-            a = np.linalg.eigh(herm(np.einsum("ajbk,j,k->ab", G4, b.conj(), b)))[1][:, 0]
-            wb, vb = np.linalg.eigh(herm(np.einsum("ajbk,a,b->jk", G4, a.conj(), a)))
+            a = np.linalg.eigh(_herm(np.einsum("ajbk,j,k->ab", G4, b.conj(), b)))[1][:, 0]
+            wb, vb = np.linalg.eigh(_herm(np.einsum("ajbk,a,b->jk", G4, a.conj(), a)))
             b, new = vb[:, 0], float(wb[0])
             stopped = val - new < 1e-14
             val = new
@@ -453,7 +453,7 @@ def _product_value(G, a, b):
 def test_linear_minimizer_matches_per_start_loop(n, m):
     for seed in range(5):
         g = np.random.default_rng([seed, n, m])
-        G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+        G = _herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
         rng_loop, rng_stack = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = _product_value(G, *_loop_linear_minimizer(G, n, m, rng_loop))
         a, b = _linear_minimizer(G, n, m, rng_stack)
@@ -477,7 +477,7 @@ def test_linear_minimizer_runs_no_more_start_rounds_than_the_per_start_loop(monk
     for n, m in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for seed in range(5):
             g = np.random.default_rng([seed, n, m])
-            G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+            G = _herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
             rho = random_mixed(tensor(make_full(n), make_full(m)), g).blocks[0]
             for form in (G, -rho):
                 rounds = {}
@@ -494,7 +494,7 @@ def test_linear_minimizer_runs_no_more_start_rounds_than_the_per_start_loop(monk
 @given(strategies.integers(2, 3), strategies.integers(2, 4), strategies.integers(0, 2**32 - 1))
 def test_linear_minimizer_keeps_the_loops_best_and_returns_distinct_atoms(n, m, seed):
     g = np.random.default_rng(seed)
-    G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+    G = _herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
     expected = _product_value(G, *_loop_linear_minimizer(G, n, m, np.random.default_rng(seed)))
     a, b = _linear_minimizer(G, n, m, np.random.default_rng(seed))
     values = [_product_value(G, x, y) for x, y in zip(a, b)]
@@ -580,7 +580,7 @@ def test_linear_minimizer_returns_distinct_negative_atoms_best_first(n, m):
     calls = atoms = 0
     for seed in range(5):
         g = np.random.default_rng([seed, n, m])
-        G = herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
+        G = _herm(g.standard_normal((n * m, n * m)) + 1j * g.standard_normal((n * m, n * m)))
         rho = random_mixed(tensor(make_full(n), make_full(m)), g).blocks[0]
         # a random form, the first search step's -rho, and a positive form
         for form in (G, -rho, rho):

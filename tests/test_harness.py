@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import blockwise
 from raggio_kit import bell, harness
 from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor, tensor_element
 from raggio_kit.bell import (
@@ -109,7 +110,8 @@ def _loop_scan_values(a, b, samples, seed, settings):
         state = State._of_density(product, [rho[k] for rho in rhos])
         for _ in range(settings):
             obs = random_observables(a, b, rng)
-            op = tensor_element(obs.a1, obs.b1 + obs.b2) + tensor_element(obs.a2, obs.b1 - obs.b2)
+            plus, minus = (blockwise(f, obs.b1, obs.b2) for f in (np.add, np.subtract))
+            op = blockwise(np.add, tensor_element(obs.a1, plus), tensor_element(obs.a2, minus))
             values.append(expectation(state, op).real)
     return np.reshape(values, (samples, settings))
 

@@ -20,14 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
-from conftest import maximally_mixed
+from conftest import blockwise, maximally_mixed
 from raggio_kit.algebra import (
     FdAlgebra,
+    _embed,
+    _herm,
     _plan,
     direct_sum,
     element,
-    embed,
-    herm,
     joint_blocks,
     make_commutative,
     make_full,
@@ -77,13 +77,12 @@ from raggio_kit.harness import (
     embedded_werner,
     verify_equivalence,
 )
-from raggio_kit.serialize import decomposition_from_dict, decomposition_to_dict
+from raggio_kit.serialize import decomposition_from_dict, decomposition_to_dict, element_from_dict
 from raggio_kit.states import (
     PureVector,
     State,
     expectation,
     mixture,
-    point_state,
     product_state,
     random_mixed,
     random_vector_state,
@@ -269,7 +268,7 @@ def test_reconstruct_matches_the_mixture_of_product_states(dims, terms, seed):
         vecs = [v / np.linalg.norm(v) for v in vecs]
         rows.append((*ij, [wk], vecs[0][None], vecs[1][None]))
         for f, k, v, out in zip((a, b), ij, vecs, pure):
-            out.append(State(f, embed(f, k, np.outer(v, v.conj()))))
+            out.append(State(f, _embed(f, k, np.outer(v, v.conj()))))
     product = tensor(a, b)
     dec = Decomposition(product, rows)
     parts = [product_state(x, y, product) for x, y in zip(*pure)]
@@ -368,7 +367,7 @@ def test_linear_minimizer_returns_a_product_state_below_every_eigenvector_split(
     # the minimum over all states and the best eigenvector-split start
     rng = np.random.default_rng(seed)
     dim = n * m
-    G = herm(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    G = _herm(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
     def value(a, b):
         v = np.kron(a, b)
@@ -428,7 +427,7 @@ def _unchecked_densities(a, b, p, rng):
     pure = PureVector(tensor(make_full(n), make_full(m)), np.kron(u, v))
     classical = random_mixed(tensor(make_commutative(n), b), rng)
     out = [x, y, joint, restrict_to_factor(joint, "a"), restrict_to_factor(joint, "b")]
-    out += [maximally_mixed(tensor(a, b)), point_state(make_commutative(n), n - 1)]
+    out.append(maximally_mixed(tensor(a, b)))
     out += [pure.state(), werner(p), reconstruct(separability_test(pure).decomposition)]
     out.append(reconstruct(classical_decompose(classical)))
     if max(a.block_dims) >= 2 and max(b.block_dims) >= 2:
@@ -454,7 +453,8 @@ def test_chsh_value_is_the_expectation_of_the_bell_operator(dims, seed):
     a, b = FdAlgebra(dims[0]), FdAlgebra(dims[1])
     product = tensor(a, b)
     obs = random_observables(a, b, rng)
-    bell = tensor_element(obs.a1, obs.b1 + obs.b2) + tensor_element(obs.a2, obs.b1 - obs.b2)
+    plus, minus = (blockwise(f, obs.b1, obs.b2) for f in (np.add, np.subtract))
+    bell = blockwise(np.add, tensor_element(obs.a1, plus), tensor_element(obs.a2, minus))
     # the see-saw's B half-step contracts the same functional against (A1, A2)
     x = [np.stack(pair) for pair in zip(obs.a1.blocks, obs.a2.blocks)]
     y = [np.stack(pair) for pair in zip(obs.b1.blocks, obs.b2.blocks)]
@@ -480,7 +480,7 @@ def test_effective_operators_of_a_stack_are_those_of_its_members(dims, seed):
     rhos = [np.array(blk)[:, None] for blk in zip(*(s.blocks for s in states))]
     for side in (0, 1):
         shapes = [(2, 3, 2, d, d) for d in product.factors[1 - side].block_dims]
-        x = [herm(rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in shapes]
+        x = [_herm(rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in shapes]
         stacked = _effective(_plan(product, rhos, side), x)
         assert [h.shape for h in stacked] == [
             (2, 3, 2, d, d) for d in product.factors[side].block_dims
@@ -510,7 +510,7 @@ def test_signs_of_one_by_one_blocks_are_those_eigh_gives(entries, real):
     # must be the bits of the herm + eigh path that larger blocks take
     h = np.array([complex(re, 0.0 if real else im) for re, im in entries]).reshape(-1, 1, 1, 1)
     h = h.real.copy() if real else h
-    w, v = np.linalg.eigh(herm(h))
+    w, v = np.linalg.eigh(_herm(h))
     s = np.where(np.abs(w) <= TOL, 1.0, np.sign(w))
     signs, eigs = _sign(h)
     assert _same_bits(eigs, w)
@@ -564,7 +564,6 @@ COUNT_ARGUMENTS = [
     lambda v: bell_one_side_classical(M2, D2, samples=v, seed=0),
     lambda v: bell_one_side_classical(M2, D2, settings=v, seed=0),
     lambda v: verify_equivalence(M2, D2, samples=v, seed=0),
-    lambda v: point_state(D2, v),
 ]
 TOLERANCE_ARGUMENTS = [
     lambda v: separability_test(WERNER, tol=v, seed=0),
@@ -589,8 +588,10 @@ WEIGHT_ARGUMENTS = [
 # every entry is the value, so the array takes its dtype (True among ints would be an int)
 NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=3), st.none())
 NUMBER_ARGUMENTS = [
-    lambda v: v * unit(M2),
-    lambda v: unit(M2) * v,
+    werner,
+    lambda v: element_from_dict(
+        {"algebra": {"block_dims": [1]}, "blocks": [{"dim": 1, "entries": [[v, 0]]}]}
+    ),
     lambda v: element(M2, [[[v, v], [v, v]]]),
     lambda v: element(D2, [[[v]], [[v]]]),
     lambda v: State(M2, ([[v, v], [v, v]],)),
@@ -600,7 +601,7 @@ NUMBER_ARGUMENTS = [
 
 def _weighted_sign(v):
     """(1 - v) 1 + v (-1) on M2, a contraction exactly when 0 <= v <= 1."""
-    return (1.0 - 2.0 * v) * unit(M2)
+    return element(M2, [(1.0 - 2.0 * v) * np.eye(2)])
 
 
 # a bool or numeric string scales a start like a number, so the starts take reals
