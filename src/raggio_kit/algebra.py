@@ -300,11 +300,8 @@ def _as_state(value, kinds: tuple[type, ...]):
 
 
 def _require_same_algebra(first, *rest) -> FdAlgebra:
-    """The algebra that ``first`` and every value in ``rest`` live on, as ``.algebra``;
-    a value whose ``.algebra`` is not an FdAlgebra raises InvalidArgumentError."""
-    for x in (first, *rest):
-        if not isinstance(getattr(x, "algebra", None), FdAlgebra):
-            raise InvalidArgumentError(f"expected an element or a state, got {type(x)!r}")
+    """The algebra that ``first`` and every value in ``rest`` live on, as ``.algebra``."""
+    for x in rest:
         if x.algebra != first.algebra:
             raise AlgebraMismatchError(
                 f"values live on different algebras: "

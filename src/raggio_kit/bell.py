@@ -27,6 +27,7 @@ from .algebra import (
     HERMITICITY_TOL,
     AlgebraElement,
     FdAlgebra,
+    _as_state,
     _embed,
     _first_matrix_block,
     _herm,
@@ -41,7 +42,7 @@ from .algebra import (
     unit,
 )
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
-from .states import _STATES, State, _as_rng, _as_state, _check_count, qubit_pair
+from .states import State, _as_rng, _check_count, qubit_pair
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -135,7 +136,7 @@ def _chsh_values(product: FdAlgebra, rhos, a, b) -> np.ndarray:
 def chsh_value(state: State, obs: ChshObservables) -> float:
     """omega(A1 (x) (B1 + B2) + A2 (x) (B1 - B2)) for the given observables."""
     obs = _as_state(obs, (ChshObservables,))
-    product = _product_of(obs.alg_a, obs.alg_b, _as_state(state, _STATES).algebra)
+    product = _product_of(obs.alg_a, obs.alg_b, _as_state(state, (State,)).algebra)
     return float(_chsh_values(product, [blk[None] for blk in state.blocks], obs.a, obs.b)[0, 0])
 
 
@@ -212,7 +213,7 @@ def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
     The run converges at the first round gaining less than SEESAW_GAIN_TOL, or stops
     at SEESAW_MAX_ROUNDS.  The state's joint blocks are read into one _plan per side per call.
     """
-    alg_a, alg_b = _require_factors(_as_state(state, _STATES).algebra)
+    alg_a, alg_b = _require_factors(_as_state(state, (State,)).algebra)
     b1, b2 = (_as_state(x, (AlgebraElement,)) for x in (b1, b2))
     if _require_same_algebra(b1, b2) != alg_b:
         raise AlgebraMismatchError("b1 and b2 must live on the second factor")
@@ -254,7 +255,7 @@ def random_observables(alg_a: FdAlgebra, alg_b: FdAlgebra, rng=None) -> ChshObse
 
 
 def chsh_optimize(state, restarts: int = DEFAULT_RESTARTS, seed=None) -> ChshResult:
-    """Best see-saw value over restarts, for a State or a PureVector.
+    """Best see-saw value over restarts, for a State (a PureVector is one).
 
     Restart 0 seeds both B observables with the unit; its fixed point has value 2 up
     to rounding.  Each later restart draws random dichotomic observables from a
@@ -264,7 +265,7 @@ def chsh_optimize(state, restarts: int = DEFAULT_RESTARTS, seed=None) -> ChshRes
     first with the largest one).
     """
     restarts = _check_count(restarts, "restarts")
-    state = _as_state(state, _STATES)
+    state = _as_state(state, (State,))
     alg_b = _require_factors(state.algebra)[1]
     rng, best, iterations = _as_rng(seed), None, 0
     for r in range(restarts):
@@ -298,7 +299,7 @@ def horodecki_two_qubit(state: State) -> float:
     eigenvalues of T^T T, the supremum over contractions is
     max(2, 2 sqrt(M)); the classical value 2 is always available.
     """
-    if _as_state(state, _STATES).algebra != qubit_pair():
+    if _as_state(state, (State,)).algebra != qubit_pair():
         raise UnsupportedShapeError("the closed form needs a state on M2 (x) M2")
     paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     rho = state.blocks[0]

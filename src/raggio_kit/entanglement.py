@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import (
     FdAlgebra,
     _as_numbers,
+    _as_state,
     _frozen,
     _herm,
     _is_count,
@@ -39,11 +40,9 @@ from .algebra import (
 from .errors import InvalidArgumentError
 from .states import (
     STATE_TRACE_TOL,
-    _STATES,
     PureVector,
     State,
     _as_rng,
-    _as_state,
     _check_count,
     _check_tol,
     _check_weights,
@@ -216,7 +215,7 @@ def ppt_check(state: State) -> float:
     the second factor of each joint block.
     """
     worst = np.inf
-    for idx, _, _, n, m in joint_blocks(_as_state(state, _STATES).algebra):
+    for idx, _, _, n, m in joint_blocks(_as_state(state, (State,)).algebra):
         pt = state.blocks[idx].reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
         worst = min(worst, float(np.linalg.eigvalsh(_herm(pt))[0]))
     return float(worst)
@@ -229,7 +228,7 @@ def realignment_check(state: State) -> float:
     1 + REALIGN_TOL certifies entanglement (K. Chen, L.-A. Wu, QIC 3, 193, 2003).
     """
     worst = 0.0
-    for idx, _, _, n, m in joint_blocks(_as_state(state, _STATES).algebra):
+    for idx, _, _, n, m in joint_blocks(_as_state(state, (State,)).algebra):
         blk = state.blocks[idx]
         w = float(np.trace(blk).real)
         if w > CLASSICAL_WEIGHT_TOL:
@@ -245,7 +244,7 @@ def classical_decompose(state: State) -> Decomposition:
     decomposition of each block's other side is exact: every state of this
     kind is decomposable, into pure products.
     """
-    if not any(f.is_commutative for f in _require_factors(_as_state(state, _STATES).algebra)):
+    if not any(f.is_commutative for f in _require_factors(_as_state(state, (State,)).algebra)):
         raise InvalidArgumentError("classical decomposition needs a commutative factor")
     return Decomposition._of_rows(state.algebra, [r[:5] for r in _block_rows(state, 0.0, 1, None)])
 
@@ -454,7 +453,7 @@ def separability_test(
         dec = Decomposition._of_rows(state.algebra, [(0, 0, np.ones(1), a, b)])
         return _separable(state, dec, schmidt_coefficients=pure.coefficients)
 
-    state = _as_state(state, _STATES)
+    state = _as_state(state, (State,))
     if any(f.is_commutative for f in _require_factors(state.algebra)):
         return _separable(state, classical_decompose(state))
 

@@ -13,12 +13,13 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdAlgebra, _is_count, _is_real, element, split_dense
+from .algebra import AlgebraElement, FdAlgebra, element, split_dense
+from .algebra import _as_state, _is_count, _is_real, _require_algebra
 from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
 from .errors import InvalidArgumentError
 from .harness import RaggioReport
-from .states import _STATES, PureVector, State, _as_state
+from .states import PureVector, State
 
 REPORT_SCHEMA_VERSION = 1
 STATE_OFF_BLOCK_TOL = 1e-9  # largest entry state_from_dict lets lie off the blocks
@@ -56,7 +57,7 @@ def _fields(data, what: str, required, optional=()) -> dict:
 
 
 def algebra_to_dict(alg: FdAlgebra) -> dict:
-    alg = _as_state(alg, (FdAlgebra,))
+    alg = _require_algebra(alg)
     out: dict = {"block_dims": list(alg.block_dims)}
     if alg.factors is not None:
         out["factors"] = [algebra_to_dict(alg.factors[0]), algebra_to_dict(alg.factors[1])]
@@ -99,7 +100,7 @@ def element_from_dict(data) -> AlgebraElement:
 
 
 def state_to_dict(state: State) -> dict:
-    state = _as_state(state, _STATES)
+    state = _as_state(state, (State,))
     return {
         "algebra": algebra_to_dict(state.algebra),
         "entries": _pairs(state.matrix),

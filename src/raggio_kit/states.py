@@ -140,18 +140,17 @@ class State:
 
 
 @dataclass(frozen=True, eq=False)
-class PureVector:
-    """A unit vector on a single-block algebra, inducing the state <psi, A psi>.
+class PureVector(State):
+    """A unit vector on a single-block algebra, and the state <psi, A psi> it induces.
 
     The vector is normalized on construction, so callers may pass rounded amplitudes; only
     the zero vector is rejected, which is any vector of norm below 1e-12 (an absolute cut,
-    so tiny amplitudes such as [1e-170, 1e-170] count as zero).  ``blocks`` holds the
-    induced density ``(|psi><psi|,)``, so a PureVector is accepted wherever a State is.
+    so tiny amplitudes such as [1e-170, 1e-170] count as zero).  A PureVector is a State
+    whose ``blocks`` hold the induced density ``(|psi><psi|,)``.
     """
 
-    algebra: FdAlgebra
-    vector: np.ndarray
     blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    vector: np.ndarray
 
     def __post_init__(self):
         if _require_algebra(self.algebra).num_blocks != 1:
@@ -177,30 +176,25 @@ class PureVector:
         object.__setattr__(self, "vector", psi)
         object.__setattr__(self, "blocks", (_frozen(np.outer(psi, psi.conj())),))
 
-    matrix = AlgebraElement.matrix
-
     def state(self) -> State:
         """The induced density matrix |psi><psi| as a State."""
         return State._of_density(self.algebra, self.blocks)
 
 
-_STATES = (State, PureVector)  # what _as_state takes where a state is asked for
-
-
 def expectation(state: State, x: AlgebraElement) -> complex:
     """omega(A) = sum of blockwise Tr(rho_k A_k)."""
-    _require_same_algebra(_as_state(state, _STATES), _as_state(x, (AlgebraElement,)))
+    _require_same_algebra(_as_state(state, (State,)), _as_state(x, (AlgebraElement,)))
     return complex(sum(np.trace(r @ a) for r, a in zip(state.blocks, x.blocks)))
 
 
 def purity(state: State) -> float:
     """Tr(rho^2); equals 1 exactly for vector states on a full matrix block."""
-    return float(sum(np.trace(b @ b).real for b in _as_state(state, _STATES).blocks))
+    return float(sum(np.trace(b @ b).real for b in _as_state(state, (State,)).blocks))
 
 
 def trace_distance(a: State, b: State) -> float:
     """(1/2) ||rho_a - rho_b||_1 via blockwise eigenvalues."""
-    _require_same_algebra(_as_state(a, _STATES), _as_state(b, _STATES))
+    _require_same_algebra(_as_state(a, (State,)), _as_state(b, (State,)))
     return 0.5 * _trace_norm(x - y for x, y in zip(a.blocks, b.blocks))
 
 
@@ -209,14 +203,14 @@ def mixture(weights, parts) -> State:
     if not isinstance(parts, (list, tuple)):
         raise InvalidArgumentError(f"parts must be a list or tuple of states, got {type(parts)!r}")
     w = _check_weights(weights, len(parts), 1e-12)
-    alg = _require_same_algebra(*(_as_state(s, _STATES) for s in parts))
+    alg = _require_same_algebra(*(_as_state(s, (State,)) for s in parts))
     blocks = [sum(wi * s.blocks[k] for wi, s in zip(w, parts)) for k in range(alg.num_blocks)]
     return State(alg, blocks)
 
 
 def product_state(sa: State, sb: State, product: FdAlgebra | None = None) -> State:
     """The product state (omega_a x omega_b) on the tensor algebra."""
-    sa, sb = _as_state(sa, _STATES), _as_state(sb, _STATES)
+    sa, sb = _as_state(sa, (State,)), _as_state(sb, (State,))
     blocks = tuple(np.kron(ra, rb) for ra in sa.blocks for rb in sb.blocks)
     return State._of_density(_product_of(sa.algebra, sb.algebra, product), blocks)
 
@@ -228,7 +222,7 @@ def restrict_to_factor(state: State, keep: str) -> State:
     of its row of ``algebra._plan``, with the other factor's pair of axes
     traced out.  The tensor factorization must have been recorded on the algebra.
     """
-    factors = _require_factors(_as_state(state, _STATES).algebra)
+    factors = _require_factors(_as_state(state, (State,)).algebra)
     if not (isinstance(keep, str) and keep in ("a", "b")):
         raise InvalidArgumentError(f"keep must be 'a' or 'b', got {keep!r}")
     side = "ab".index(keep)

@@ -189,9 +189,9 @@ def test_every_value_type_compares_by_one_rule(tiles_state):
 
 def test_chsh_value_and_seesaw_check_the_state_type():
     obs = canonical_qubit_observables(M2, M2)
-    with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
+    with pytest.raises(InvalidArgumentError, match="expected a State, got"):
         chsh_value("s", obs)
-    with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
+    with pytest.raises(InvalidArgumentError, match="expected a State, got"):
         seesaw("s", obs.b1, obs.b2)
 
 
@@ -215,7 +215,7 @@ STATE_ARGUMENTS = {
 def test_state_arguments_of_another_type_raise_invalid_argument(name):
     # a value that is not a state is named as such, not met by an AttributeError
     for bad in (None, "s", werner(0.2).blocks[0]):
-        with pytest.raises(InvalidArgumentError, match="expected a State or PureVector"):
+        with pytest.raises(InvalidArgumentError, match="expected a State, got"):
             STATE_ARGUMENTS[name](bad)
 
 
@@ -625,7 +625,7 @@ def test_optimize_takes_a_pure_vector_as_its_state():
         x, y = getattr(from_vector.observables, key), getattr(from_state.observables, key)
         np.testing.assert_array_equal(x.matrix, y.matrix)
     for bad in (singlet().vector, None):
-        with pytest.raises(InvalidArgumentError, match="State or PureVector"):
+        with pytest.raises(InvalidArgumentError, match="expected a State, got"):
             chsh_optimize(bad, restarts=2, seed=0)
 
 

@@ -2,9 +2,14 @@
 loaders of ``serialize``, called with valid small arguments (M2, D2, two samples,
 one restart, a search budget of 5) except for one required argument, which takes a
 wrong-typed or extreme value drawn by hypothesis.  Each such call must return or
-raise a RaggioKitError, never a raw AttributeError, TypeError or ValueError."""
+raise a RaggioKitError, never a raw AttributeError, TypeError or ValueError.  The
+five CLI subcommands get the same treatment through ``cli.run``, one option value
+swapped for an empty, non-finite, negative, huge or malformed string."""
 
+import contextlib
 import inspect
+import io
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import raggio_kit as rk
 from conftest import maximally_mixed
-from raggio_kit import serialize
+from raggio_kit import cli, serialize
 
 M2, D2 = rk.make_full(2), rk.make_commutative(2)
 PAIR = rk.tensor(M2, M2)
@@ -149,3 +154,54 @@ def test_one_bad_argument_returns_or_raises_a_domain_error(name, data):
         _function(name)(*call, **kwargs)
     except rk.RaggioKitError:
         pass
+
+
+# per subcommand: a valid small command line, its option values at odd positions
+COMMANDS = {
+    "born": ["born", "--state", "{vector}", "--format", "json"],
+    "schmidt": ["schmidt", "--psi", "[[0,0],[1,0],[-1,0],[0,0]]", "--algebra", "M2 x M2"],
+    "separability": ["separability", "--state", "{state}", "--seed", "0", "--budget", "5",
+                     "--tol", "1e-6"],
+    "chsh": ["chsh", "--werner", "0.9", "--seed", "0", "--restarts", "1"],
+    "raggio-check": ["raggio-check", "--a", "M2", "--b", "D2", "--seed", "0", "--samples", "1",
+                     "--restarts", "1"],
+}
+BAD_OPTION_VALUES = ("", "nan", "inf", "-1", "0", "1" * 400, "{", "[]", "M2 x Q3", "D65",
+                     "{missing}", "{directory}")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The paths that the command lines' ``{name}`` placeholders stand for: a vector
+    file, a state file, a path with no file and a directory."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "vector.json").write_text(json.dumps(serialize.pure_vector_to_dict(VECTOR)))
+    (root / "state.json").write_text(json.dumps(serialize.state_to_dict(WERNER)))
+    names = {"vector": "vector.json", "state": "state.json", "missing": "missing.json"}
+    return {"{directory}": str(root), **{f"{{{k}}}": str(root / v) for k, v in names.items()}}
+
+
+def _run_cli(argv, files) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run([files.get(a, a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_valid_small_command_lines_exit_0(command, cli_files):
+    assert _run_cli(COMMANDS[command], cli_files) == (0, "")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_bad_option_value_exits_with_one_error_line(command, cli_files, data):
+    argv = list(COMMANDS[command])
+    position = data.draw(st.sampled_from(range(2, len(argv), 2)), label="position")
+    argv[position] = data.draw(st.sampled_from(BAD_OPTION_VALUES), label="value")
+    code, err = _run_cli(argv, cli_files)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1

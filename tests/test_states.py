@@ -580,3 +580,4 @@ def test_pure_vector_reads_as_the_state_it_induces(reader, case):
         psi = random_pure(tensor(make_full(n), make_full(m)), rng)
     f = _state_readers(psi.algebra, rng)[reader]
     assert _plain(f(psi)) == _plain(f(psi.state()))
+    assert isinstance(psi, State)
