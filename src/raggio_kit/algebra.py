@@ -226,9 +226,10 @@ def split_dense(alg: FdAlgebra, arr, tol: float) -> tuple[np.ndarray, ...]:
 
 
 def _embed(alg: FdAlgebra, k: int, blk: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Blocks of ``alg`` holding ``blk`` in the top-left corner of block ``k``, zeros elsewhere."""
-    out = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
-    out[k][: len(blk), : len(blk)] = blk
+    """Blocks of ``alg`` holding ``blk`` in the top-left corner of block ``k``, zeros elsewhere;
+    a (..., n, n) stack ``blk`` gives (..., d, d) stacks."""
+    out = [np.zeros((*blk.shape[:-2], d, d), dtype=complex) for d in alg.block_dims]
+    out[k][..., : blk.shape[-1], : blk.shape[-1]] = blk
     return tuple(out)
 
 

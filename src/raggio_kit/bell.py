@@ -14,7 +14,7 @@ elements is the sign of the effective operator, and the attained value is a
 trace norm.  Each half-step is exact, so the value history never decreases;
 random restarts plus an identity-seeded restart (whose fixed point is 2 up
 to rounding) handle the nonconvexity in the pair of sides.  A see-saw call
-plans its joint-block reads once, and 1x1 signs take no eigen-solve.
+plans its joint-block reads once; 1x1 signs and the scan's 2x2 stacks take no eigen-solve.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ CANONICAL_QUBIT_SETTINGS = (
 )
 
 OBSERVABLE_TOL = 1e-9  # slack on the operator norm of a contraction
-SIGN_EIGENVALUE_TOL = 1e-12
+SIGN_EIGENVALUE_TOL, SIGN_CLOSED_FORM_STACK = 1e-12, 10  # _sign: zero band, least closed-form stack
 SEESAW_GAIN_TOL, SEESAW_MAX_ROUNDS = 1e-10, 500  # per see-saw run: convergence gain, round cap
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * np.sqrt(2.0)
@@ -106,8 +106,8 @@ class ChshObservables:
         vars(self).update(alg_a=alg_a, a=a, alg_b=alg_b, b=b)
 
     @classmethod
-    def _of_signs(cls, alg_a: FdAlgebra, a, alg_b: FdAlgebra, b) -> ChshObservables:
-        """Fresh sign stacks, which _sign built as v diag(+-1) v*, kept with no check."""
+    def _of_stacks(cls, alg_a: FdAlgebra, a, alg_b: FdAlgebra, b) -> ChshObservables:
+        """Fresh (2, d, d) stacks the package built as contractions, kept with no check."""
         for s in (*a, *b):
             s.setflags(write=False)
         obs = object.__new__(cls)
@@ -146,8 +146,8 @@ def _random_settings_chsh(product: FdAlgebra, rhos, settings: int, rng) -> np.nd
     draws them), the settings drawn from ``rng`` in the order of a random_observables call each.
     Chunks of at most SCAN_CHUNK_SETTINGS settings bound the memory: runs of
     consecutive states, or runs of one state's settings when it has more; they
-    draw the same stream.  Densities and settings are not re-checked: _sign builds each
-    setting as v diag(+-1) v*, from finite draws; bell_one_side_classical checks the rest."""
+    draw the same stream.  Densities and settings are not re-checked: _sign builds each setting
+    as a sign, +-1 on eigenvectors, from finite draws; bell_one_side_classical checks the rest."""
     alg_a, alg_b = _require_factors(product)
     wa, wb = (sum(2 * d * d for d in alg.block_dims) for alg in (alg_a, alg_b))
     step = max(1, SCAN_CHUNK_SETTINGS // max(settings, 1))
@@ -165,10 +165,22 @@ def _random_settings_chsh(product: FdAlgebra, rhos, settings: int, rng) -> np.nd
 
 def _sign(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign of every self-adjoint matrix in a (..., d, d) stack, sign(0) = +1, and
-    the (..., d) eigenvalues it was read from, which also give the trace norms.
-    For n = 1 LAPACK returns W = Re a and Z = 1; those bits are read with no eigen-solve."""
-    w, v = (h[..., 0].real, None) if h.shape[-1] == 1 else np.linalg.eigh(_herm(h))
+    the (..., d) eigenvalues it was read from, ascending, which also give the trace norms.
+    For n = 1 LAPACK returns W = Re a and Z = 1; those bits are read with no eigen-solve.
+    A 2x2 stack of SIGN_CLOSED_FORM_STACK matrices or more takes none either: its eigenvalues
+    are m -+ r and its sign (s0 + s1) / 2 I + (s1 - s0) / 2 (H - m I) / r, up to rounding."""
+    closed = h.shape[-1] == 2 and h.size >= 4 * SIGN_CLOSED_FORM_STACK
+    if closed:  # H = [[m + d, z], [z*, m - d]] = _herm(h), r = hypot(d, |z|)
+        p, q = 0.5 * h[..., 0, 0].real, 0.5 * h[..., 1, 1].real
+        z, d = 0.5 * (h[..., 0, 1] + h[..., 1, 0].conj()), p - q
+        r = np.hypot(d, np.abs(z))
+        w = np.stack((p + q - r, p + q + r), axis=-1)
+    else:
+        w, v = (h[..., 0].real, None) if h.shape[-1] == 1 else np.linalg.eigh(_herm(h))
     s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
+    if closed:  # (H - m I) / r = [[d, z], [z*, -d]] / r; s0 = s1 where r = 0
+        a, c = (s[..., 0] + s[..., 1]) / 2, (s[..., 1] - s[..., 0]) / np.where(r > 0, 2 * r, 2.0)
+        return np.stack((a + c * d, c * z, (c * z).conj(), a - c * d), -1).reshape(h.shape), w
     if v is None:
         return s[..., None].astype(h.dtype), w
     return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2), w
@@ -229,7 +241,7 @@ def seesaw(state: State, b1: AlgebraElement, b2: AlgebraElement):
             converged = True
             break
         prev = value
-    return ChshObservables._of_signs(alg_a, a, alg_b, b), history, converged
+    return ChshObservables._of_stacks(alg_a, a, alg_b, b), history, converged
 
 
 def _random_signs(z: np.ndarray, dims) -> list[np.ndarray]:
@@ -286,10 +298,9 @@ def chsh_optimize(state, restarts: int = DEFAULT_RESTARTS, seed=None) -> ChshRes
 def canonical_qubit_observables(alg_a: FdAlgebra, alg_b: FdAlgebra) -> ChshObservables:
     """The standard settings reaching 2 sqrt(2) on the singlet, in the top-left 2x2
     corner of each factor's first matrix block (on M2, all of it), zero elsewhere."""
-    obs = []
-    for alg, x in zip((alg_a, alg_a, alg_b, alg_b), CANONICAL_QUBIT_SETTINGS):
-        obs.append(element(alg, _embed(alg, _first_matrix_block(alg), x)))
-    return ChshObservables(*obs)
+    sides = np.reshape(CANONICAL_QUBIT_SETTINGS, (2, 2, 2, 2))  # (A1, A2), (B1, B2)
+    a, b = (_embed(alg, _first_matrix_block(alg), x) for alg, x in zip((alg_a, alg_b), sides))
+    return ChshObservables._of_stacks(alg_a, a, alg_b, b)
 
 
 def horodecki_two_qubit(state: State) -> float:

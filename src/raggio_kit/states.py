@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import (
     HERMITICITY_TOL,
+    _FLOAT_MAX,
     AlgebraElement,
     FdAlgebra,
     _as_numbers,
@@ -44,8 +45,8 @@ STATE_TRACE_TOL = 1e-9
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, bool):
-        raise InvalidArgumentError(f"invalid seed {seed!r}: a bool is not a seed")
+    if isinstance(seed, (int, np.integer)):  # an int seed is a count from 0; a bool is none
+        seed = _check_count(seed, "seed", minimum=0)
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -53,7 +54,9 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def _check_count(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int; it must be an integer (not a bool) of at least ``minimum``."""
+    """``value`` as an int: an integer (not a bool), at least ``minimum``, in the float range."""
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        raise InvalidArgumentError(f"{name} has {value.bit_length()} bits, beyond the float range")
     if not _is_count(value, minimum):
         raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

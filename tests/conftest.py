@@ -11,6 +11,16 @@ from raggio_kit.algebra import element, make_full, tensor
 from raggio_kit.states import State
 
 QUTRIT_PAIR = tensor(make_full(3), make_full(3))
+# the benchmark's raggio_check pairs (bench/workloads.py CHECK_PAIRS)
+CHECK_PAIRS = (
+    ("M2", "M2"),
+    ("M2", "M3"),
+    ("M3", "M3"),
+    ("M2", "D3"),
+    ("M3", "D4"),
+    ("M2+D1", "M2"),
+    ("M2+M1", "M2+D1"),
+)
 
 
 def maximally_mixed(algebra) -> State:

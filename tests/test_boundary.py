@@ -156,6 +156,14 @@ def test_one_bad_argument_returns_or_raises_a_domain_error(name, data):
         pass
 
 
+@pytest.mark.parametrize("name", sorted(name for name, (_, kw) in CALLS.items() if "seed" in kw))
+@pytest.mark.parametrize("seed", [10**400, -1, True], ids=["huge", "negative", "bool"])
+def test_an_int_seed_follows_the_count_rule(name, seed):
+    args, kwargs = CALLS[name]
+    with pytest.raises(rk.InvalidArgumentError, match="^seed (has|must be an integer >= 0)"):
+        _function(name)(*args, **{**kwargs, "seed": seed})
+
+
 # per subcommand: a valid small command line, its option values at odd positions
 COMMANDS = {
     "born": ["born", "--state", "{vector}", "--format", "json"],
@@ -166,8 +174,10 @@ COMMANDS = {
     "raggio-check": ["raggio-check", "--a", "M2", "--b", "D2", "--seed", "0", "--samples", "1",
                      "--restarts", "1"],
 }
-BAD_OPTION_VALUES = ("", "nan", "inf", "-1", "0", "1" * 400, "{", "[]", "M2 x Q3", "D65",
+HUGE = "1" * 400  # an integer beyond the float range, which no seed or count may be
+BAD_OPTION_VALUES = ("", "nan", "inf", "-1", "0", HUGE, "{", "[]", "M2 x Q3", "D65",
                      "{missing}", "{directory}")
+COUNT_OPTIONS = ("--seed", "--budget", "--restarts", "--samples")
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +215,19 @@ def test_one_bad_option_value_exits_with_one_error_line(command, cli_files, data
     assert "Traceback" not in err
     if code:
         assert sum("error:" in line for line in err.splitlines()) == 1
+    if argv[position] == HUGE and argv[position - 1] in COUNT_OPTIONS:
+        assert code == 1 and err.endswith(" has 1326 bits, beyond the float range\n")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(name, opt) for name, argv in sorted(COMMANDS.items()) for opt in argv if opt in COUNT_OPTIONS],
+)
+def test_over_large_seeds_and_counts_get_one_answer(command, option, cli_files):
+    # a seed follows the count rule in every subcommand: an integer beyond the float
+    # range exits 1 with one line that gives its size, not its digits
+    argv = list(COMMANDS[command])
+    argv[argv.index(option) + 1] = HUGE
+    code, err = _run_cli(argv, cli_files)
+    name = {"--seed": "seed", "--budget": "search budget"}.get(option, option[2:])
+    assert (code, err) == (1, f"error: {name} has 1326 bits, beyond the float range\n")

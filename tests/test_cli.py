@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import raggio_kit
+from conftest import CHECK_PAIRS
 from raggio_kit import cli
 from raggio_kit.cli import parse_algebra
 from raggio_kit.errors import ResourceLimitError
@@ -388,18 +389,6 @@ def test_raggio_check_json(capsys):
     assert payload["samples"] == 4
     assert payload["seed"] == 9
 
-
-
-# the benchmark's raggio_check pairs (bench/workloads.py CHECK_PAIRS), pair k at seed k
-CHECK_PAIRS = (
-    ("M2", "M2"),
-    ("M2", "M3"),
-    ("M3", "M3"),
-    ("M2", "D3"),
-    ("M3", "D4"),
-    ("M2+D1", "M2"),
-    ("M2+M1", "M2+D1"),
-)
 
 
 def test_raggio_check_json_is_pinned_bit_for_bit(capsys):

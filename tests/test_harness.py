@@ -4,16 +4,32 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import blockwise
+from conftest import CHECK_PAIRS, blockwise
 from raggio_kit import bell, harness
-from raggio_kit.algebra import direct_sum, make_commutative, make_full, tensor, tensor_element
+from raggio_kit.algebra import (
+    _embed,
+    _first_matrix_block,
+    _herm,
+    direct_sum,
+    element,
+    make_commutative,
+    make_full,
+    tensor,
+    tensor_element,
+)
 from raggio_kit.bell import (
+    CANONICAL_QUBIT_SETTINGS,
     CHSH_QUANTUM_BOUND,
     SCAN_CHUNK_SETTINGS,
+    SIGN_EIGENVALUE_TOL,
+    ChshObservables,
+    _check_observable,
     _random_settings_chsh,
+    canonical_qubit_observables,
     chsh_optimize,
     random_observables,
 )
+from raggio_kit.cli import parse_algebra
 from raggio_kit.entanglement import UNDETERMINED, SeparabilityVerdict, separability_test
 from raggio_kit.errors import (
     InvalidArgumentError,
@@ -209,9 +225,62 @@ SCAN_PIN_PAIRS = [
 ]
 
 
+def _eigh_sign(h):
+    """The reference sign step: every matrix of the stack signed through np.linalg.eigh."""
+    w, v = np.linalg.eigh(_herm(h))
+    s = np.where(np.abs(w) <= SIGN_EIGENVALUE_TOL, 1.0, np.sign(w))
+    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2), w
+
+
+def test_seeded_scans_agree_with_eigh_signs(monkeypatch):
+    # 2x2 scan stacks are signed in closed form, which rounds unlike eigh: on the pinned
+    # seeds, every value stays within 1e-13 of the eigh reference and every verdict holds
+    for i, (a, b) in enumerate(SCAN_PIN_PAIRS):
+        product = tensor(a, b)
+        for samples in (1, 5, 10):
+            seed, runs = 31 * i + samples, []
+            for sign in (bell._sign, _eigh_sign):
+                monkeypatch.setattr(bell, "_sign", sign)
+                scan = bell_one_side_classical(a, b, samples=samples, seed=seed, settings=10)
+                rng = np.random.default_rng(seed)
+                _, rhos = _sample_densities(product, samples, rng)
+                runs.append((scan.bound_holds, _random_settings_chsh(product, rhos, 10, rng)))
+            assert runs[0][0] == runs[1][0]
+            np.testing.assert_allclose(runs[0][1], runs[1][1], rtol=0.0, atol=1e-13)
+
+
+def _element_route(a, b):
+    """The canonical settings built as four elements and checked by ChshObservables."""
+    algs = (a, a, b, b)
+    xs = (_embed(alg, _first_matrix_block(alg), x) for alg, x in zip(algs, CANONICAL_QUBIT_SETTINGS))
+    return ChshObservables(*(element(alg, x) for alg, x in zip(algs, xs)))
+
+
+@pytest.mark.parametrize(
+    "a, b", SCAN_PIN_PAIRS + [tuple(map(parse_algebra, pair)) for pair in CHECK_PAIRS]
+)
+def test_canonical_settings_are_the_checked_element_route(a, b):
+    # canonical_qubit_observables builds its stacks unchecked; they must pass the
+    # observable check and be the bits the element route builds
+    if a.is_commutative or b.is_commutative:
+        for build in (canonical_qubit_observables, _element_route):
+            with pytest.raises(UnsupportedShapeError):
+                build(a, b)
+        return
+    obs, ref = canonical_qubit_observables(a, b), _element_route(a, b)
+    _check_observable(obs.a, "(a1, a2)")
+    _check_observable(obs.b, "(b1, b2)")
+    assert (obs.alg_a, obs.alg_b) == (ref.alg_a, ref.alg_b)
+    assert len(obs.a) == len(ref.a) and len(obs.b) == len(ref.b)
+    for x, y in zip(obs.a + obs.b, ref.a + ref.b):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
+
+
 def test_seeded_scan_values_are_pinned_bit_for_bit():
     # the scan's results and its (P, Q) value arrays, seeded, on every pair shape of
-    # the loop reference; the digest was taken when every sample was drawn as a State
+    # the loop reference; the digest was taken when 2x2 stacks of 10 or more matrices
+    # were first signed in closed form (test_seeded_scans_agree_with_eigh_signs)
     h = hashlib.sha256()
     for i, (a, b) in enumerate(SCAN_PIN_PAIRS):
         product = tensor(a, b)
@@ -224,7 +293,7 @@ def test_seeded_scan_values_are_pinned_bit_for_bit():
             _, rhos = _sample_densities(product, samples, rng)
             values = _random_settings_chsh(product, rhos, 10, rng)
             h.update(repr(values.shape).encode() + values.tobytes())
-    assert h.hexdigest() == "80e96079736105b59e8c81dcf544410d0b95b37900c92cdbcdcd893fbe1e229c"
+    assert h.hexdigest() == "f8a3a0235f0ef5c7a357d21594dd4ac71c8c9e99969fb3022415737b416861ef"
 
 
 def test_bell_scan_argument_checks():

@@ -8,7 +8,7 @@ one the embedded two-qubit witnesses, one the densities built unchecked
 against the checked State constructor, two the one CHSH contraction that the
 value, the scan and the see-saw share, two the bits of the see-saw's shortcuts
 (signs of 1x1 blocks with no eigen-solve, and each restart's start drawn as one
-stack), and a last one feeds malformed counts,
+stack), one the closed-form signs of 2x2 stacks against eigh, and a last one feeds malformed counts,
 tolerances, weights, see-saw starts and entries that are no numbers to the
 public API."""
 
@@ -38,6 +38,7 @@ from raggio_kit.algebra import (
 )
 from raggio_kit.bell import (
     CHSH_QUANTUM_BOUND,
+    SIGN_CLOSED_FORM_STACK,
     SIGN_EIGENVALUE_TOL,
     _effective,
     _sign,
@@ -515,6 +516,74 @@ def test_signs_of_one_by_one_blocks_are_those_eigh_gives(entries, real):
     signs, eigs = _sign(h)
     assert _same_bits(eigs, w)
     assert _same_bits(signs, (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def _no_eigh(*args):
+    raise AssertionError("the closed form called eigh")
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(*[ENTRIES] * 8), min_size=SIGN_CLOSED_FORM_STACK, max_size=20),
+    st.booleans(),
+)
+def test_signs_of_two_by_two_stacks_agree_with_eigh(entries, real):
+    # _sign signs a stack of SIGN_CLOSED_FORM_STACK or more 2x2 matrices, Hermitian or
+    # not, with no eigen-solve; its eigenvalues must be those of herm + eigh within a few
+    # ulps of the norm, and its signs Hermitian involutions that commute with _herm(h)
+    # and carry the sign(0) = +1 rule of the eigenvalues returned
+    x = np.array(entries).reshape(-1, 2, 2, 2)
+    h = x[..., 0].copy() if real else x[..., 0] + 1j * x[..., 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", _no_eigh)
+        signs, eigs = _sign(h)
+    herm = _herm(h)
+    ref = np.linalg.eigvalsh(herm)
+    ulps = 4 * np.finfo(float).eps * np.max(np.abs(ref), axis=-1)
+    assert signs.dtype == h.dtype and signs.shape == h.shape and eigs.shape == ref.shape
+    assert np.all(np.abs(eigs - ref) <= ulps[:, None])
+    assert np.array_equal(signs, signs.conj().swapaxes(-1, -2))
+    assert np.max(np.abs(signs @ signs - np.eye(2))) <= 1e-14
+    assert np.all(np.abs(signs @ herm - herm @ signs) <= 4 * ulps[:, None, None])
+    s = np.where(np.abs(eigs) <= TOL, 1.0, np.sign(eigs))
+    assert np.max(np.abs(np.linalg.eigvalsh(signs) - s)) <= 1e-14
+
+
+def test_two_by_two_sign_edge_cases_match_one_eigh_each():
+    # one stack of the singular, scalar and extreme 2x2 cases, signed in closed form,
+    # against _sign on each matrix alone, which takes eigh; a diagonal matrix with a
+    # zero entry gets its eigenvalues exactly, so the band's edges are pinned
+    up = np.nextafter(TOL, 1.0)
+    v = np.array([0.6, 0.8j])
+    cases = [
+        (np.zeros((2, 2)), (0.0, 0.0)),
+        (np.eye(2), (1.0, 1.0)),
+        (-np.eye(2), (-1.0, -1.0)),
+        (np.diag([1.0, 0.0]), (0.0, 1.0)),
+        (np.diag([0.0, -1.0]), (-1.0, 0.0)),
+        (np.outer(v, v.conj()), None),  # a rank-one projector: eigenvalues 0 and 1 up to rounding
+        (np.full((2, 2), 0.5), None),
+        (np.diag([TOL, 0.0]), (0.0, TOL)),
+        (np.diag([0.0, -TOL]), (-TOL, 0.0)),
+        (np.diag([up, 0.0]), (0.0, up)),
+        (np.diag([0.0, -up]), (-up, 0.0)),
+        (1e300 * np.array([[1.0, 1.0], [1.0, -1.0]]), None),
+        (np.array([[1e300, 1e300j], [-1e300j, 1e300]]), None),  # 2e300 (1 -+ 1) up to rounding
+    ]
+    h = np.array([c for c, _ in cases], dtype=complex)
+    assert len(h) >= SIGN_CLOSED_FORM_STACK
+    signs, eigs = _sign(h)
+    for k, (_, exact) in enumerate(cases):
+        one_sign, one_eigs = _sign(h[k])
+        norm = np.max(np.abs(one_eigs))
+        assert np.all(np.abs(eigs[k] - one_eigs) <= 4 * np.finfo(float).eps * norm)
+        if exact is not None:
+            assert tuple(eigs[k]) == exact
+        assert np.max(np.abs(signs[k] - one_sign)) <= 1e-15
+    # sign(0) = +1 up to the band's edge and one ulp past it, on each side
+    one, flip = np.eye(2), np.diag([1.0, -1.0])
+    for k, sign in enumerate([one, one, -one, one, flip, one, one, one, one, one, flip]):
+        np.testing.assert_array_equal(signs[k], sign)
 
 
 @PROPERTY
