@@ -72,9 +72,29 @@ def _hermiticity_defect(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - x.conj().swapaxes(-1, -2)), initial=0.0))
 
 
+def _echo(value) -> str:
+    """``value`` quoted for an error message: a str cut to 20 characters, a repr to 40."""
+    if isinstance(value, str):
+        return repr(value[:20]) + ("..." if len(value) > 20 else "")
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's digit limit, alone or inside a container
+        text = f"a {type(value).__name__} too long to print"
+    return text[:40] + ("..." if len(text) > 40 else "")
+
+
 def _is_count(value, minimum: int = 1) -> bool:
     """True for an int or numpy integer, but not a bool, of at least ``minimum``."""
     return isinstance(value, (int, np.integer)) and _is_real(value) and value >= minimum
+
+
+def _check_count(value, name: str, minimum: int = 1, error: type = InvalidArgumentError) -> int:
+    """``value`` as a Python int, if an integer (no bool) >= ``minimum`` in the float range."""
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        raise error(f"{name} has {value.bit_length()} bits, beyond the float range")
+    if not _is_count(value, minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {_echo(value)}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -92,18 +112,15 @@ class FdAlgebra:
     def __post_init__(self):
         dims = self.block_dims
         if not isinstance(dims, (tuple, list)) or len(dims) == 0:
-            raise InvalidDimensionError(f"block dimensions must be a nonempty tuple, got {dims!r}")
+            raise InvalidDimensionError(f"block_dims must be a nonempty tuple, got {_echo(dims)}")
+        dims = (_check_count(d, "dimension", error=InvalidDimensionError) for d in dims)
         object.__setattr__(self, "block_dims", tuple(dims))
-        if not all(map(_is_count, self.block_dims)):
-            raise InvalidDimensionError(
-                f"block dimensions must be positive integers, got {self.block_dims}"
-            )
         if self.factors is not None:
             pair = self.factors
             if not isinstance(pair, (tuple, list)) or len(pair) != 2 or not all(
                 isinstance(f, FdAlgebra) for f in pair
             ):
-                raise InvalidDimensionError(f"factors must be a pair of algebras, got {pair!r}")
+                raise InvalidDimensionError(f"factors {_echo(pair)} must be a pair of algebras")
             object.__setattr__(self, "factors", tuple(pair))
             da, db = (f.block_dims for f in pair)
             joint = tuple(n * m for n in da for m in db)
@@ -148,9 +165,7 @@ def make_full(n: int) -> FdAlgebra:
 
 def make_commutative(m: int) -> FdAlgebra:
     """The commutative algebra of functions on m points (diagonal matrices)."""
-    if not _is_count(m):
-        raise InvalidDimensionError(f"D_m needs an integer m >= 1, got {m!r}")
-    return FdAlgebra((1,) * m)
+    return FdAlgebra((1,) * _check_count(m, "m", error=InvalidDimensionError))
 
 
 def direct_sum(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:

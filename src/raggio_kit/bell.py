@@ -28,6 +28,7 @@ from .algebra import (
     AlgebraElement,
     FdAlgebra,
     _as_state,
+    _check_count,
     _embed,
     _first_matrix_block,
     _herm,
@@ -42,7 +43,7 @@ from .algebra import (
     unit,
 )
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedShapeError
-from .states import State, _as_rng, _check_count, qubit_pair
+from .states import State, _as_rng, qubit_pair
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

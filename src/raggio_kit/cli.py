@@ -19,7 +19,7 @@ import os
 import re
 import sys
 
-from .algebra import FdAlgebra, direct_sum, make_commutative, make_full, tensor
+from .algebra import FdAlgebra, _echo, direct_sum, make_commutative, make_full, tensor
 from .bell import DEFAULT_RESTARTS, chsh_optimize
 from .entanglement import DEFAULT_BUDGET, DEFAULT_DECOMP_TOL, is_entangled_pure, separability_test
 from .errors import InvalidArgumentError, RaggioKitError, ResourceLimitError
@@ -40,11 +40,6 @@ _ATOM_DIGITS = 18  # no subcommand can use 10^18; int() reads at least 640 digit
 
 class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
-
-
-def _echo(text: str) -> str:
-    """``text`` quoted for an error message, cut to its first 20 characters."""
-    return repr(text[:20]) + ("..." if len(text) > 20 else "")
 
 
 def parse_algebra(text: str) -> FdAlgebra:
@@ -105,6 +100,17 @@ def _parse_amplitudes(text: str):
         return _unpairs(data, len(data), "--psi")
     except InvalidArgumentError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _int(text: str) -> int:
+    """argparse's type for integer options; a numeral too long for int() is a domain error."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().removeprefix("+")
+        if not digits.isdecimal():
+            raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
+        raise InvalidArgumentError(f"an integer option has {len(digits)} digits, too many to read")
 
 
 def _read_json(path: str):
@@ -240,28 +246,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sep = add("separability", "decomposability test with certificate", _cmd_separability)
     _add_state_source(p_sep)
-    p_sep.add_argument("--seed", type=int, required=True, help="search seed")
+    p_sep.add_argument("--seed", type=_int, required=True, help="search seed")
     p_sep.add_argument(
         "--tol", type=float, default=DEFAULT_DECOMP_TOL, help="reconstruction tolerance"
     )
     p_sep.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="search budget, in oracle calls"
+        "--budget", type=_int, default=DEFAULT_BUDGET, help="search budget, in oracle calls"
     )
 
     p_chsh = add("chsh", "see-saw maximization of the CHSH value", _cmd_chsh)
     _add_state_source(p_chsh)
-    p_chsh.add_argument("--seed", type=int, required=True, help="restart seed")
-    p_chsh.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="see-saw restarts")
+    p_chsh.add_argument("--seed", type=_int, required=True, help="restart seed")
+    p_chsh.add_argument("--restarts", type=_int, default=DEFAULT_RESTARTS, help="see-saw restarts")
 
     p_check = add(
         "raggio-check", "verify the decomposability equivalence on a pair", _cmd_raggio_check
     )
     p_check.add_argument("--a", required=True, help="left factor, e.g. 'M2'")
     p_check.add_argument("--b", required=True, help="right factor, e.g. 'D3'")
-    p_check.add_argument("--seed", type=int, required=True, help="sampling seed")
-    p_check.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="states to sample")
+    p_check.add_argument("--seed", type=_int, required=True, help="sampling seed")
+    p_check.add_argument("--samples", type=_int, default=DEFAULT_SAMPLES, help="states to sample")
     p_check.add_argument(
-        "--restarts", type=int, default=DEFAULT_CHECK_RESTARTS, help="see-saw restarts"
+        "--restarts", type=_int, default=DEFAULT_CHECK_RESTARTS, help="see-saw restarts"
     )
 
     return parser
@@ -275,13 +281,12 @@ def run(argv=None) -> int:
     """
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # _int raises a RaggioKitError through argparse
         if getattr(args, "seed", 0) < 0:
-            parser.error(f"--seed must be nonnegative, got {args.seed}")
+            parser.error(f"--seed must be nonnegative, got {_echo(args.seed)}")
+        payload, lines, code = args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        payload, lines, code = args.func(args)
     except (UsageError, RaggioKitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

@@ -29,6 +29,7 @@ from .algebra import (
     FdAlgebra,
     _as_numbers,
     _as_state,
+    _check_count,
     _frozen,
     _herm,
     _is_count,
@@ -43,7 +44,6 @@ from .states import (
     PureVector,
     State,
     _as_rng,
-    _check_count,
     _check_tol,
     _check_weights,
     purity,

@@ -23,7 +23,8 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .algebra import FdAlgebra, _embed, _first_matrix_block, _require_algebra, joint_blocks, tensor
+from .algebra import FdAlgebra, _check_count, _embed, _first_matrix_block, _require_algebra
+from .algebra import joint_blocks, tensor
 from .bell import (
     CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_BOUND,
@@ -34,7 +35,7 @@ from .bell import (
 )
 from .entanglement import separability_test
 from .errors import ResourceLimitError
-from .states import State, _as_rng, _check_count, _random_densities, singlet, werner
+from .states import State, _as_rng, _random_densities, singlet, werner
 
 PRODUCT_DIM_CAP = 64
 CHSH_SLACK = 1e-6

@@ -8,13 +8,13 @@ other side.  Matching JSON Schemas ship in ``raggio_kit/schemas``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from importlib import resources
 
 import numpy as np
 
 from .algebra import AlgebraElement, FdAlgebra, element, split_dense
-from .algebra import _as_state, _is_count, _is_real, _require_algebra
+from .algebra import _as_state, _check_count, _echo, _is_count, _is_real, _require_algebra
 from .bell import ChshObservables, ChshResult
 from .entanglement import Decomposition, SeparabilityVerdict
 from .errors import InvalidArgumentError
@@ -52,7 +52,7 @@ def _fields(data, what: str, required, optional=()) -> dict:
     extra = [key for key in data if key not in (*required, *optional)]
     if missing or extra:
         how, key = ("misses", missing[0]) if missing else ("has unexpected key", extra[0])
-        raise InvalidArgumentError(f"{what} payload {how} {key!r}")
+        raise InvalidArgumentError(f"{what} payload {how} {_echo(key)}")
     return data
 
 
@@ -76,13 +76,8 @@ def algebra_from_dict(data) -> FdAlgebra:
 
 def element_to_dict(x: AlgebraElement) -> dict:
     x = _as_state(x, (AlgebraElement,))
-    return {
-        "algebra": algebra_to_dict(x.algebra),
-        "blocks": [
-            {"dim": int(d), "entries": _pairs(blk)}
-            for d, blk in zip(x.algebra.block_dims, x.blocks)
-        ],
-    }
+    blocks = [{"dim": d, "entries": _pairs(b)} for d, b in zip(x.algebra.block_dims, x.blocks)]
+    return {"algebra": algebra_to_dict(x.algebra), "blocks": blocks}
 
 
 def element_from_dict(data) -> AlgebraElement:
@@ -92,9 +87,7 @@ def element_from_dict(data) -> AlgebraElement:
         raise InvalidArgumentError("element blocks must be a list")
     mats = []
     for k, item in enumerate(data["blocks"]):
-        dim = _fields(item, f"block {k}", ("dim", "entries"))["dim"]
-        if not _is_count(dim):
-            raise InvalidArgumentError(f"block {k} must declare dim as a positive integer")
+        dim = _check_count(_fields(item, f"block {k}", ("dim", "entries"))["dim"], f"block {k} dim")
         mats.append(_unpairs(item["entries"], dim * dim, f"block {k}").reshape(dim, dim))
     return element(alg, mats)
 
@@ -156,20 +149,12 @@ def decomposition_from_dict(data) -> Decomposition:
 
 
 def verdict_to_dict(v: SeparabilityVerdict) -> dict:
+    """The verdict's fields that are set (not None or ""), in order, as plain JSON values."""
     v = _as_state(v, (SeparabilityVerdict,))
-    out: dict = {"tag": v.tag}
+    items = ((f.name, np.asarray(getattr(v, f.name)).tolist()) for f in fields(v))
+    out = {key: x for key, x in items if x not in (None, "")}
     if v.decomposition is not None:
         out["decomposition"] = decomposition_to_dict(v.decomposition)
-    if v.error is not None:
-        out["error"] = float(v.error)
-    if v.schmidt_coefficients is not None:
-        out["schmidt_coefficients"] = [float(c) for c in v.schmidt_coefficients]
-    if v.negative_eigenvalue is not None:
-        out["negative_eigenvalue"] = float(v.negative_eigenvalue)
-    if v.realignment is not None:
-        out["realignment"] = float(v.realignment)
-    if v.details:
-        out["details"] = v.details
     return out
 
 
@@ -187,13 +172,11 @@ def observables_from_dict(data) -> ChshObservables:
 
 
 def chsh_result_to_dict(res: ChshResult) -> dict:
+    """The result's fields in order, as verdict_to_dict writes them, but ``iterations``."""
     res = _as_state(res, (ChshResult,))
-    return {
-        "value": float(res.value),
-        "observables": observables_to_dict(res.observables),
-        "restarts": int(res.restarts),
-        "converged": bool(res.converged),
-    }
+    out = {f.name: np.asarray(getattr(res, f.name)).tolist() for f in fields(res)}
+    del out["iterations"]  # the chsh_result schema leaves it out
+    return {**out, "observables": observables_to_dict(res.observables)}
 
 
 def report_to_dict(rep: RaggioReport) -> dict:
@@ -221,7 +204,7 @@ def load_schema(name: str) -> dict:
     folder = resources.files("raggio_kit") / "schemas"
     names = sorted(f.name.removesuffix(".schema.json") for f in folder.iterdir())
     if not (isinstance(name, str) and name in names):
-        raise InvalidArgumentError(f"no bundled schema {name!r}; choose from {', '.join(names)}")
+        raise InvalidArgumentError(f"no schema {_echo(name)}; choose from {', '.join(names)}")
     own = f"{name}.schema.json"
     found = {own: json.loads((folder / own).read_text())}
     while missing := set().union(*map(_file_refs, found.values())) - set(found):

@@ -16,15 +16,15 @@ import numpy as np
 
 from .algebra import (
     HERMITICITY_TOL,
-    _FLOAT_MAX,
     AlgebraElement,
     FdAlgebra,
     _as_numbers,
     _as_state,
     _block_arrays,
+    _check_count,
+    _echo,
     _frozen,
     _hermiticity_defect,
-    _is_count,
     _is_real,
     _plan,
     _product_of,
@@ -43,29 +43,22 @@ STATE_TRACE_TOL = 1e-9
 
 
 def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """A Generator that can spawn, from a Generator or a seed that default_rng takes."""
     if isinstance(seed, (int, np.integer)):  # an int seed is a count from 0; a bool is none
         seed = _check_count(seed, "seed", minimum=0)
     try:
-        return np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)  # a Generator comes back as it is
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"invalid seed {seed!r}: {exc}") from exc
-
-
-def _check_count(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int: an integer (not a bool), at least ``minimum``, in the float range."""
-    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
-        raise InvalidArgumentError(f"{name} has {value.bit_length()} bits, beyond the float range")
-    if not _is_count(value, minimum):
-        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+        raise InvalidArgumentError(f"seed {_echo(seed)} is not one default_rng takes") from exc
+    if not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence):
+        raise InvalidArgumentError(f"seed {_echo(seed)} has a legacy seeding, which cannot spawn")
+    return rng
 
 
 def _check_tol(value) -> float:
     """``value`` as a float; it must be a positive finite real number (not a bool)."""
     if not _is_real(value) or not 0.0 < value < np.inf:
-        raise InvalidArgumentError(f"tolerance must be positive and finite, got {value!r}")
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {_echo(value)}")
     return float(value)
 
 
@@ -78,10 +71,10 @@ def _check_weights(weights, count: int, slack: float) -> np.ndarray:
     if not (sequence and count >= 1 and len(weights) == count
             and (real or all(map(_is_real, weights)))):
         need = f"{count} real number(s), one per term" if count else "at least one; no term given"
-        raise InvalidArgumentError(f"weights must be {need}, got {weights!r}")
+        raise InvalidArgumentError(f"weights must be {need}, got {_echo(weights)}")
     w = np.array(weights, dtype=float)
     if not np.all(np.isfinite(w)) or np.any(w < -1e-12) or abs(w.sum() - 1.0) > slack:
-        raise InvalidArgumentError(f"weights must be finite, nonnegative and sum to 1, got {w}")
+        raise InvalidArgumentError(f"weights must be finite, >= 0 and sum to 1, got {_echo(w)}")
     return w
 
 
@@ -227,7 +220,7 @@ def restrict_to_factor(state: State, keep: str) -> State:
     """
     factors = _require_factors(_as_state(state, (State,)).algebra)
     if not (isinstance(keep, str) and keep in ("a", "b")):
-        raise InvalidArgumentError(f"keep must be 'a' or 'b', got {keep!r}")
+        raise InvalidArgumentError(f"keep must be 'a' or 'b', got {_echo(keep)}")
     side = "ab".index(keep)
     rows = _plan(state.algebra, state.blocks, side)
     out = tuple(sum(np.einsum("ajbj->ab", rho) for rho, _ in row) for row in rows)
@@ -298,7 +291,7 @@ def singlet() -> PureVector:
 def werner(p: float) -> State:
     """Werner mixture p |singlet><singlet| + (1 - p) 1/4 on qubit_pair()."""
     if not _is_real(p) or not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {p!r}")
+        raise InvalidArgumentError(f"mixing parameter must lie in [0, 1], got {_echo(p)}")
     pure = singlet()
     rho = p * pure.blocks[0] + (1.0 - p) * np.eye(4) / 4.0
     return State._of_density(pure.algebra, (rho,))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,12 @@ from raggio_kit.errors import (
     InvalidStateError,
 )
 from raggio_kit.harness import bell_one_side_classical, embedded_singlet, verify_equivalence
-from raggio_kit.serialize import element_from_dict
+from raggio_kit.serialize import (
+    algebra_from_dict,
+    algebra_to_dict,
+    element_from_dict,
+    state_to_dict,
+)
 from raggio_kit.states import (
     PureVector,
     State,
@@ -40,6 +47,7 @@ from raggio_kit.states import (
     product_state,
     random_mixed,
     restrict_to_factor,
+    werner,
 )
 
 
@@ -97,6 +105,47 @@ def test_invalid_dimensions():
         with pytest.raises(InvalidDimensionError):
             make_commutative(bad)
     assert make_full(np.int64(2)) == make_full(2)
+
+
+def test_numpy_integer_dimensions_come_back_as_python_ints():
+    # make_full(np.int64(2)) used to keep the np.int64, so json.dumps failed on
+    # every state or algebra file written over it
+    two = np.int64(2)
+    algebras = [make_full(two), make_commutative(two), FdAlgebra((two, np.uint8(1)))]
+    for alg in algebras + [tensor(algebras[0], algebras[2])]:
+        assert all(type(d) is int for d in alg.block_dims), alg
+        json.dumps(algebra_to_dict(alg))
+        json.dumps(state_to_dict(maximally_mixed(alg)))
+
+
+def test_an_over_large_dimension_is_named_by_its_size_in_bits():
+    # a 400-digit dimension used to be quoted whole, in a message of 430 characters or
+    # more that called it no positive integer
+    huge = 10**400
+    element_file = {"algebra": {"block_dims": [1]}, "blocks": [{"dim": huge, "entries": []}]}
+    calls = [
+        (InvalidDimensionError, lambda: FdAlgebra((2, huge))),
+        (InvalidDimensionError, lambda: make_full(huge)),
+        (InvalidDimensionError, lambda: make_commutative(huge)),
+        (InvalidDimensionError, lambda: algebra_from_dict({"block_dims": [huge]})),
+        (InvalidArgumentError, lambda: element_from_dict(element_file)),
+    ]
+    for error, call in calls:
+        with pytest.raises(error, match=" has 1329 bits, beyond the float range$") as info:
+            call()
+        assert len(str(info.value)) < 200
+
+
+def test_error_messages_quote_a_value_cut_short():
+    huge = 10**5000  # beyond the digits that repr() prints, unless that limit is lifted
+    for value in (huge, [huge], 10**400, "x" * 5000, np.zeros(5000), [[1.0] * 50] * 50):
+        assert len(algebra._echo(value)) <= 45
+    assert algebra._echo("M2 x Q3") == "'M2 x Q3'"
+    assert algebra._echo([1.5, 2]) == "[1.5, 2]"
+    for call in (lambda: werner(huge), lambda: FdAlgebra(huge), lambda: mixture([huge], [])):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert len(str(info.value)) < 200
 
 
 def test_block_dims_must_be_a_tuple_or_list():

@@ -10,6 +10,7 @@ import contextlib
 import inspect
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +107,7 @@ BAD_VALUES = (
     VECTOR,
     DEC,
     OBS,
+    10**400,  # an int beyond the float range, which no message may quote in full
 )
 
 
@@ -152,16 +154,35 @@ def test_one_bad_argument_returns_or_raises_a_domain_error(name, data):
     call[position] = bad
     try:
         _function(name)(*call, **kwargs)
-    except rk.RaggioKitError:
-        pass
+    except rk.RaggioKitError as exc:
+        assert len(str(exc)) < 200, exc
+
+
+SEEDS = {
+    "huge": 10**400,
+    "negative": -1,
+    "bool": True,
+    "float": 1.5,
+    "str": "abc",
+    "negative-list": [-1],
+    "numpy-float": np.float64(2.0),
+    # legacy seeding, whose generators cannot spawn the restarts' children
+    "random-state": np.random.RandomState(1),
+    "legacy-generator": np.random.Generator(np.random.RandomState(1)._bit_generator),
+}
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (_, kw) in CALLS.items() if "seed" in kw))
-@pytest.mark.parametrize("seed", [10**400, -1, True], ids=["huge", "negative", "bool"])
+@pytest.mark.parametrize("seed", SEEDS.values(), ids=SEEDS.keys())
 def test_an_int_seed_follows_the_count_rule(name, seed):
+    # every seeded function answers a bad seed alike; chsh_optimize spawns a child per
+    # restart after the first, so it runs two, where a legacy generator once ended in a
+    # raw TypeError
     args, kwargs = CALLS[name]
-    with pytest.raises(rk.InvalidArgumentError, match="^seed (has|must be an integer >= 0)"):
-        _function(name)(*args, **{**kwargs, "seed": seed})
+    kwargs = {**kwargs, "seed": seed, **({"restarts": 2} if name == "chsh_optimize" else {})}
+    with pytest.raises(rk.InvalidArgumentError, match="^seed ") as info:
+        _function(name)(*args, **kwargs)
+    assert len(str(info.value)) < 200
 
 
 # per subcommand: a valid small command line, its option values at odd positions
@@ -231,3 +252,15 @@ def test_over_large_seeds_and_counts_get_one_answer(command, option, cli_files):
     code, err = _run_cli(argv, cli_files)
     name = {"--seed": "seed", "--budget": "search budget"}.get(option, option[2:])
     assert (code, err) == (1, f"error: {name} has 1326 bits, beyond the float range\n")
+    # 5000 digits are more than int() reads, unless the digit limit is lifted; they
+    # used to end in a usage error that echoed every digit
+    argv[argv.index(option) + 1] = "9" * 5000
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit in (default, 0):
+            sys.set_int_max_str_digits(limit)
+            code, err = _run_cli(argv, cli_files)
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err[:300]
+            assert len(err.encode()) < 200 and "99999" not in err
+    finally:
+        sys.set_int_max_str_digits(default)

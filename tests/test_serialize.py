@@ -2,6 +2,7 @@ import copy
 import json
 import urllib.request
 import warnings
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import jsonschema
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from raggio_kit.algebra import direct_sum, element, make_commutative, make_full, tensor
-from raggio_kit.bell import chsh_optimize, random_observables
-from raggio_kit.entanglement import classical_decompose, separability_test
+from raggio_kit.bell import ChshResult, chsh_optimize, random_observables
+from raggio_kit.entanglement import SeparabilityVerdict, classical_decompose, separability_test
 from raggio_kit.errors import InvalidArgumentError, InvalidDimensionError, RaggioKitError
 from raggio_kit.harness import verify_equivalence
 from raggio_kit.serialize import (
@@ -128,7 +129,7 @@ def test_element_from_dict_rejects_bad_blocks():
     for bad in (True, 1.0):
         payload = element_to_dict(element(make_commutative(2), [np.eye(1), np.eye(1)]))
         payload["blocks"][0]["dim"] = bad
-        with pytest.raises(InvalidArgumentError, match="must declare dim"):
+        with pytest.raises(InvalidArgumentError, match="^block 0 dim must be an integer >= 1"):
             element_from_dict(payload)
 
 
@@ -356,6 +357,24 @@ def test_chsh_result_payload_validates():
     assert set(payload) == {"value", "observables", "restarts", "converged"}
     back = observables_from_dict(payload["observables"])
     assert back.a1.algebra == res.observables.a1.algebra
+
+
+def test_records_write_their_own_fields():
+    # the dataclass is the one list of what a record writes: a field added to it is
+    # written, in declaration order, with no edit to the serializer
+    @dataclass(frozen=True)
+    class Verdict(SeparabilityVerdict):
+        rounds: tuple[int, ...] | None = None
+
+    @dataclass(frozen=True)
+    class Result(ChshResult):
+        winner: int = 0
+
+    verdict = Verdict("Separable", error=0.5, rounds=(3, 4))
+    assert verdict_to_dict(verdict) == {"tag": "Separable", "error": 0.5, "rounds": [3, 4]}
+    res = chsh_optimize(werner(0.9), restarts=2, seed=3)
+    payload = chsh_result_to_dict(Result(*(getattr(res, f.name) for f in fields(res)), winner=1))
+    assert list(payload) == ["value", "observables", "restarts", "converged", "winner"]
 
 
 def test_observables_roundtrip():
