@@ -112,7 +112,7 @@ class FdAlgebra:
     def __post_init__(self):
         dims = self.block_dims
         if not isinstance(dims, (tuple, list)) or len(dims) == 0:
-            raise InvalidDimensionError(f"block_dims must be a nonempty tuple, got {_echo(dims)}")
+            raise InvalidDimensionError(f"block dimensions must be a nonempty tuple, got {_echo(dims)}")
         dims = (_check_count(d, "dimension", error=InvalidDimensionError) for d in dims)
         object.__setattr__(self, "block_dims", tuple(dims))
         if self.factors is not None:
@@ -120,14 +120,14 @@ class FdAlgebra:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2 or not all(
                 isinstance(f, FdAlgebra) for f in pair
             ):
-                raise InvalidDimensionError(f"factors {_echo(pair)} must be a pair of algebras")
+                raise InvalidDimensionError(f"factors must be a pair of algebras, got {_echo(pair)}")
             object.__setattr__(self, "factors", tuple(pair))
             da, db = (f.block_dims for f in pair)
             joint = tuple(n * m for n in da for m in db)
             if self.block_dims != joint:
                 raise InvalidDimensionError(
-                    f"block dimensions {list(self.block_dims)} do not match the factors, "
-                    f"which give {list(joint)}"
+                    f"block dimensions {_echo(list(self.block_dims))} do not match the factors, "
+                    f"which give {_echo(list(joint))}"
                 )
 
     @property

@@ -107,10 +107,10 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        digits = text.strip().removeprefix("+")
-        if not digits.isdecimal():
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
             raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
-        raise InvalidArgumentError(f"an integer option has {len(digits)} digits, too many to read")
+        digits = len(re.sub(r"\D", "", text))
+        raise InvalidArgumentError(f"an integer option has {digits} digits, too many to read")
 
 
 def _read_json(path: str):

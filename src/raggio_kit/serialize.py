@@ -76,8 +76,13 @@ def algebra_from_dict(data) -> FdAlgebra:
 
 def element_to_dict(x: AlgebraElement) -> dict:
     x = _as_state(x, (AlgebraElement,))
-    blocks = [{"dim": d, "entries": _pairs(b)} for d, b in zip(x.algebra.block_dims, x.blocks)]
-    return {"algebra": algebra_to_dict(x.algebra), "blocks": blocks}
+    return {
+        "algebra": algebra_to_dict(x.algebra),
+        "blocks": [
+            {"dim": d, "entries": _pairs(blk)}
+            for d, blk in zip(x.algebra.block_dims, x.blocks)
+        ],
+    }
 
 
 def element_from_dict(data) -> AlgebraElement:
@@ -204,7 +209,7 @@ def load_schema(name: str) -> dict:
     folder = resources.files("raggio_kit") / "schemas"
     names = sorted(f.name.removesuffix(".schema.json") for f in folder.iterdir())
     if not (isinstance(name, str) and name in names):
-        raise InvalidArgumentError(f"no schema {_echo(name)}; choose from {', '.join(names)}")
+        raise InvalidArgumentError(f"no bundled schema {_echo(name)}; choose from {', '.join(names)}")
     own = f"{name}.schema.json"
     found = {own: json.loads((folder / own).read_text())}
     while missing := set().union(*map(_file_refs, found.values())) - set(found):

@@ -74,7 +74,7 @@ def _check_weights(weights, count: int, slack: float) -> np.ndarray:
         raise InvalidArgumentError(f"weights must be {need}, got {_echo(weights)}")
     w = np.array(weights, dtype=float)
     if not np.all(np.isfinite(w)) or np.any(w < -1e-12) or abs(w.sum() - 1.0) > slack:
-        raise InvalidArgumentError(f"weights must be finite, >= 0 and sum to 1, got {_echo(w)}")
+        raise InvalidArgumentError(f"weights must be finite, nonnegative and sum to 1, got {_echo(w)}")
     return w
 
 
@@ -152,7 +152,7 @@ class PureVector(State):
         if _require_algebra(self.algebra).num_blocks != 1:
             raise UnsupportedShapeError(
                 "vector states with a single wavefunction need a single-block algebra; "
-                f"got blocks {self.algebra.block_dims}"
+                f"got blocks {_echo(self.algebra.block_dims)}"
             )
         psi = _as_numbers(self.vector).reshape(-1)
         if psi.shape != (self.algebra.total_dim,):

@@ -31,6 +31,7 @@ from raggio_kit.errors import (
     InvalidArgumentError,
     InvalidDimensionError,
     InvalidStateError,
+    UnsupportedShapeError,
 )
 from raggio_kit.harness import bell_one_side_classical, embedded_singlet, verify_equivalence
 from raggio_kit.serialize import (
@@ -142,8 +143,19 @@ def test_error_messages_quote_a_value_cut_short():
         assert len(algebra._echo(value)) <= 45
     assert algebra._echo("M2 x Q3") == "'M2 x Q3'"
     assert algebra._echo([1.5, 2]) == "[1.5, 2]"
-    for call in (lambda: werner(huge), lambda: FdAlgebra(huge), lambda: mixture([huge], [])):
-        with pytest.raises(InvalidArgumentError) as info:
+    m2 = make_full(2)
+    calls = (
+        lambda: werner(huge),
+        lambda: FdAlgebra(huge),
+        lambda: mixture([huge], []),
+        # dimensions that pass the count rule but not the factors' product
+        lambda: FdAlgebra((10**300,), factors=(m2, m2)),
+        lambda: FdAlgebra((1,) * 5000, factors=(m2, m2)),
+        # a message that names the algebra's block dimensions
+        lambda: PureVector(make_commutative(5000), [1.0] * 5000),
+    )
+    for call in calls:
+        with pytest.raises((InvalidArgumentError, UnsupportedShapeError)) as info:
             call()
         assert len(str(info.value)) < 200
 

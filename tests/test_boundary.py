@@ -9,6 +9,7 @@ swapped for an empty, non-finite, negative, huge or malformed string."""
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import sys
 
@@ -158,29 +159,34 @@ def test_one_bad_argument_returns_or_raises_a_domain_error(name, data):
         assert len(str(exc)) < 200, exc
 
 
+COUNT_RULE = "^seed (has|must be an integer >= 0)"
+NOT_TAKEN = "^seed .* is not one default_rng takes$"
+LEGACY = "^seed .* has a legacy seeding, which cannot spawn$"
+# each bad seed, with the message it must get
 SEEDS = {
-    "huge": 10**400,
-    "negative": -1,
-    "bool": True,
-    "float": 1.5,
-    "str": "abc",
-    "negative-list": [-1],
-    "numpy-float": np.float64(2.0),
+    "huge": (10**400, COUNT_RULE),
+    "negative": (-1, COUNT_RULE),
+    "bool": (True, COUNT_RULE),
+    "float": (1.5, NOT_TAKEN),
+    "str": ("abc", NOT_TAKEN),
+    "negative-list": ([-1], NOT_TAKEN),
+    "numpy-float": (np.float64(2.0), NOT_TAKEN),
     # legacy seeding, whose generators cannot spawn the restarts' children
-    "random-state": np.random.RandomState(1),
-    "legacy-generator": np.random.Generator(np.random.RandomState(1)._bit_generator),
+    "random-state": (np.random.RandomState(1), LEGACY),
+    "legacy-generator": (np.random.Generator(np.random.RandomState(1)._bit_generator), LEGACY),
 }
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (_, kw) in CALLS.items() if "seed" in kw))
-@pytest.mark.parametrize("seed", SEEDS.values(), ids=SEEDS.keys())
-def test_an_int_seed_follows_the_count_rule(name, seed):
+@pytest.mark.parametrize("seed, message", SEEDS.values(), ids=SEEDS.keys())
+def test_an_int_seed_follows_the_count_rule(name, seed, message):
     # every seeded function answers a bad seed alike; chsh_optimize spawns a child per
     # restart after the first, so it runs two, where a legacy generator once ended in a
-    # raw TypeError
+    # raw TypeError; verify_equivalence records its seed, so it takes int seeds only
     args, kwargs = CALLS[name]
     kwargs = {**kwargs, "seed": seed, **({"restarts": 2} if name == "chsh_optimize" else {})}
-    with pytest.raises(rk.InvalidArgumentError, match="^seed ") as info:
+    message = COUNT_RULE if name == "verify_equivalence" else message
+    with pytest.raises(rk.InvalidArgumentError, match=message) as info:
         _function(name)(*args, **kwargs)
     assert len(str(info.value)) < 200
 
@@ -253,14 +259,16 @@ def test_over_large_seeds_and_counts_get_one_answer(command, option, cli_files):
     name = {"--seed": "seed", "--budget": "search budget"}.get(option, option[2:])
     assert (code, err) == (1, f"error: {name} has 1326 bits, beyond the float range\n")
     # 5000 digits are more than int() reads, unless the digit limit is lifted; they
-    # used to end in a usage error that echoed every digit
-    argv[argv.index(option) + 1] = "9" * 5000
+    # used to end in a usage error that echoed every digit; the sign changes nothing,
+    # but a negative --seed that int() reads is a usage error, as any negative --seed
     default = sys.get_int_max_str_digits()
     try:
-        for limit in (default, 0):
+        for sign, limit in itertools.product(("", "+", "-"), (default, 0)):
+            argv[argv.index(option) + 1] = sign + "9" * 5000
             sys.set_int_max_str_digits(limit)
             code, err = _run_cli(argv, cli_files)
-            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err[:300]
-            assert len(err.encode()) < 200 and "99999" not in err
+            usage = option == "--seed" and sign == "-" and limit == 0
+            assert code == (2 if usage else 1) and err.count("error: ") == 1, err[:300]
+            assert len(err.encode()) < 200 and "9" * 100 not in err
     finally:
         sys.set_int_max_str_digits(default)
